@@ -19,12 +19,10 @@ from .montecarlo import (
     GAMMA_LOOKUP_WINDOW,
     CutoffLookupError,
     CutoffTable,
-    ReplicateOutcome,
     SimulationConfig,
     SimulationError,
     build_table,
     order_quantiles,
-    run_replicate,
     run_simulation,
 )
 from .observations import ObservationParseError, parse_observations, write_observations
@@ -49,7 +47,6 @@ __all__ = [
     "NoRootError",
     "ObservationParseError",
     "RandomStream",
-    "ReplicateOutcome",
     "Sample",
     "SimulationConfig",
     "SimulationError",
@@ -71,7 +68,6 @@ __all__ = [
     "order_quantiles",
     "parse_observations",
     "pmf",
-    "run_replicate",
     "run_simulation",
     "sample",
     "write_observations",

@@ -97,12 +97,17 @@ class ZipfModel:
         object.__setattr__(self, "norm", normalization(self.gamma, self.support))
 
     @cached_property
-    def _sampling_cdf(self) -> np.ndarray:
-        """Cumulative probabilities over 1..limit used by inverse-transform draws."""
+    def _sampling_pmf(self) -> np.ndarray:
+        """Probabilities over 1..limit that draws are made from."""
         limit = self.support.k if self.support.is_finite else UNBOUNDED_SAMPLE_LIMIT
         logs = natural_logs(limit)[1 : limit + 1]
         weights = np.exp(-self.gamma * logs)
-        return np.cumsum(weights * (1.0 / weights.sum()))
+        return weights * (1.0 / weights.sum())
+
+    @cached_property
+    def _sampling_cdf(self) -> np.ndarray:
+        """Cumulative probabilities over 1..limit used by inverse-transform draws."""
+        return np.cumsum(self._sampling_pmf)
 
     @cached_property
     def _partial_table(self) -> np.ndarray:
@@ -146,6 +151,19 @@ class Sample:
         return int(self.observations.size)
 
 
+@dataclass(frozen=True, eq=False)
+class CountRows:
+    """Equal-size samples over a finite support 1..K, one count vector per row.
+
+    ``table[r, k - 1]`` is how often sample r holds the value k; every row sums
+    to n.  On a finite support the estimator and the KS statistic see a sample
+    only through its counts, so a batch of replicates is one such matrix.
+    """
+
+    table: np.ndarray
+    n: int
+
+
 def _check_in_support(model: ZipfModel, k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"support point must be an integer, got {k!r}")
@@ -171,7 +189,7 @@ def cdf(model: ZipfModel, k: int) -> float:
 
 
 class RandomStream:
-    """Deterministic uniform(0, 1] stream; single-owner, one per replicate."""
+    """Deterministic random stream; single-owner, one per span of replicates."""
 
     __slots__ = ("_generator",)
 
@@ -183,19 +201,47 @@ class RandomStream:
         """Independent stream keyed by (seed, repetition, replicate); worker-count free."""
         return cls([int(base_seed), int(repetition), int(index)])
 
+    @classmethod
+    def for_span(cls, base_seed: int, repetition: int, span: int) -> "RandomStream":
+        """Stream of one block of consecutive replicates, keyed like for_replicate."""
+        return cls([int(base_seed), int(repetition), int(span)])
+
     def uniforms(self, count: int) -> np.ndarray:
         return 1.0 - self._generator.random(count)
 
+    def multinomial(self, n: int, p: np.ndarray, rows: int) -> np.ndarray:
+        """rows x len(p) counts, each row Multinomial(n, p), drawn row after row."""
+        return self._generator.multinomial(n, p, size=rows)
 
-def sample(model: ZipfModel, n: int, stream: RandomStream) -> Sample:
+
+def sample(
+    model: ZipfModel, n: int, stream: RandomStream, rows: int | None = None
+) -> Sample | CountRows:
     """Draw n values by inverse transform: the smallest k with cdf(k) >= u.
 
     Finite supports use the exact model cdf and clamp to K against end-of-table
     rounding.  Unbounded supports draw from the model restricted to
     1..UNBOUNDED_SAMPLE_LIMIT (see the constant's note).
+
+    With ``rows``, a finite-support model instead gives that many samples as
+    CountRows.  When K <= n the counts are drawn directly by conditional
+    binomials (Generator.multinomial), which costs O(K) per row whatever n is;
+    otherwise by inverse transform and a row-offset bincount, O(n) per row.
+    Either way the stream is consumed row after row, so drawing rows in
+    several calls gives the same counts as one call.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    u = stream.uniforms(n)
-    values = np.searchsorted(model._sampling_cdf, u, side="left") + 1
-    return Sample(np.minimum(values, model._sample_limit()))
+    if rows is None:
+        u = stream.uniforms(n)
+        values = np.searchsorted(model._sampling_cdf, u, side="left") + 1
+        return Sample(np.minimum(values, model._sample_limit()))
+    k = model.support.k
+    if k is None:
+        raise ValueError("count rows need a finite support")
+    if k <= n:
+        return CountRows(stream.multinomial(n, model._sampling_pmf, rows), n)
+    cells = np.searchsorted(model._sampling_cdf, stream.uniforms(rows * n), side="left")
+    cells = np.minimum(cells, k - 1).reshape(rows, n) + (np.arange(rows) * k)[:, None]
+    table = np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
+    return CountRows(table, n)

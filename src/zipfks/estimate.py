@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .distribution import MIN_UNBOUNDED_GAMMA, Sample, Support
-from .series import finite_log_moments, natural_logs, zeta_log_moments
+from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support
+from .series import finite_log_moments, natural_logs, power_rows, row_dots, zeta_log_moments
 
 # Hard ceiling of the unbounded search range; estimates above it are reported
 # as no-root rather than extrapolated.
@@ -56,12 +57,18 @@ class NoRootError(ValueError):
     """The estimating equation has no root inside the admissible range."""
 
 
-def log_mean(sample: Sample) -> float:
+def log_mean(sample: Sample | CountRows) -> float | np.ndarray:
     """(sum ln x_i) / n, with the all-ones degenerate case nudged by ln 2.
 
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
+    CountRows give one mean per row.
     """
+    if isinstance(sample, CountRows):
+        k = sample.table.shape[1]
+        raw = (sample.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
+        raw[raw <= 0.0] += _LN2
+        return raw / sample.n
     obs = sample.observations
     vmax = int(obs.max())
     if vmax <= 1 << 20:
@@ -73,8 +80,18 @@ def log_mean(sample: Sample) -> float:
     return raw / sample.n
 
 
+# Bisection midpoints read from the cache of _mean_log_and_slope: the first
+# eight halvings of the bracket visit at most 255 distinct exponents.
+_SHARED_HALVINGS = 8
+
+
+@lru_cache(maxsize=1024)
 def _mean_log_and_slope(gamma: float, support: Support) -> tuple[float, float]:
-    """Model mean of ln X and the variance of ln X (its negative slope)."""
+    """Model mean of ln X and the variance of ln X (its negative slope).
+
+    Cached: every fit starts from the same exponent, and bisections share the
+    bracket ends and their first midpoints.
+    """
     if support.is_finite:
         s0, s1, s2 = finite_log_moments(gamma, support.k)
     else:
@@ -91,34 +108,73 @@ def _search_range(support: Support, settings: MleSettings) -> tuple[float, float
     return low, high
 
 
-def _bisect(target: float, support: Support, low: float, high: float) -> float:
+def _model_mean_log(gamma: np.ndarray, support: Support) -> np.ndarray:
+    """Model mean of ln X at each exponent of the array."""
+    if support.is_finite:
+        w = power_rows(gamma, support.k)
+        return row_dots(w, natural_logs(support.k)[1 : support.k + 1]) / w.sum(axis=1)
+    return np.array([_mean_log_and_slope(float(g), support)[0] for g in gamma])
+
+
+def _bisect_rows(target: np.ndarray, support: Support, low: float, high: float) -> np.ndarray:
+    """Roots of mean_log(gamma) = target in [low, high] to 1e-8, one per target.
+
+    Every target halves the same bracket, so all widths shrink together and
+    each halving is one batched evaluation.  The first _SHARED_HALVINGS
+    midpoints are few (2^j at halving j) and recur across targets and calls,
+    so those are read from the cached scalar evaluation.  NaN where no root
+    is bracketed.
+    """
     f_low = target - _mean_log_and_slope(low, support)[0]
     f_high = target - _mean_log_and_slope(high, support)[0]
-    if f_low == 0.0:
-        return low
-    if f_high == 0.0:
-        return high
-    if f_low * f_high > 0.0:
+    out = np.where(f_low == 0.0, low, np.where(f_high == 0.0, high, np.nan))
+    todo = np.flatnonzero(np.isnan(out) & (f_low * f_high < 0.0))
+    lo = np.full(todo.size, low)
+    hi = np.full(todo.size, high)
+    halvings = 0
+    while todo.size and (hi - lo).max() > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if halvings < _SHARED_HALVINGS:
+            mean = np.array([_mean_log_and_slope(float(m), support)[0] for m in mid])
+        else:
+            mean = _model_mean_log(mid, support)
+        left = (target[todo] - mean) * f_low[todo] <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        halvings += 1
+    out[todo] = 0.5 * (lo + hi)
+    return out
+
+
+def _bisect(target: float, support: Support, low: float, high: float) -> float:
+    root = float(_bisect_rows(np.array([target]), support, low, high)[0])
+    if math.isnan(root):
         raise NoRootError(
             f"estimating equation has no root in [{low}, {high}] "
             f"(mean log of data: {target:.6g})"
         )
-    while high - low > 1e-8:
-        mid = 0.5 * (low + high)
-        if (target - _mean_log_and_slope(mid, support)[0]) * f_low <= 0.0:
-            high = mid
-        else:
-            low = mid
-    return 0.5 * (low + high)
+    return root
 
 
-def mle_gamma(sample: Sample, support: Support, settings: MleSettings = DEFAULT_SETTINGS) -> float:
+def _bound_nudge(support: Support, n: int) -> float:
+    """Shift of the mean log that scores one of n observations all at K as K-1."""
+    return (math.log(support.k) - math.log(support.k - 1)) / n
+
+
+def mle_gamma(
+    sample: Sample | CountRows, support: Support, settings: MleSettings = DEFAULT_SETTINGS
+) -> float | np.ndarray:
     """Exponent estimate for the sample over the declared support.
 
     Newton-Raphson from settings.initial_guess; iterates leaving the bracket
     (or failing to converge within max_iterations) fall back to bisection.
     Raises NoRootError when the bracket does not straddle a root.
+
+    CountRows over a finite support are fitted all at once and give one
+    estimate per row; a row without a root is NaN instead of an error.
     """
+    if isinstance(sample, CountRows):
+        return _mle_rows(sample, support, settings)
     obs = sample.observations
     if not support.contains(obs):
         raise ValueError(f"observations exceed the declared support 1..{support}")
@@ -126,7 +182,7 @@ def mle_gamma(sample: Sample, support: Support, settings: MleSettings = DEFAULT_
     if support.is_finite and int(obs.min()) == support.k:
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1
-        target -= (math.log(support.k) - math.log(support.k - 1)) / sample.n
+        target -= _bound_nudge(support, sample.n)
     low, high = _search_range(support, settings)
     x = settings.initial_guess
     if not low < x < high:
@@ -144,3 +200,48 @@ def mle_gamma(sample: Sample, support: Support, settings: MleSettings = DEFAULT_
             return x_new
         x = x_new
     return _bisect(target, support, low, high)
+
+
+def _mle_rows(counts: CountRows, support: Support, settings: MleSettings) -> np.ndarray:
+    """mle_gamma for every row at once: the same Newton steps, vectorized over rows.
+
+    Each iteration evaluates the model's log moments for all rows still
+    running as one (rows x K) array.  Rows stop when their step is within the
+    tolerance; rows that leave the bracket, or have not converged after
+    max_iterations, go on to one batched bisection.
+    """
+    k = support.k
+    if k is None or counts.table.shape[1] != k:
+        raise ValueError(f"count rows do not match the finite support 1..{support}")
+    target = log_mean(counts)
+    target[counts.table[:, -1] == counts.n] -= _bound_nudge(support, counts.n)
+    low, high = _search_range(support, settings)
+    logs = natural_logs(k)[1 : k + 1]
+    logs_sq = logs * logs
+    out = np.full(target.size, np.nan)
+    active = np.arange(target.size)
+    x = np.full(target.size, settings.initial_guess)
+    escapes = []
+    for iteration in range(settings.max_iterations):
+        if iteration == 0:
+            # every row starts from the same exponent
+            mean, slope = _mean_log_and_slope(settings.initial_guess, support)
+        else:
+            w = power_rows(x, k)
+            s0 = w.sum(axis=1)
+            mean = row_dots(w, logs) / s0
+            slope = row_dots(w, logs_sq) / s0 - mean * mean
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = x + (mean - target[active]) / slope
+        escaped = ~np.isfinite(x_new) | (x_new < low) | (x_new > high)
+        done = ~escaped & (np.abs(x_new - x) <= settings.absolute_tolerance)
+        out[active[done]] = x_new[done]
+        escapes.append(active[escaped])
+        running = ~(escaped | done)
+        active, x = active[running], x_new[running]
+        if active.size == 0:
+            break
+    fallback = np.concatenate(escapes + [active])
+    if fallback.size:
+        out[fallback] = _bisect_rows(target[fallback], support, low, high)
+    return out

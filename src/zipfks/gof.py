@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import Sample, ZipfModel, _PARTIAL_SEAM
-from .series import natural_logs, tail_mass
+from .distribution import CountRows, Sample, Support, ZipfModel, _PARTIAL_SEAM
+from .series import natural_logs, power_rows, tail_mass
 
 # Above this many support points the per-k scan switches to evaluating only
 # the stretch endpoints around observed values (sup-equivalent, see below).
@@ -26,6 +26,14 @@ class KsResult:
 
     statistic: float
     argmax_k: int
+
+
+@dataclass(frozen=True, eq=False)
+class ZipfRows:
+    """One fitted exponent per row of a CountRows batch, all on one finite support."""
+
+    gamma: np.ndarray
+    support: Support
 
 
 @dataclass(frozen=True)
@@ -46,8 +54,13 @@ def judge(statistic: float, cutoff: float, level: float) -> Verdict:
     return Verdict(level=level, cutoff=cutoff, rejected=statistic > cutoff)
 
 
-def ks_statistic(sample: Sample, model: ZipfModel) -> KsResult:
-    """Largest |fitted cdf - empirical cdf| over 1..max(observations)."""
+def ks_statistic(sample: Sample | CountRows, model: ZipfModel | ZipfRows) -> KsResult | np.ndarray:
+    """Largest |fitted cdf - empirical cdf| over 1..max(observations).
+
+    CountRows scored against ZipfRows give one statistic per row.
+    """
+    if isinstance(sample, CountRows):
+        return _ks_rows(sample, model)
     obs = sample.observations
     if not model.support.contains(obs):
         raise ValueError(f"observations exceed the support 1..{model.support}")
@@ -66,6 +79,24 @@ def _ks_dense(obs: np.ndarray, model: ZipfModel, kmax: int) -> KsResult:
     gaps = np.abs(fitted - empirical)
     best = int(np.argmax(gaps))
     return KsResult(statistic=float(gaps[best]), argmax_k=best + 1)
+
+
+def _ks_rows(counts: CountRows, models: ZipfRows) -> np.ndarray:
+    """Row-wise max of |fitted cdf - empirical cdf|, as one running sum per row.
+
+    The gap at k is the running sum of (fitted pmf - counts / n) up to k.
+    Past a row's largest observation its empirical cdf is 1 and the gap only
+    shrinks, so the sums stop at the largest value observed in any row.
+    """
+    k = models.support.k
+    if k is None or counts.table.shape[1] != k:
+        raise ValueError(f"count rows do not match the finite support 1..{models.support}")
+    w = power_rows(models.gamma, k)
+    last = int(np.flatnonzero(counts.table.any(axis=0))[-1]) + 1
+    gaps = w[:, :last] * (1.0 / w.sum(axis=1))[:, None]
+    gaps -= counts.table[:, :last] * (1.0 / counts.n)
+    np.cumsum(gaps, axis=1, out=gaps)
+    return np.maximum(gaps.max(axis=1), -gaps.min(axis=1))
 
 
 def _ks_sparse(obs: np.ndarray, model: ZipfModel, kmax: int) -> KsResult:

@@ -3,33 +3,46 @@
 Each replicate draws a sample from the generating model, re-estimates the
 exponent from that sample, and scores the Kolmogorov-Smirnov statistic
 against the re-fitted model (never the generating one: cutoffs are only
-valid for parameters estimated from the data).  Replicates are driven by
-independent streams keyed on (base_seed, repetition, replicate_index), so
-results do not depend on worker count or scheduling.
+valid for parameters estimated from the data).
+
+Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
+that draw from one stream keyed on (base_seed, repetition, span_index).  A
+span is also the unit of pool work, so results do not depend on worker count
+or scheduling.  On a finite support a span's replicates are count vectors,
+drawn, fitted and scored as a matrix, a chunk of rows at a time; on the
+unbounded support they run one after another through the scalar pipeline.
 """
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import multiprocessing.pool
 import os
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, Decimal
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .distribution import RandomStream, Support, ZipfModel, normalization, sample
-from .estimate import DEFAULT_SETTINGS, NoRootError, mle_gamma
-from .gof import ks_statistic
+from .estimate import NoRootError, mle_gamma
+from .gof import ZipfRows, ks_statistic
 
 DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
 
-# Stream key offset for the single retry after an estimator failure.
+# Stream key offset for the single retry of a replicate whose fit found no
+# root.  Span indices stay below it, so a retry key never repeats a span key.
 _RETRY_OFFSET = 1 << 32
 
-# Replicates per pool task; fixed so that chunking never affects results.
+# Replicates per span; fixed so that the split into pool tasks never affects results.
 _SPAN = 512
+
+# Finite-support rows are scored in chunks of about this many count-matrix
+# elements (rows x K), which keeps the working arrays in cache.  Chunking
+# does not change results: the span's stream is consumed row after row.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class SimulationError(RuntimeError):
@@ -72,48 +85,67 @@ class SimulationConfig:
         normalization(self.gamma, self.support)  # validates the pair
 
 
-@dataclass(frozen=True)
-class ReplicateOutcome:
-    ks: float
-    gamma_hat: float
-    replicate_index: int
-
-
 @lru_cache(maxsize=8)
 def _generating_model(gamma: float, support_k: int | None) -> ZipfModel:
     model = ZipfModel(gamma=gamma, support=Support(k=support_k))
-    model._sampling_cdf  # build the draw table once per process
+    model._sampling_cdf  # build the draw tables once per process
     return model
 
 
-def _attempt(config: SimulationConfig, repetition: int, stream_index: int) -> tuple[float, float]:
-    model = _generating_model(config.gamma, config.support.k)
-    stream = RandomStream.for_replicate(config.base_seed, repetition, stream_index)
-    drawn = sample(model, config.n, stream)
-    gamma_hat = mle_gamma(drawn, config.support, DEFAULT_SETTINGS)
-    fitted = ZipfModel(gamma=gamma_hat, support=config.support)
-    return ks_statistic(drawn, fitted).statistic, gamma_hat
+def _score(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """KS statistics and re-fitted exponents of the next ``rows`` replicates of the stream.
 
-
-def run_replicate(config: SimulationConfig, index: int, repetition: int = 0) -> ReplicateOutcome:
-    """Sample, re-fit, and score one replicate.
-
-    An estimator failure is retried once on an offset stream; a second
-    failure aborts, since silently dropping replicates would bias quantiles.
+    Both are NaN for a replicate whose estimating equation has no root.
     """
-    if not 0 <= index < config.replicates:
-        raise ValueError(f"replicate index {index} outside [0, {config.replicates})")
-    try:
-        ks, gamma_hat = _attempt(config, repetition, index)
-    except NoRootError:
+    support = model.support
+    if support.is_finite:
+        drawn = sample(model, n, stream, rows)
+        gamma_hat = mle_gamma(drawn, support)
+        return ks_statistic(drawn, ZipfRows(gamma_hat, support)), gamma_hat
+    ks = np.full(rows, np.nan)
+    gamma_hat = np.full(rows, np.nan)
+    for row in range(rows):
+        drawn = sample(model, n, stream)
         try:
-            ks, gamma_hat = _attempt(config, repetition, index + _RETRY_OFFSET)
-        except NoRootError as err:
+            fitted = mle_gamma(drawn, support)
+        except NoRootError:
+            continue
+        gamma_hat[row] = fitted
+        ks[row] = ks_statistic(drawn, ZipfModel(fitted, support)).statistic
+    return ks, gamma_hat
+
+
+def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """KS statistics and re-fitted exponents of one span, in replicate-index order.
+
+    A replicate whose fit finds no root is redrawn once, alone, on an offset
+    stream; a second failure aborts, since silently dropping replicates would
+    bias quantiles.
+    """
+    config, repetition, span = task
+    start = span * _SPAN
+    if not 0 <= start < config.replicates:
+        raise ValueError(f"span {span} outside the {config.replicates} replicates")
+    count = min(_SPAN, config.replicates - start)
+    model = _generating_model(config.gamma, config.support.k)
+    stream = RandomStream.for_span(config.base_seed, repetition, span)
+    step = max(1, _CHUNK_ELEMENTS // config.support.k) if config.support.is_finite else count
+    ks = np.empty(count)
+    gamma_hat = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        ks[lo:hi], gamma_hat[lo:hi] = _score(model, config.n, stream, hi - lo)
+    for row in np.flatnonzero(np.isnan(gamma_hat)):
+        index = start + int(row)
+        retry = RandomStream.for_replicate(config.base_seed, repetition, _RETRY_OFFSET + index)
+        (ks[row],), (gamma_hat[row],) = _score(model, config.n, retry, 1)
+        if np.isnan(gamma_hat[row]):
             raise SimulationError(
                 f"replicate {index} (repetition {repetition}, gamma={config.gamma}, "
-                f"n={config.n}, support={config.support}) failed twice: {err}"
-            ) from err
-    return ReplicateOutcome(ks=ks, gamma_hat=gamma_hat, replicate_index=index)
+                f"n={config.n}, support={config.support}) failed twice: the estimating "
+                f"equation has no root in the admissible range"
+            )
+    return ks, gamma_hat
 
 
 def order_quantiles(stats: Sequence[float] | np.ndarray, levels: Sequence[float]) -> list[float]:
@@ -137,78 +169,53 @@ def order_quantiles(stats: Sequence[float] | np.ndarray, levels: Sequence[float]
 
 
 # ---------------------------------------------------------------------------
-# parallel driver
-
-_worker_config: SimulationConfig | None = None
-
-
-def _pool_init(config: SimulationConfig) -> None:
-    global _worker_config
-    _worker_config = config
-    _generating_model(config.gamma, config.support.k)
-
-
-def _pool_span(task: tuple[int, int, int]) -> tuple[int, np.ndarray, np.ndarray]:
-    repetition, start, stop = task
-    ks = np.empty(stop - start)
-    gamma_hat = np.empty(stop - start)
-    for i in range(start, stop):
-        outcome = run_replicate(_worker_config, i, repetition)
-        ks[i - start] = outcome.ks
-        gamma_hat[i - start] = outcome.gamma_hat
-    return start, ks, gamma_hat
-
+# the replicate loop, serial or on a pool
 
 def resolve_workers(workers: int | None) -> int:
+    """Worker count; None means every CPU this process may run on."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
 
 
-def _spans(total: int) -> list[tuple[int, int]]:
-    return [(s, min(s + _SPAN, total)) for s in range(0, total, _SPAN)]
+@contextlib.contextmanager
+def _worker_pool(workers: int | None) -> Iterator[multiprocessing.pool.Pool | None]:
+    """A process pool for more than one worker, None for one."""
+    workers = resolve_workers(workers)
+    if workers == 1:
+        yield None
+        return
+    with multiprocessing.get_context().Pool(workers) as pool:
+        yield pool
 
 
-def run_repetition(
-    config: SimulationConfig, repetition: int, pool: multiprocessing.pool.Pool | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """All replicate outcomes of one repetition, in replicate-index order."""
-    total = config.replicates
-    ks = np.empty(total)
-    gamma_hat = np.empty(total)
-    if pool is None:
-        for i in range(total):
-            outcome = run_replicate(config, i, repetition)
-            ks[i] = outcome.ks
-            gamma_hat[i] = outcome.gamma_hat
-        return ks, gamma_hat
-    tasks = [(repetition, start, stop) for start, stop in _spans(total)]
-    for start, span_ks, span_gh in pool.imap_unordered(_pool_span, tasks):
-        ks[start : start + span_ks.size] = span_ks
-        gamma_hat[start : start + span_gh.size] = span_gh
-    return ks, gamma_hat
+def _replicate_ks(config: SimulationConfig, pool: multiprocessing.pool.Pool | None) -> np.ndarray:
+    """KS statistic of every replicate, shape (repetitions, replicates)."""
+    spans = range(-(-config.replicates // _SPAN))
+    tasks = [(config, repetition, span) for repetition in range(config.repetitions) for span in spans]
+    results = map(_run_span, tasks) if pool is None else pool.imap(_run_span, tasks)
+    ks = np.concatenate([span_ks for span_ks, _ in results])
+    return ks.reshape(config.repetitions, config.replicates)
 
 
 def run_simulation(
-    config: SimulationConfig, workers: int | None = None
+    config: SimulationConfig, workers: int | multiprocessing.pool.Pool | None = None
 ) -> list[tuple[float, float]]:
-    """(level, cutoff) pairs: per-repetition order quantiles averaged over repetitions."""
-    workers = resolve_workers(workers)
-    per_level = np.zeros(len(config.quantiles))
-    if workers == 1:
-        for repetition in range(config.repetitions):
-            ks, _ = run_repetition(config, repetition, pool=None)
-            per_level += np.asarray(order_quantiles(ks, config.quantiles))
+    """(level, cutoff) pairs: per-repetition order quantiles averaged over repetitions.
+
+    ``workers`` is a worker count (None: every CPU this process may use) or a
+    running pool to share, as build_table does across its cells.
+    """
+    if isinstance(workers, multiprocessing.pool.Pool):
+        ks = _replicate_ks(config, workers)
     else:
-        with multiprocessing.get_context().Pool(
-            workers, initializer=_pool_init, initargs=(config,)
-        ) as pool:
-            for repetition in range(config.repetitions):
-                ks, _ = run_repetition(config, repetition, pool)
-                per_level += np.asarray(order_quantiles(ks, config.quantiles))
-    per_level /= config.repetitions
+        with _worker_pool(workers) as pool:
+            ks = _replicate_ks(config, pool)
+    per_level = np.mean([order_quantiles(row, config.quantiles) for row in ks], axis=0)
     return list(zip(config.quantiles, (float(c) for c in per_level)))
 
 
@@ -271,19 +278,31 @@ def build_table(
     workers: int | None = None,
     progress: Callable[[float, int, float, tuple[float, ...]], None] | None = None,
 ) -> CutoffTable:
-    """Fill the (gamma, n) grid cell by cell with run_simulation.
+    """Fill the (gamma, n) grid cell by cell, all cells sharing one worker pool.
 
     Every cell reuses the same base_seed, so any single cell is reproducible
     with a standalone run_simulation call on that cell's configuration.
+    ``progress`` gets each cell's seconds; the pool's start-up is charged to
+    the first cell and its shutdown to the last, so that the seconds add up
+    to the call's wall time.
     """
     ns = tuple(int(n) for n in ns)
     gammas = tuple(float(g) for g in gammas)
     if not ns or not gammas:
         raise ValueError("both grids must be nonempty")
     levels = _validate_levels(quantiles)
+    grid = [(gamma, n) for gamma in gammas for n in ns]
     cells: dict[tuple[float, int], tuple[float, ...]] = {}
-    for gamma in gammas:
-        for n in ns:
+    started = time.perf_counter()
+
+    def report(gamma: float, n: int) -> None:
+        nonlocal started
+        if progress is not None:
+            progress(gamma, n, time.perf_counter() - started, cells[(gamma, n)])
+        started = time.perf_counter()
+
+    with _worker_pool(workers) as pool:
+        for gamma, n in grid:
             config = SimulationConfig(
                 n=n,
                 support=support,
@@ -293,15 +312,14 @@ def build_table(
                 repetitions=repetitions,
                 quantiles=levels,
             )
-            started = time.perf_counter()
             try:
-                pairs = run_simulation(config, workers)
+                pairs = run_simulation(config, pool or 1)
             except Exception as err:
                 raise SimulationError(f"table cell (gamma={gamma}, n={n}) failed: {err}") from err
-            row = tuple(cutoff for _, cutoff in pairs)
-            cells[(gamma, n)] = row
-            if progress is not None:
-                progress(gamma, n, time.perf_counter() - started, row)
+            cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)
+            if (gamma, n) != grid[-1]:
+                report(gamma, n)
+    report(*grid[-1])  # the last cell also pays for the pool's shutdown
     return CutoffTable(
         support=support,
         levels=levels,

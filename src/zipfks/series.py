@@ -73,6 +73,22 @@ def finite_log_moments(gamma: float, k: int) -> tuple[float, float, float]:
     return float(w.sum()), float(wl.sum()), float(wl @ logs)
 
 
+def power_rows(gammas: np.ndarray, k: int) -> np.ndarray:
+    """(rows x k) array of j^(-gamma) for j = 1..k, one row per exponent."""
+    w = np.multiply.outer(-np.asarray(gammas, dtype=np.float64), natural_logs(k)[1 : k + 1])
+    return np.exp(w, out=w)
+
+
+def row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Dot product of each row with the vector.
+
+    Each row is its own BLAS call: BLAS blocks a many-row product
+    differently for different row counts, and a row's result must not depend
+    on how many rows share the call.
+    """
+    return (rows[:, None, :] @ vector)[:, 0]
+
+
 def _tail_log_moment(gamma: float, start: int, p: int) -> tuple[float, float]:
     """(value, error bound) for sum_{k=start..inf} k^(-gamma) (ln k)^p.
 

@@ -1,8 +1,11 @@
 """Independent oracles the test suite checks production code against.
 
-These deliberately avoid the production algorithms: sums are taken directly
+Most deliberately avoid the production algorithms: sums are taken directly
 (or in high precision via mpmath), the exponent is found by maximizing the
 likelihood instead of root-finding, and the KS supremum is an O(K*N) scan.
+The scalar replicate is the exception: it is the one-sample pipeline
+(sample -> mle_gamma -> ks_statistic), itself checked against the oracles
+above, and it is the reference for the batched count-vector engine.
 """
 from __future__ import annotations
 
@@ -11,7 +14,9 @@ import math
 import mpmath
 import numpy as np
 
-from zipfks.distribution import ZipfModel
+from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
+from zipfks.estimate import mle_gamma
+from zipfks.gof import ks_statistic
 from zipfks.series import natural_logs
 
 mpmath.mp.dps = 50
@@ -94,3 +99,20 @@ def brute_force_ks(obs: np.ndarray, model: ZipfModel) -> tuple[float, int]:
 def nth_element(values, rank: int) -> float:
     """Selection-without-sorting oracle for order statistics."""
     return float(np.partition(np.asarray(values, dtype=np.float64), rank)[rank])
+
+
+def scalar_score(drawn: Sample, support: Support) -> tuple[float, float]:
+    """(KS statistic, gamma_hat) of one sample against its own re-fit; may raise NoRootError."""
+    gamma_hat = mle_gamma(drawn, support)
+    return ks_statistic(drawn, ZipfModel(gamma_hat, support)).statistic, gamma_hat
+
+
+def scalar_replicate(model: ZipfModel, n: int, stream: RandomStream) -> tuple[float, float]:
+    """One replicate the one-sample way: draw n values, re-fit, score against the re-fit."""
+    return scalar_score(sample(model, n, stream), model.support)
+
+
+def expand_counts(counts) -> Sample:
+    """The sample, in sorted order, whose count vector over 1..K is ``counts``."""
+    counts = np.asarray(counts)
+    return Sample(np.repeat(np.arange(1, counts.size + 1), counts))

@@ -1,23 +1,31 @@
+import multiprocessing
+import os
+import time
 from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
 
-from zipfks.distribution import Support, ZipfModel
-from zipfks.gof import ks_statistic
+from zipfks import montecarlo
+from zipfks.distribution import RandomStream, Support, ZipfModel, sample
+from zipfks.estimate import mle_gamma
+from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import (
+    _RETRY_OFFSET,
+    _SPAN,
     DEFAULT_LEVELS,
     CutoffLookupError,
     CutoffTable,
     SimulationConfig,
     SimulationError,
+    _run_span,
     build_table,
     order_quantiles,
-    run_replicate,
+    resolve_workers,
     run_simulation,
 )
 
-from oracles import nth_element
+from oracles import expand_counts, nth_element, scalar_replicate, scalar_score
 
 
 def config(**overrides):
@@ -94,37 +102,82 @@ class TestOrderQuantiles:
 
 
 class TestRunReplicate:
+    """The replicate stream contract, as spans carry it.
+
+    Span j of a repetition holds replicates j*_SPAN .. (j+1)*_SPAN - 1 and
+    draws them, in index order, from the stream keyed (seed, repetition, j).
+    """
+
     def test_deterministic(self):
-        cfg = config()
-        a = run_replicate(cfg, 7)
-        b = run_replicate(cfg, 7)
-        assert (a.ks, a.gamma_hat, a.replicate_index) == (b.ks, b.gamma_hat, b.replicate_index)
+        cfg = config(replicates=1100)
+        for span in range(3):
+            a = _run_span((cfg, 0, span))
+            b = _run_span((cfg, 0, span))
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
 
     def test_distinct_indices_differ(self):
-        cfg = config()
-        assert run_replicate(cfg, 3).ks != run_replicate(cfg, 4).ks
+        cfg = config(replicates=1100)
+        spans = [_run_span((cfg, 0, span))[0] for span in range(3)]
+        assert [s.size for s in spans] == [_SPAN, _SPAN, 1100 - 2 * _SPAN]
+        assert not np.array_equal(spans[0], spans[1])
+        assert not np.array_equal(spans[0][: spans[2].size], spans[2])
+        assert np.unique(spans[0]).size > 100  # replicates within a span differ too
 
     def test_repetitions_use_distinct_streams(self):
         cfg = config()
-        assert run_replicate(cfg, 3, repetition=0).ks != run_replicate(cfg, 3, repetition=1).ks
+        assert not np.array_equal(_run_span((cfg, 0, 0))[0], _run_span((cfg, 1, 0))[0])
 
     def test_matches_manual_pipeline(self):
-        # the replicate is exactly sample -> re-fit -> ks against the re-fit
-        from zipfks.distribution import RandomStream, sample
-        from zipfks.estimate import mle_gamma
+        # a finite-support span is exactly: the span's count rows -> batched
+        # re-fit -> batched KS against the re-fit, and each row agrees with the
+        # one-sample pipeline run on the same counts
+        cfg = config(replicates=1100)
+        support = cfg.support
+        ks, gamma_hat = _run_span((cfg, 1, 2))
+        stream = RandomStream.for_span(cfg.base_seed, 1, 2)
+        drawn = sample(ZipfModel(cfg.gamma, support), cfg.n, stream, rows=ks.size)
+        want_gamma = mle_gamma(drawn, support)
+        np.testing.assert_array_equal(gamma_hat, want_gamma)
+        np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, support)))
+        for row in range(ks.size):
+            want_ks, want_g = scalar_score(expand_counts(drawn.table[row]), support)
+            assert abs(gamma_hat[row] - want_g) < 1e-9
+            assert abs(ks[row] - want_ks) < 1e-12
 
-        cfg = config()
-        outcome = run_replicate(cfg, 11, repetition=1)
-        stream = RandomStream.for_replicate(cfg.base_seed, 1, 11)
-        drawn = sample(ZipfModel(cfg.gamma, cfg.support), cfg.n, stream)
-        gamma_hat = mle_gamma(drawn, cfg.support)
-        ks = ks_statistic(drawn, ZipfModel(gamma_hat, cfg.support)).statistic
-        assert outcome.gamma_hat == gamma_hat
-        assert outcome.ks == ks
+    def test_matches_manual_pipeline_unbounded(self):
+        # an unbounded span runs its rows one after another through the
+        # one-sample pipeline, all drawing from the span's stream
+        cfg = config(support=Support.unbounded(), gamma=2.0, n=30, replicates=100)
+        ks, gamma_hat = _run_span((cfg, 0, 0))
+        stream = RandomStream.for_span(cfg.base_seed, 0, 0)
+        model = ZipfModel(cfg.gamma, cfg.support)
+        for row in range(cfg.replicates):
+            assert (ks[row], gamma_hat[row]) == scalar_replicate(model, cfg.n, stream)
 
     def test_index_range_checked(self):
         with pytest.raises(ValueError):
-            run_replicate(config(), 400)
+            _run_span((config(), 0, 1))  # 400 replicates make a single span
+        with pytest.raises(ValueError):
+            _run_span((config(), 0, -1))
+
+    def test_failed_fit_redrawn_once_on_offset_stream(self):
+        # about 2% of these fits have no root; each such replicate is redrawn,
+        # alone, from the stream keyed (seed, repetition, 2^32 + index)
+        cfg = config(n=5, gamma=-5.0, base_seed=7)
+        model = ZipfModel(cfg.gamma, cfg.support)
+        first = mle_gamma(sample(model, cfg.n, RandomStream.for_span(7, 0, 0), rows=400), cfg.support)
+        failed = np.flatnonzero(np.isnan(first))
+        assert failed.size > 0
+        ks, gamma_hat = _run_span((cfg, 0, 0))
+        assert not np.isnan(ks).any()
+        np.testing.assert_array_equal(np.delete(gamma_hat, failed), np.delete(first, failed))
+        for index in failed:
+            stream = RandomStream.for_replicate(7, 0, _RETRY_OFFSET + int(index))
+            redrawn = sample(model, cfg.n, stream, rows=1)
+            want_g = mle_gamma(redrawn, cfg.support)
+            assert gamma_hat[index] == want_g[0]
+            assert ks[index] == ks_statistic(redrawn, ZipfRows(want_g, cfg.support))[0]
 
     def test_double_estimator_failure_aborts_with_diagnostics(self):
         # most draws from this model pile onto the top of the support, where
@@ -132,9 +185,41 @@ class TestRunReplicate:
         # offset-stream retry hits the same wall almost surely within a few
         # indices
         cfg = config(n=3, support=Support.finite(20), gamma=-30.0, replicates=100)
-        with pytest.raises(SimulationError, match="gamma=-30.0"):
-            for index in range(20):
-                run_replicate(cfg, index)
+        with pytest.raises(SimulationError, match=r"replicate \d+ \(repetition 0, gamma=-30.0, n=3"):
+            _run_span((cfg, 0, 0))
+
+
+class TestChunksAndWorkers:
+    @pytest.mark.parametrize("n,k", [(1000, 20), (10, 20), (50, 1000)])
+    def test_cutoffs_independent_of_chunk_size(self, monkeypatch, n, k):
+        # K <= n draws counts by conditional binomials, K > n by inverse
+        # transform; both consume the span's stream row after row
+        cfg = config(n=n, support=Support.finite(k), replicates=600)
+        want = run_simulation(cfg, workers=1)
+        for elements in (1, 7 * k, 100 * k):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", elements)
+            assert run_simulation(cfg, workers=1) == want
+
+    def test_cutoffs_independent_of_worker_count_across_spans(self):
+        cfg = config(n=30, replicates=1100, repetitions=3)
+        assert run_simulation(cfg, workers=1) == run_simulation(cfg, workers=2)
+
+    def test_resolve_workers_uses_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_workers(None) == 3
+
+    def test_resolve_workers_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_workers(None) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers(None) == 1
+
+    def test_explicit_worker_count(self):
+        assert resolve_workers(3) == 3
+        with pytest.raises(ValueError):
+            resolve_workers(0)
 
 
 class TestRunSimulation:
@@ -157,13 +242,11 @@ class TestRunSimulation:
         assert inline == two == four
 
     def test_mean_over_repetitions(self):
-        from zipfks.montecarlo import run_repetition
-
         cfg = config(repetitions=3)
         got = run_simulation(cfg, workers=1)
         per_rep = []
         for repetition in range(3):
-            ks, _ = run_repetition(cfg, repetition, pool=None)
+            ks, _ = _run_span((cfg, repetition, 0))  # 400 replicates: one span
             per_rep.append(order_quantiles(ks, cfg.quantiles))
         want = np.mean(np.asarray(per_rep), axis=0)
         np.testing.assert_array_equal([c for _, c in got], want)
@@ -262,6 +345,34 @@ class TestCutoffTable:
                 repetitions=1,
                 workers=1,
             )
+
+    def test_one_pool_per_table(self, monkeypatch):
+        pools = []
+        context = multiprocessing.get_context()
+
+        class CountingContext:
+            def Pool(self, *args, **kwargs):
+                pools.append(args)
+                return context.Pool(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", lambda: CountingContext())
+        grid = dict(ns=(20, 50), gammas=(1.0, 1.5), support=Support.finite(20), base_seed=5,
+                    replicates=600, repetitions=2)
+        pooled = build_table(workers=2, **grid)
+        assert len(pools) == 1
+        assert pooled == build_table(workers=1, **grid)
+        assert len(pools) == 1
+
+    def test_progress_seconds_add_up_to_wall_time(self):
+        seconds = []
+        started = time.perf_counter()
+        build_table(ns=(20, 50), gammas=(1.0, 1.5), support=Support.finite(20), base_seed=5,
+                    replicates=600, repetitions=1, workers=2,
+                    progress=lambda gamma, n, s, row: seconds.append(s))
+        wall = time.perf_counter() - started
+        assert len(seconds) == 4
+        # pool start is charged to the first cell and its shutdown to the last
+        assert 0.95 * wall <= sum(seconds) <= wall
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
