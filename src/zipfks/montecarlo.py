@@ -44,6 +44,13 @@ _SPAN = 512
 # does not change results: the span's stream is consumed row after row.
 _CHUNK_ELEMENTS = 1 << 16
 
+# Calls whose estimated serial work (_estimated_seconds) is below this run in
+# process whatever the worker count: starting two forked workers and moving
+# spans through them costs more than it saves.  A 12-cell K=20 grid of 2,048
+# replicates per cell took 89 ms in process and 133 ms on a two-worker pool
+# (2-vCPU VM), and the pool's share of that time varied most between runs.
+_POOL_MIN_SECONDS = 0.25
+
 
 class SimulationError(RuntimeError):
     """A replicate failed twice, or a table cell could not be computed."""
@@ -182,11 +189,26 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def _estimated_seconds(config: SimulationConfig) -> float:
+    """Rough serial cost of a simulation, used only to decide whether a pool pays.
+
+    Per-replicate costs measured on one core: about 3-6 us at K=20, 0.1 ms at
+    K=1000 and 3-4 ms at K=32766; unbounded 0.4-0.9 ms at n <= 1000 and
+    3.4-4 ms at n = 5x10^4.  The estimate depends only on the configuration,
+    so the same call always takes the same path.
+    """
+    if config.support.is_finite:
+        per_replicate = 3e-6 + 1e-7 * config.support.k
+    else:
+        per_replicate = 4e-4 + 7e-8 * config.n
+    return per_replicate * config.replicates * config.repetitions
+
+
 @contextlib.contextmanager
-def _worker_pool(workers: int | None) -> Iterator[multiprocessing.pool.Pool | None]:
-    """A process pool for more than one worker, None for one."""
+def _worker_pool(workers: int | None, seconds: float) -> Iterator[multiprocessing.pool.Pool | None]:
+    """A process pool for more than one worker and enough work, else None."""
     workers = resolve_workers(workers)
-    if workers == 1:
+    if workers == 1 or seconds < _POOL_MIN_SECONDS:
         yield None
         return
     with multiprocessing.get_context().Pool(workers) as pool:
@@ -208,12 +230,14 @@ def run_simulation(
     """(level, cutoff) pairs: per-repetition order quantiles averaged over repetitions.
 
     ``workers`` is a worker count (None: every CPU this process may use) or a
-    running pool to share, as build_table does across its cells.
+    running pool to share, as build_table does across its cells.  A count is
+    an upper bound: a call estimated to take under _POOL_MIN_SECONDS of
+    serial work runs in process.  Results never depend on it.
     """
     if isinstance(workers, multiprocessing.pool.Pool):
         ks = _replicate_ks(config, workers)
     else:
-        with _worker_pool(workers) as pool:
+        with _worker_pool(workers, _estimated_seconds(config)) as pool:
             ks = _replicate_ks(config, pool)
     per_level = np.mean([order_quantiles(row, config.quantiles) for row in ks], axis=0)
     return list(zip(config.quantiles, (float(c) for c in per_level)))
@@ -281,19 +305,33 @@ def build_table(
     """Fill the (gamma, n) grid cell by cell, all cells sharing one worker pool.
 
     Every cell reuses the same base_seed, so any single cell is reproducible
-    with a standalone run_simulation call on that cell's configuration.
-    ``progress`` gets each cell's seconds; the pool's start-up is charged to
-    the first cell and its shutdown to the last, so that the seconds add up
-    to the call's wall time.
+    with a standalone run_simulation call on that cell's configuration.  The
+    pool starts only when the whole grid's estimated serial work reaches
+    _POOL_MIN_SECONDS.  ``progress`` gets each cell's seconds; the pool's
+    start-up is charged to the first cell and its shutdown to the last, so
+    that the seconds add up to the call's wall time.
     """
     ns = tuple(int(n) for n in ns)
     gammas = tuple(float(g) for g in gammas)
     if not ns or not gammas:
         raise ValueError("both grids must be nonempty")
     levels = _validate_levels(quantiles)
-    grid = [(gamma, n) for gamma in gammas for n in ns]
-    cells: dict[tuple[float, int], tuple[float, ...]] = {}
     started = time.perf_counter()
+    configs = [
+        SimulationConfig(
+            n=n,
+            support=support,
+            gamma=gamma,
+            base_seed=base_seed,
+            replicates=replicates,
+            repetitions=repetitions,
+            quantiles=levels,
+        )
+        for gamma in gammas
+        for n in ns
+    ]
+    grid = [(config.gamma, config.n) for config in configs]
+    cells: dict[tuple[float, int], tuple[float, ...]] = {}
 
     def report(gamma: float, n: int) -> None:
         nonlocal started
@@ -301,17 +339,9 @@ def build_table(
             progress(gamma, n, time.perf_counter() - started, cells[(gamma, n)])
         started = time.perf_counter()
 
-    with _worker_pool(workers) as pool:
-        for gamma, n in grid:
-            config = SimulationConfig(
-                n=n,
-                support=support,
-                gamma=gamma,
-                base_seed=base_seed,
-                replicates=replicates,
-                repetitions=repetitions,
-                quantiles=levels,
-            )
+    with _worker_pool(workers, sum(map(_estimated_seconds, configs))) as pool:
+        for config in configs:
+            gamma, n = config.gamma, config.n
             try:
                 pairs = run_simulation(config, pool or 1)
             except Exception as err:

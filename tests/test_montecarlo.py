@@ -41,6 +41,26 @@ def config(**overrides):
     return SimulationConfig(**base)
 
 
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Start a pool for any call with more than one worker, however little work it has."""
+    monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", 0.0)
+
+
+def count_pools(monkeypatch):
+    """List that gets one entry per pool the engine starts from now on."""
+    pools = []
+    context = multiprocessing.get_context()
+
+    class CountingContext:
+        def Pool(self, *args, **kwargs):
+            pools.append(args)
+            return context.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.multiprocessing, "get_context", lambda: CountingContext())
+    return pools
+
+
 class TestConfigValidation:
     def test_minimum_replicates(self):
         with pytest.raises(ValueError):
@@ -200,9 +220,20 @@ class TestChunksAndWorkers:
             monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", elements)
             assert run_simulation(cfg, workers=1) == want
 
-    def test_cutoffs_independent_of_worker_count_across_spans(self):
+    def test_cutoffs_independent_of_worker_count_across_spans(self, pool_always):
         cfg = config(n=30, replicates=1100, repetitions=3)
         assert run_simulation(cfg, workers=1) == run_simulation(cfg, workers=2)
+
+    def test_cheap_calls_run_in_process(self, monkeypatch):
+        pools = count_pools(monkeypatch)
+        cfg = config()  # 800 K=20 replicates: a few milliseconds of work
+        assert run_simulation(cfg, workers=2) == run_simulation(cfg, workers=1)
+        build_table(ns=(20, 50), gammas=(1.0, 1.5), support=Support.finite(20), base_seed=5,
+                    replicates=600, repetitions=2, workers=2)
+        assert pools == []
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", montecarlo._estimated_seconds(cfg))
+        run_simulation(cfg, workers=2)
+        assert len(pools) == 1
 
     def test_resolve_workers_uses_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -234,7 +265,7 @@ class TestRunSimulation:
         assert all(b >= a for a, b in zip(cutoffs, cutoffs[1:]))
         assert all(0.0 < c < 1.0 for c in cutoffs)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, pool_always):
         cfg = config()
         inline = run_simulation(cfg, workers=1)
         two = run_simulation(cfg, workers=2)
@@ -346,16 +377,8 @@ class TestCutoffTable:
                 workers=1,
             )
 
-    def test_one_pool_per_table(self, monkeypatch):
-        pools = []
-        context = multiprocessing.get_context()
-
-        class CountingContext:
-            def Pool(self, *args, **kwargs):
-                pools.append(args)
-                return context.Pool(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", lambda: CountingContext())
+    def test_one_pool_per_table(self, monkeypatch, pool_always):
+        pools = count_pools(monkeypatch)
         grid = dict(ns=(20, 50), gammas=(1.0, 1.5), support=Support.finite(20), base_seed=5,
                     replicates=600, repetitions=2)
         pooled = build_table(workers=2, **grid)
@@ -363,7 +386,7 @@ class TestCutoffTable:
         assert pooled == build_table(workers=1, **grid)
         assert len(pools) == 1
 
-    def test_progress_seconds_add_up_to_wall_time(self):
+    def test_progress_seconds_add_up_to_wall_time(self, pool_always):
         seconds = []
         started = time.perf_counter()
         build_table(ns=(20, 50), gammas=(1.0, 1.5), support=Support.finite(20), base_seed=5,
