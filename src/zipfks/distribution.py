@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .series import MAX_FINITE_SUPPORT, natural_logs, tail_mass, zeta_value
+from .series import CHUNK_ELEMENTS, MAX_FINITE_SUPPORT, natural_logs, tail_mass, zeta_value
 
 # Smallest exponent admitted for the unbounded model.
 MIN_UNBOUNDED_GAMMA = 1.05
@@ -116,9 +116,6 @@ class ZipfModel:
         logs = natural_logs(seam)[1 : seam + 1]
         return np.cumsum(np.exp(-self.gamma * logs) * (1.0 / self.norm))
 
-    def _sample_limit(self) -> int:
-        return self.support.k if self.support.is_finite else UNBOUNDED_SAMPLE_LIMIT
-
     def pmf(self, k: int) -> float:
         return pmf(self, k)
 
@@ -161,6 +158,24 @@ class CountRows:
     """
 
     table: np.ndarray
+    n: int
+
+
+@dataclass(frozen=True, eq=False)
+class ValueRows:
+    """Equal-size samples over the unbounded support, each reduced to its distinct values.
+
+    Row r's sorted distinct values are ``observations[starts[r]:starts[r + 1]]``,
+    seen ``counts[starts[r]:starts[r + 1]]`` times; ``log_sums[r]`` is its sum
+    of ln x, added in the order the values were drawn.  The estimator needs
+    only the log sum and the KS statistic only the distinct values and their
+    counts, so a batch keeps no more of its draws than that.
+    """
+
+    observations: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    log_sums: np.ndarray
     n: int
 
 
@@ -214,34 +229,62 @@ class RandomStream:
         return self._generator.multinomial(n, p, size=rows)
 
 
+def _draw_values(model: ZipfModel, count: int, stream: RandomStream) -> np.ndarray:
+    """count values by inverse transform, clamped to the table's end against rounding."""
+    values = np.searchsorted(model._sampling_cdf, stream.uniforms(count), side="left") + 1
+    return np.minimum(values, model._sampling_cdf.size)
+
+
+def _value_rows(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> ValueRows:
+    """ValueRows of the next ``rows`` samples, drawn about CHUNK_ELEMENTS values at a time."""
+    step = max(1, CHUNK_ELEMENTS // n)
+    logs = natural_logs(UNBOUNDED_SAMPLE_LIMIT)
+    values, counts, lengths, log_sums = [], [], [], []
+    for lo in range(0, rows, step):
+        chunk = min(step, rows - lo)
+        drawn = _draw_values(model, chunk * n, stream).reshape(chunk, n)
+        log_sums.append(logs[drawn].sum(axis=1))
+        ordered = np.sort(drawn, axis=1).ravel()
+        first = np.ones(ordered.size, dtype=bool)  # first of its value within its row
+        first[1:] = ordered[1:] != ordered[:-1]
+        first[::n] = True
+        at = np.flatnonzero(first)
+        values.append(ordered[at])
+        counts.append(np.diff(at, append=ordered.size))
+        lengths.append(np.bincount(at // n, minlength=chunk))
+    starts = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
+    return ValueRows(np.concatenate(values), np.concatenate(counts), starts,
+                     np.concatenate(log_sums), n)
+
+
 def sample(
     model: ZipfModel, n: int, stream: RandomStream, rows: int | None = None
-) -> Sample | CountRows:
+) -> Sample | CountRows | ValueRows:
     """Draw n values by inverse transform: the smallest k with cdf(k) >= u.
 
     Finite supports use the exact model cdf and clamp to K against end-of-table
     rounding.  Unbounded supports draw from the model restricted to
     1..UNBOUNDED_SAMPLE_LIMIT (see the constant's note).
 
-    With ``rows``, a finite-support model instead gives that many samples as
-    CountRows.  When K <= n the counts are drawn directly by conditional
-    binomials (Generator.multinomial), which costs O(K) per row whatever n is;
-    otherwise by inverse transform and a row-offset bincount, O(n) per row.
-    Either way the stream is consumed row after row, so drawing rows in
-    several calls gives the same counts as one call.
+    With ``rows``, the model instead gives that many samples as one batch.
+    On a finite support that is CountRows: when K <= n the counts are drawn
+    directly by conditional binomials (Generator.multinomial), which costs
+    O(K) per row whatever n is; otherwise by inverse transform and a
+    row-offset bincount, O(n) per row.  On the unbounded support it is
+    ValueRows, drawn by inverse transform a chunk of rows at a time.  Either
+    way the stream is consumed row after row, so drawing rows in several
+    calls gives the same samples as one call.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     if rows is None:
-        u = stream.uniforms(n)
-        values = np.searchsorted(model._sampling_cdf, u, side="left") + 1
-        return Sample(np.minimum(values, model._sample_limit()))
+        return Sample(_draw_values(model, n, stream))
     k = model.support.k
     if k is None:
-        raise ValueError("count rows need a finite support")
+        return _value_rows(model, n, stream, rows)
     if k <= n:
         return CountRows(stream.multinomial(n, model._sampling_pmf, rows), n)
-    cells = np.searchsorted(model._sampling_cdf, stream.uniforms(rows * n), side="left")
-    cells = np.minimum(cells, k - 1).reshape(rows, n) + (np.arange(rows) * k)[:, None]
+    cells = _draw_values(model, rows * n, stream).reshape(rows, n) - 1
+    cells += (np.arange(rows) * k)[:, None]
     table = np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
     return CountRows(table, n)

@@ -14,8 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support
-from .series import finite_log_moments, natural_logs, power_rows, row_dots, zeta_log_moments
+from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support, ValueRows
+from .series import (
+    finite_log_moments,
+    natural_logs,
+    power_rows,
+    row_dots,
+    zeta_log_moments,
+    zeta_moments,
+)
 
 # Hard ceiling of the unbounded search range; estimates above it are reported
 # as no-root rather than extrapolated.
@@ -57,26 +64,29 @@ class NoRootError(ValueError):
     """The estimating equation has no root inside the admissible range."""
 
 
-def log_mean(sample: Sample | CountRows) -> float | np.ndarray:
+def log_mean(sample: Sample | CountRows | ValueRows) -> float | np.ndarray:
     """(sum ln x_i) / n, with the all-ones degenerate case nudged by ln 2.
 
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
-    CountRows give one mean per row.
+    CountRows and ValueRows give one mean per row.
     """
+    if isinstance(sample, Sample):
+        obs = sample.observations
+        vmax = int(obs.max())
+        if vmax <= 1 << 20:
+            raw = float(natural_logs(vmax)[obs].sum())
+        else:
+            raw = float(np.log(obs.astype(np.float64)).sum())
+        if raw <= 0.0:
+            raw += _LN2
+        return raw / sample.n
     if isinstance(sample, CountRows):
         k = sample.table.shape[1]
         raw = (sample.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
-        raw[raw <= 0.0] += _LN2
-        return raw / sample.n
-    obs = sample.observations
-    vmax = int(obs.max())
-    if vmax <= 1 << 20:
-        raw = float(natural_logs(vmax)[obs].sum())
     else:
-        raw = float(np.log(obs.astype(np.float64)).sum())
-    if raw <= 0.0:
-        raw += _LN2
+        raw = sample.log_sums.copy()
+    raw[raw <= 0.0] += _LN2
     return raw / sample.n
 
 
@@ -113,7 +123,8 @@ def _model_mean_log(gamma: np.ndarray, support: Support) -> np.ndarray:
     if support.is_finite:
         w = power_rows(gamma, support.k)
         return row_dots(w, natural_logs(support.k)[1 : support.k + 1]) / w.sum(axis=1)
-    return np.array([_mean_log_and_slope(float(g), support)[0] for g in gamma])
+    s0, s1 = zeta_moments(gamma, 2)
+    return s1 / s0
 
 
 def _bisect_rows(target: np.ndarray, support: Support, low: float, high: float) -> np.ndarray:
@@ -161,8 +172,20 @@ def _bound_nudge(support: Support, n: int) -> float:
     return (math.log(support.k) - math.log(support.k - 1)) / n
 
 
+def _initial_guess(low: float, high: float, settings: MleSettings) -> float:
+    x = settings.initial_guess
+    if not low < x < high:
+        # Start just inside the admissible range.  The model mean-log is
+        # convex decreasing in gamma, so Newton climbs monotonically from the
+        # left edge without overshooting.
+        x = low + 0.01
+    return x
+
+
 def mle_gamma(
-    sample: Sample | CountRows, support: Support, settings: MleSettings = DEFAULT_SETTINGS
+    sample: Sample | CountRows | ValueRows,
+    support: Support,
+    settings: MleSettings = DEFAULT_SETTINGS,
 ) -> float | np.ndarray:
     """Exponent estimate for the sample over the declared support.
 
@@ -170,11 +193,21 @@ def mle_gamma(
     (or failing to converge within max_iterations) fall back to bisection.
     Raises NoRootError when the bracket does not straddle a root.
 
-    CountRows over a finite support are fitted all at once and give one
-    estimate per row; a row without a root is NaN instead of an error.
+    CountRows over a finite support, and ValueRows over the unbounded one,
+    are fitted all at once and give one estimate per row; a row without a
+    root is NaN instead of an error.
     """
     if isinstance(sample, CountRows):
-        return _mle_rows(sample, support, settings)
+        k = support.k
+        if k is None or sample.table.shape[1] != k:
+            raise ValueError(f"count rows do not match the finite support 1..{support}")
+        target = log_mean(sample)
+        target[sample.table[:, -1] == sample.n] -= _bound_nudge(support, sample.n)
+        return _mle_rows(target, support, settings)
+    if isinstance(sample, ValueRows):
+        if support.is_finite:
+            raise ValueError("value rows need the unbounded support")
+        return _mle_rows(log_mean(sample), support, settings)
     obs = sample.observations
     if not support.contains(obs):
         raise ValueError(f"observations exceed the declared support 1..{support}")
@@ -184,12 +217,7 @@ def mle_gamma(
         # so mirror the all-ones nudge and score one observation as K-1
         target -= _bound_nudge(support, sample.n)
     low, high = _search_range(support, settings)
-    x = settings.initial_guess
-    if not low < x < high:
-        # Start just inside the admissible range.  The model mean-log is
-        # convex decreasing in gamma, so Newton climbs monotonically from the
-        # left edge without overshooting.
-        x = low + 0.01
+    x = _initial_guess(low, high, settings)
     for _ in range(settings.max_iterations):
         mean, slope = _mean_log_and_slope(x, support)
         step = (mean - target) / slope
@@ -202,35 +230,37 @@ def mle_gamma(
     return _bisect(target, support, low, high)
 
 
-def _mle_rows(counts: CountRows, support: Support, settings: MleSettings) -> np.ndarray:
-    """mle_gamma for every row at once: the same Newton steps, vectorized over rows.
+def _mle_rows(target: np.ndarray, support: Support, settings: MleSettings) -> np.ndarray:
+    """mle_gamma for every target mean log at once: the same Newton steps, vectorized over rows.
 
     Each iteration evaluates the model's log moments for all rows still
-    running as one (rows x K) array.  Rows stop when their step is within the
-    tolerance; rows that leave the bracket, or have not converged after
-    max_iterations, go on to one batched bisection.
+    running at once: as one (rows x K) array on a finite support, and from
+    the row-wise zeta series on the unbounded one.  Rows stop when their step
+    is within the tolerance; rows that leave the bracket, or have not
+    converged after max_iterations, go on to one batched bisection.
     """
-    k = support.k
-    if k is None or counts.table.shape[1] != k:
-        raise ValueError(f"count rows do not match the finite support 1..{support}")
-    target = log_mean(counts)
-    target[counts.table[:, -1] == counts.n] -= _bound_nudge(support, counts.n)
     low, high = _search_range(support, settings)
-    logs = natural_logs(k)[1 : k + 1]
-    logs_sq = logs * logs
+    start = _initial_guess(low, high, settings)
+    if support.is_finite:
+        logs = natural_logs(support.k)[1 : support.k + 1]
+        logs_sq = logs * logs
     out = np.full(target.size, np.nan)
     active = np.arange(target.size)
-    x = np.full(target.size, settings.initial_guess)
+    x = np.full(target.size, start)
     escapes = []
     for iteration in range(settings.max_iterations):
         if iteration == 0:
             # every row starts from the same exponent
-            mean, slope = _mean_log_and_slope(settings.initial_guess, support)
-        else:
-            w = power_rows(x, k)
+            mean, slope = _mean_log_and_slope(start, support)
+        elif support.is_finite:
+            w = power_rows(x, support.k)
             s0 = w.sum(axis=1)
             mean = row_dots(w, logs) / s0
             slope = row_dots(w, logs_sq) / s0 - mean * mean
+        else:
+            s0, s1, s2 = zeta_moments(x)
+            mean = s1 / s0
+            slope = s2 / s0 - mean * mean
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x + (mean - target[active]) / slope
         escaped = ~np.isfinite(x_new) | (x_new < low) | (x_new > high)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import CountRows, Sample, Support, ZipfModel, _PARTIAL_SEAM
-from .series import natural_logs, power_rows, tail_mass
+from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, _PARTIAL_SEAM
+from .series import CHUNK_ELEMENTS, natural_logs, power_rows, tail_mass, zeta_moments
 
 # Above this many support points the per-k scan switches to evaluating only
 # the stretch endpoints around observed values (sup-equivalent, see below).
@@ -30,7 +30,7 @@ class KsResult:
 
 @dataclass(frozen=True, eq=False)
 class ZipfRows:
-    """One fitted exponent per row of a CountRows batch, all on one finite support."""
+    """One fitted exponent per row of a CountRows or ValueRows batch, all on one support."""
 
     gamma: np.ndarray
     support: Support
@@ -54,13 +54,17 @@ def judge(statistic: float, cutoff: float, level: float) -> Verdict:
     return Verdict(level=level, cutoff=cutoff, rejected=statistic > cutoff)
 
 
-def ks_statistic(sample: Sample | CountRows, model: ZipfModel | ZipfRows) -> KsResult | np.ndarray:
+def ks_statistic(
+    sample: Sample | CountRows | ValueRows, model: ZipfModel | ZipfRows
+) -> KsResult | np.ndarray:
     """Largest |fitted cdf - empirical cdf| over 1..max(observations).
 
-    CountRows scored against ZipfRows give one statistic per row.
+    CountRows and ValueRows scored against ZipfRows give one statistic per row.
     """
     if isinstance(sample, CountRows):
         return _ks_rows(sample, model)
+    if isinstance(sample, ValueRows):
+        return _ks_value_rows(sample, model)
     obs = sample.observations
     if not model.support.contains(obs):
         raise ValueError(f"observations exceed the support 1..{model.support}")
@@ -134,3 +138,77 @@ def _partial_cdf(model: ZipfModel, points: np.ndarray) -> np.ndarray:
         big = points[~small]
         out[~small] = (model.norm - tail_mass(model.gamma, big + 1)) / model.norm
     return out
+
+
+def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, offset in it) of every element of consecutive segments of these lengths."""
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    return segment, np.arange(segment.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
+    """Row-wise KS statistic of unbounded samples, NaN where the fitted exponent is NaN.
+
+    Each row gives what ks_statistic gives on its own sample.  It is scanned
+    over 1..min(largest value, _DENSE_LIMIT) with running sums of the fitted
+    pmf and of counts / n, as in _ks_dense; values above the limit are scored
+    at the ends of the stretches between them, as in _ks_sparse.  The
+    normalizers come from the row-wise zeta series.  Rows are taken widest
+    first, in blocks of about CHUNK_ELEMENTS scanned points.
+    """
+    if models.support.is_finite:
+        raise ValueError("value rows need the unbounded support")
+    starts = drawn.starts
+    width = np.minimum(drawn.observations[starts[1:] - 1], _DENSE_LIMIT)
+    below_limit = np.concatenate(([0], np.cumsum(drawn.observations <= _DENSE_LIMIT)))
+    dense = below_limit[starts[1:]] - below_limit[starts[:-1]]  # distinct values scanned
+    scored = np.flatnonzero(~np.isnan(models.gamma))
+    norm = np.full(width.size, np.nan)
+    norm[scored] = zeta_moments(models.gamma[scored], 1)[0]
+    out = np.full(width.size, np.nan)
+    order = scored[np.argsort(-width[scored], kind="stable")]
+    lo = 0
+    while lo < order.size:
+        rows = order[lo : lo + max(1, CHUNK_ELEMENTS // int(width[order[lo]]))]
+        out[rows] = _ks_value_block(drawn, rows, models.gamma[rows], norm[rows], width[rows],
+                                    dense[rows])
+        lo += rows.size
+    return out
+
+
+def _ks_value_block(
+    drawn: ValueRows, rows: np.ndarray, gamma: np.ndarray, norm: np.ndarray,
+    width: np.ndarray, dense: np.ndarray,
+) -> np.ndarray:
+    """_ks_value_rows for some rows, the first of them the widest."""
+    kmax = int(width[0])
+    first = drawn.starts[rows]
+    line, offset = _segments(dense)
+    at = first[line] + offset
+    counts = np.zeros((rows.size, kmax))
+    counts[line, drawn.observations[at] - 1] = drawn.counts[at]
+    empirical = np.cumsum(counts / drawn.n, axis=1)
+    fitted = np.cumsum(power_rows(gamma, kmax) * (1.0 / norm)[:, None], axis=1)
+    gaps = np.abs(fitted - empirical)
+    gaps[np.arange(kmax) >= width[:, None]] = 0.0  # past a row's largest value
+    best = gaps.max(axis=1)
+    tail = drawn.starts[rows + 1] - first - dense  # distinct values above the limit
+    if not tail.any():
+        return best
+    # empirical cdf at each value above the limit, continuing the running sum
+    line, offset = _segments(tail)
+    at = first[line] + dense[line] + offset
+    steps = np.zeros((rows.size, tail.max() + 1))
+    steps[:, 0] = empirical[:, -1]
+    steps[line, offset + 1] = drawn.counts[at] / drawn.n
+    np.cumsum(steps, axis=1, out=steps)
+    values = drawn.observations[at]
+    g, z = gamma[line], norm[line]
+    at_value = np.abs((z - tail_mass(g, values + 1)) / z - steps[line, offset + 1])
+    before = np.where(
+        values - 1 > _DENSE_LIMIT,
+        np.abs((z - tail_mass(g, values)) / z - steps[line, offset]),
+        0.0,
+    )
+    np.maximum.at(best, line, np.maximum(at_value, before))
+    return best

@@ -8,9 +8,11 @@ valid for parameters estimated from the data).
 Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
 that draw from one stream keyed on (base_seed, repetition, span_index).  A
 span is also the unit of pool work, so results do not depend on worker count
-or scheduling.  On a finite support a span's replicates are count vectors,
-drawn, fitted and scored as a matrix, a chunk of rows at a time; on the
-unbounded support they run one after another through the scalar pipeline.
+or scheduling.  A span's replicates are drawn, fitted and scored as a
+batch.  On a finite support they are count vectors, handled as a matrix a
+chunk of rows at a time.  On the unbounded support each is reduced, as it is
+drawn, to its log sum and its distinct values with their counts, and the
+whole span is fitted and scored at once.
 """
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .distribution import RandomStream, Support, ZipfModel, normalization, sample
-from .estimate import NoRootError, mle_gamma
+from .estimate import mle_gamma
 from .gof import ZipfRows, ks_statistic
+from .series import CHUNK_ELEMENTS
 
 DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
 
@@ -38,11 +41,6 @@ _RETRY_OFFSET = 1 << 32
 
 # Replicates per span; fixed so that the split into pool tasks never affects results.
 _SPAN = 512
-
-# Finite-support rows are scored in chunks of about this many count-matrix
-# elements (rows x K), which keeps the working arrays in cache.  Chunking
-# does not change results: the span's stream is consumed row after row.
-_CHUNK_ELEMENTS = 1 << 16
 
 # Calls whose estimated serial work (_estimated_seconds) is below this run in
 # process whatever the worker count: starting two forked workers and moving
@@ -104,22 +102,9 @@ def _score(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> tuple[n
 
     Both are NaN for a replicate whose estimating equation has no root.
     """
-    support = model.support
-    if support.is_finite:
-        drawn = sample(model, n, stream, rows)
-        gamma_hat = mle_gamma(drawn, support)
-        return ks_statistic(drawn, ZipfRows(gamma_hat, support)), gamma_hat
-    ks = np.full(rows, np.nan)
-    gamma_hat = np.full(rows, np.nan)
-    for row in range(rows):
-        drawn = sample(model, n, stream)
-        try:
-            fitted = mle_gamma(drawn, support)
-        except NoRootError:
-            continue
-        gamma_hat[row] = fitted
-        ks[row] = ks_statistic(drawn, ZipfModel(fitted, support)).statistic
-    return ks, gamma_hat
+    drawn = sample(model, n, stream, rows)
+    gamma_hat = mle_gamma(drawn, model.support)
+    return ks_statistic(drawn, ZipfRows(gamma_hat, model.support)), gamma_hat
 
 
 def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +121,13 @@ def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.n
     count = min(_SPAN, config.replicates - start)
     model = _generating_model(config.gamma, config.support.k)
     stream = RandomStream.for_span(config.base_seed, repetition, span)
-    step = max(1, _CHUNK_ELEMENTS // config.support.k) if config.support.is_finite else count
+    # Finite-support rows are scored in chunks of about CHUNK_ELEMENTS
+    # count-matrix elements (rows x K), which keeps the arrays in cache.
+    # Unbounded rows are small once drawn (sample chunks the draw itself), and
+    # one fit for the whole span costs far less per row than many small ones.
+    # Chunking does not change results: the span's stream is consumed row
+    # after row.
+    step = max(1, CHUNK_ELEMENTS // config.support.k) if config.support.is_finite else count
     ks = np.empty(count)
     gamma_hat = np.empty(count)
     for lo in range(0, count, step):
@@ -193,14 +184,15 @@ def _estimated_seconds(config: SimulationConfig) -> float:
     """Rough serial cost of a simulation, used only to decide whether a pool pays.
 
     Per-replicate costs measured on one core: about 3-6 us at K=20, 0.1 ms at
-    K=1000 and 3-4 ms at K=32766; unbounded 0.4-0.9 ms at n <= 1000 and
-    3.4-4 ms at n = 5x10^4.  The estimate depends only on the configuration,
-    so the same call always takes the same path.
+    K=1000 and 3-4 ms at K=32766; unbounded 0.03-0.13 ms at n <= 100,
+    0.06-0.19 ms at n = 1000 and 2.1-5.0 ms at n = 5x10^4 (gamma from 4 down
+    to 1.25).  The estimate depends only on the configuration, so the same
+    call always takes the same path.
     """
     if config.support.is_finite:
         per_replicate = 3e-6 + 1e-7 * config.support.k
     else:
-        per_replicate = 4e-4 + 7e-8 * config.n
+        per_replicate = 1e-4 + 5e-8 * config.n
     return per_replicate * config.replicates * config.repetitions
 
 

@@ -25,6 +25,10 @@ SERIES_RTOL = 1e-12
 # Direct terms are summed up to at least this index before a tail is attached.
 _TAIL_MIN_START = 64
 
+# Batched evaluations take their rows in blocks of about this many elements.
+# No result depends on it: a row's values do not depend on its block.
+CHUNK_ELEMENTS = 1 << 16
+
 _log_cache = np.zeros(1)
 
 
@@ -89,73 +93,67 @@ def row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ vector)[:, 0]
 
 
-def _tail_log_moment(gamma: float, start: int, p: int) -> tuple[float, float]:
-    """(value, error bound) for sum_{k=start..inf} k^(-gamma) (ln k)^p.
+def zeta_moments(gammas: np.ndarray, moments: int = 3) -> np.ndarray:
+    """(moments x rows) array of s_p = sum_{k>=1} k^(-gamma) (ln k)^p, p < moments, gamma > 1.
 
-    Euler-Maclaurin through the first-derivative term; the bound is
-    |f'''(start)| / 720, valid because the third derivative is monotone on
-    [start, inf) for start >= 16.
+    Direct summation over 1..m plus the Euler-Maclaurin tail from a = m + 1
+    through the first-derivative term, whose error is below |f'''(a)| / 720
+    (the third derivative is monotone on [a, inf) for a >= 16).  Each exponent
+    doubles its own m from 256 until that bound is below SERIES_RTOL of every
+    requested sum, so its sums do not depend on the other exponents of the call.
     """
-    a = float(start)
-    L = math.log(a)
-    g1 = gamma - 1.0
-    apow1 = math.exp(-g1 * L)  # a^(1-gamma)
-    if p == 0:
-        integral = apow1 / g1
-    elif p == 1:
-        integral = apow1 * (L / g1 + 1.0 / g1**2)
-    else:
-        integral = apow1 * (L * L / g1 + 2.0 * L / g1**2 + 2.0 / g1**3)
-    lp = L**p
-    f = math.exp(-gamma * L) * lp
-    fprime = math.exp(-(gamma + 1.0) * L) * ((p * L ** (p - 1) if p else 0.0) - gamma * lp)
-    # conservative |f'''| bound: three differentiations of x^(-gamma) (ln x)^p
-    # each contribute a factor below (gamma + p + 3) / x once ln x >= 1
-    f3_bound = (gamma + p + 3.0) ** 3 * math.exp(-(gamma + 3.0) * L) * lp
-    return integral + 0.5 * f - fprime / 12.0, f3_bound / 720.0
+    gammas = np.asarray(gammas, dtype=np.float64)
+    if not (gammas > 1.0).all():
+        raise ValueError(f"series diverges for gamma <= 1, got {gammas[~(gammas > 1.0)][0]}")
+    out = np.empty((moments, gammas.size))
+    todo = np.arange(gammas.size)
+    m = 256
+    while todo.size:
+        if m > 1 << 22:
+            raise RuntimeError(f"tail bound not converging at gamma={gammas[todo[0]]}")
+        g = gammas[todo]
+        a = m + 1
+        L = math.log(a)
+        p = np.arange(moments)[:, None]
+        lp = L**p
+        power = np.exp(-g * L)  # a^(-gamma)
+        # the integral of x^(-gamma) (ln x)^p over [a, inf) is a^(1-gamma) I_p,
+        # where I_0 = 1 / (gamma - 1) and, by parts, I_p = (L^p + p I_(p-1)) / (gamma - 1)
+        integral = [1.0 / (g - 1.0)]
+        for q in range(1, moments):
+            integral.append((L**q + q * integral[-1]) / (g - 1.0))
+        fprime = (p * L ** (p - 1.0) - g * lp) / a  # f'(a) / a^(-gamma)
+        sums = power * (a * np.array(integral) + 0.5 * lp - fprime / 12.0)
+        # conservative |f'''| bound: three differentiations of x^(-gamma) (ln x)^p
+        # each contribute a factor below (gamma + p + 3) / x once ln x >= 1
+        bounds = (g + p + 3.0) ** 3 * power * lp / (720.0 * a**3)
+        logs = natural_logs(m)[1 : m + 1]
+        step = max(1, CHUNK_ELEMENTS // m)
+        for lo in range(0, g.size, step):
+            w = power_rows(g[lo : lo + step], m)
+            for q in range(moments):
+                sums[q, lo : lo + step] += w.sum(axis=1)
+                w *= logs
+        done = (bounds <= SERIES_RTOL * sums).all(axis=0)
+        out[:, todo[done]] = sums[:, done]
+        todo = todo[~done]
+        m *= 2
+    return out
 
 
 def zeta_log_moments(gamma: float) -> tuple[float, float, float]:
-    """(s0, s1, s2) with s_p = sum_{k>=1} k^(-gamma) (ln k)^p, gamma > 1.
-
-    Direct summation over 1..m plus the Euler-Maclaurin tail, doubling m until
-    every tail bound is below SERIES_RTOL relative to its sum.
-    """
-    if gamma <= 1.0:
-        raise ValueError(f"series diverges for gamma <= 1, got {gamma}")
-    m = 256
-    while True:
-        s0, s1, s2 = finite_log_moments(gamma, m)
-        (t0, e0) = _tail_log_moment(gamma, m + 1, 0)
-        (t1, e1) = _tail_log_moment(gamma, m + 1, 1)
-        (t2, e2) = _tail_log_moment(gamma, m + 1, 2)
-        s0 += t0
-        s1 += t1
-        s2 += t2
-        if e0 <= SERIES_RTOL * s0 and e1 <= SERIES_RTOL * s1 and e2 <= SERIES_RTOL * s2:
-            return s0, s1, s2
-        m *= 2
-        if m > 1 << 22:
-            raise RuntimeError(f"tail bound not converging at gamma={gamma}")
+    """(s0, s1, s2) with s_p = sum_{k>=1} k^(-gamma) (ln k)^p, gamma > 1."""
+    s0, s1, s2 = zeta_moments(np.array([gamma], dtype=np.float64))[:, 0]
+    return float(s0), float(s1), float(s2)
 
 
 def zeta_value(gamma: float) -> float:
     """sum_{k>=1} k^(-gamma) for gamma > 1, relative error <= SERIES_RTOL."""
-    if gamma <= 1.0:
-        raise ValueError(f"series diverges for gamma <= 1, got {gamma}")
-    m = 256
-    while True:
-        logs = natural_logs(m)[1 : m + 1]
-        s0 = float(np.exp(-gamma * logs).sum())
-        t0, e0 = _tail_log_moment(gamma, m + 1, 0)
-        s0 += t0
-        if e0 <= SERIES_RTOL * s0:
-            return s0
-        m *= 2
+    return float(zeta_moments(np.array([gamma], dtype=np.float64), 1)[0, 0])
 
 
-def tail_mass(gamma: float, start: np.ndarray | int) -> np.ndarray | float:
-    """sum_{k>=start} k^(-gamma), vectorized over ``start`` (each >= 65).
+def tail_mass(gamma: float | np.ndarray, start: np.ndarray | int) -> np.ndarray | float:
+    """sum_{k>=start} k^(-gamma), vectorized over ``gamma`` and ``start`` (each >= 65).
 
     Euler-Maclaurin through the third-derivative term; the next term is below
     1e-13 of the tail for every admissible (gamma, start).
@@ -171,6 +169,6 @@ def tail_mass(gamma: float, start: np.ndarray | int) -> np.ndarray | float:
         + (gamma / 12.0) * np.exp(-(gamma + 1.0) * L)
         - (gamma * (gamma + 1.0) * (gamma + 2.0) / 720.0) * np.exp(-(gamma + 3.0) * L)
     )
-    if np.ndim(start) == 0:
+    if np.ndim(value) == 0:
         return float(value)
     return value

@@ -5,7 +5,8 @@ Most deliberately avoid the production algorithms: sums are taken directly
 likelihood instead of root-finding, and the KS supremum is an O(K*N) scan.
 The scalar replicate is the exception: it is the one-sample pipeline
 (sample -> mle_gamma -> ks_statistic), itself checked against the oracles
-above, and it is the reference for the batched count-vector engine.
+above, and it is the reference for the batched engines (count vectors on
+finite supports, distinct values on the unbounded one).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 import mpmath
 import numpy as np
 
-from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
+from zipfks.distribution import RandomStream, Sample, Support, ValueRows, ZipfModel, sample
 from zipfks.estimate import mle_gamma
 from zipfks.gof import ks_statistic
 from zipfks.series import natural_logs
@@ -116,3 +117,16 @@ def expand_counts(counts) -> Sample:
     """The sample, in sorted order, whose count vector over 1..K is ``counts``."""
     counts = np.asarray(counts)
     return Sample(np.repeat(np.arange(1, counts.size + 1), counts))
+
+
+def value_rows(samples: list[Sample]) -> ValueRows:
+    """The ValueRows batch of these equal-size samples, built with np.unique."""
+    values, counts = zip(*(np.unique(s.observations, return_counts=True) for s in samples))
+    lengths = [v.size for v in values]
+    return ValueRows(
+        observations=np.concatenate(values),
+        counts=np.concatenate(counts),
+        starts=np.concatenate(([0], np.cumsum(lengths))),
+        log_sums=np.array([np.log(s.observations.astype(np.float64)).sum() for s in samples]),
+        n=samples[0].n,
+    )

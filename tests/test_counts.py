@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipfks.distribution import CountRows, RandomStream, Support, ZipfModel, pmf, sample
+from zipfks.distribution import CountRows, RandomStream, Support, ValueRows, ZipfModel, pmf, sample
 from zipfks.estimate import NoRootError, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_span
@@ -131,5 +131,11 @@ class TestCountDraws:
         assert p_value > 0.001
 
     def test_count_rows_need_finite_support(self):
+        # an unbounded model gives its samples as ValueRows instead
+        drawn = sample(ZipfModel(2.0, Support.unbounded()), 10, RandomStream([1]), rows=2)
+        assert isinstance(drawn, ValueRows)
+        counts = CountRows(np.ones((1, 5), dtype=np.int64), 5)
         with pytest.raises(ValueError):
-            sample(ZipfModel(2.0, Support.unbounded()), 10, RandomStream([1]), rows=2)
+            mle_gamma(counts, Support.unbounded())
+        with pytest.raises(ValueError):
+            ks_statistic(counts, ZipfRows(np.ones(1), Support.unbounded()))

@@ -166,12 +166,17 @@ class TestRunReplicate:
             assert abs(ks[row] - want_ks) < 1e-12
 
     def test_matches_manual_pipeline_unbounded(self):
-        # an unbounded span runs its rows one after another through the
-        # one-sample pipeline, all drawing from the span's stream
+        # an unbounded span is exactly: the span's value rows -> batched
+        # re-fit -> batched KS against the re-fit, and each row equals the
+        # one-sample pipeline drawing from the span's stream in turn
         cfg = config(support=Support.unbounded(), gamma=2.0, n=30, replicates=100)
         ks, gamma_hat = _run_span((cfg, 0, 0))
-        stream = RandomStream.for_span(cfg.base_seed, 0, 0)
         model = ZipfModel(cfg.gamma, cfg.support)
+        drawn = sample(model, cfg.n, RandomStream.for_span(cfg.base_seed, 0, 0), rows=ks.size)
+        want_gamma = mle_gamma(drawn, cfg.support)
+        np.testing.assert_array_equal(gamma_hat, want_gamma)
+        np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, cfg.support)))
+        stream = RandomStream.for_span(cfg.base_seed, 0, 0)
         for row in range(cfg.replicates):
             assert (ks[row], gamma_hat[row]) == scalar_replicate(model, cfg.n, stream)
 
@@ -217,11 +222,15 @@ class TestChunksAndWorkers:
         cfg = config(n=n, support=Support.finite(k), replicates=600)
         want = run_simulation(cfg, workers=1)
         for elements in (1, 7 * k, 100 * k):
-            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", elements)
             assert run_simulation(cfg, workers=1) == want
 
     def test_cutoffs_independent_of_worker_count_across_spans(self, pool_always):
         cfg = config(n=30, replicates=1100, repetitions=3)
+        assert run_simulation(cfg, workers=1) == run_simulation(cfg, workers=2)
+
+    def test_unbounded_cutoffs_independent_of_worker_count(self, pool_always):
+        cfg = config(n=200, support=Support.unbounded(), gamma=1.25, replicates=1100, repetitions=2)
         assert run_simulation(cfg, workers=1) == run_simulation(cfg, workers=2)
 
     def test_cheap_calls_run_in_process(self, monkeypatch):
