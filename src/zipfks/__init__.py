@@ -27,7 +27,7 @@ from .montecarlo import (
 )
 from .observations import ObservationParseError, parse_observations, write_observations
 from .reporting import FitReport, format_human, format_machine
-from .series import LogTable, build_log_table, zeta_log_moments, zeta_value
+from .series import zeta_log_moments, zeta_value
 from .tablefile import TableFormatError, load_table, write_table
 
 __version__ = "1.0.0"
@@ -42,7 +42,6 @@ __all__ = [
     "CutoffTable",
     "FitReport",
     "KsResult",
-    "LogTable",
     "MleSettings",
     "NoRootError",
     "ObservationParseError",
@@ -54,7 +53,6 @@ __all__ = [
     "TableFormatError",
     "Verdict",
     "ZipfModel",
-    "build_log_table",
     "build_table",
     "cdf",
     "format_human",

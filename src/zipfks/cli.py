@@ -9,7 +9,6 @@ from .distribution import Support, ZipfModel, MIN_UNBOUNDED_GAMMA
 from .estimate import NoRootError, mle_gamma
 from .gof import judge, ks_statistic
 from .montecarlo import (
-    DEFAULT_LEVELS,
     CutoffLookupError,
     SimulationConfig,
     SimulationError,
@@ -114,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--reps", type=int, default=10,
                           help="independent repetitions averaged per cell")
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--quantiles", type=_parse_float_list, default=DEFAULT_LEVELS,
-                          metavar="LIST")
     simulate.add_argument("--out", required=True, help="output CSV path")
     simulate.add_argument("--workers", type=_parse_workers, default=None, metavar="INT|auto")
 
@@ -145,53 +142,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_gamma_grid(args.gamma, args.k)
-    if tuple(args.quantiles) != DEFAULT_LEVELS:
-        raise UsageError(
-            f"the table file schema stores exactly the levels "
-            f"{','.join(str(q) for q in DEFAULT_LEVELS)}; "
-            f"use the library API for other quantile sets"
-        )
-    seed = _resolve_seed(args.seed)
+def _write_grid(
+    ns: tuple[int, ...],
+    gammas: tuple[float, ...],
+    support: Support,
+    replicates: int,
+    reps: int,
+    seed: int | None,
+    out: str,
+    workers: int | None,
+) -> int:
+    """Compute the (n, gamma) cutoff grid, printing each cell, and write it to ``out``."""
+    _check_gamma_grid(gammas, support)
+    seed = _resolve_seed(seed)
 
     def progress(gamma: float, n: int, seconds: float, row: tuple[float, ...]) -> None:
         cutoffs = " ".join(f"{c:.4f}" for c in row)
         print(f"cell gamma={gamma:g} n={n}: {seconds:.2f}s  cutoffs {cutoffs}", flush=True)
 
     table = build_table(
-        ns=args.n,
-        gammas=args.gamma,
-        support=args.k,
+        ns=ns,
+        gammas=gammas,
+        support=support,
         base_seed=seed,
-        replicates=args.replicates,
-        repetitions=args.reps,
-        quantiles=args.quantiles,
-        workers=args.workers,
+        replicates=replicates,
+        repetitions=reps,
+        workers=workers,
         progress=progress,
     )
-    write_table(table, args.out)
+    write_table(table, out)
     print(
-        f"wrote {args.out}: {len(args.gamma) * len(args.n)} cells, "
-        f"replicates={args.replicates}, repetitions={args.reps}, seed={seed}"
+        f"wrote {out}: {len(gammas) * len(ns)} cells, "
+        f"replicates={replicates}, repetitions={reps}, seed={seed}"
     )
     return 0
 
 
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    return _write_grid(args.n, args.gamma, args.k, args.replicates, args.reps, args.seed,
+                       args.out, args.workers)
+
+
 def _cmd_tables(args: argparse.Namespace) -> int:
     gammas = REFERENCE_GAMMAS_UNBOUNDED if args.k.k is None else REFERENCE_GAMMAS_FINITE
-    namespace = argparse.Namespace(
-        n=REFERENCE_NS,
-        gamma=gammas,
-        k=args.k,
-        replicates=args.replicates,
-        reps=args.reps,
-        seed=args.seed,
-        quantiles=DEFAULT_LEVELS,
-        out=args.out,
-        workers=args.workers,
-    )
-    return _cmd_simulate(namespace)
+    return _write_grid(REFERENCE_NS, gammas, args.k, args.replicates, args.reps, args.seed,
+                       args.out, args.workers)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

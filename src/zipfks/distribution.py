@@ -13,7 +13,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .series import CHUNK_ELEMENTS, MAX_FINITE_SUPPORT, natural_logs, tail_mass, zeta_value
+from .series import (
+    CHUNK_ELEMENTS,
+    MAX_FINITE_SUPPORT,
+    natural_logs,
+    row_dots,
+    tail_mass,
+    zeta_value,
+)
 
 # Smallest exponent admitted for the unbounded model.
 MIN_UNBOUNDED_GAMMA = 1.05
@@ -24,6 +31,16 @@ MIN_UNBOUNDED_GAMMA = 1.05
 # exponents against samples produced this way is exactly what the reference
 # cutoff grids assume.
 UNBOUNDED_SAMPLE_LIMIT = 65535
+
+# Bounds on the head 1..H of an unbounded batch draw (see _head_size).
+_HEAD_MIN = 16
+_HEAD_MAX = 4096
+
+# Steps a tail search takes from its start before it falls back to binary search.
+_TAIL_STEPS = 4
+
+# Sort key of a tail draw: row * _ROW_KEY + value orders draws by row, then value.
+_ROW_KEY = UNBOUNDED_SAMPLE_LIMIT + 1
 
 # Partial sums of the unbounded model are read from a dense table up to here
 # and closed with the series tail beyond.
@@ -167,9 +184,9 @@ class ValueRows:
 
     Row r's sorted distinct values are ``observations[starts[r]:starts[r + 1]]``,
     seen ``counts[starts[r]:starts[r + 1]]`` times; ``log_sums[r]`` is its sum
-    of ln x, added in the order the values were drawn.  The estimator needs
-    only the log sum and the KS statistic only the distinct values and their
-    counts, so a batch keeps no more of its draws than that.
+    of ln x.  The estimator needs only the log sum and the KS statistic only
+    the distinct values and their counts, so a batch keeps no more of its
+    draws than that.
     """
 
     observations: np.ndarray
@@ -235,26 +252,107 @@ def _draw_values(model: ZipfModel, count: int, stream: RandomStream) -> np.ndarr
     return np.minimum(values, model._sampling_cdf.size)
 
 
+def _head_size(model: ZipfModel, n: int) -> int:
+    """Values 1..H whose counts an unbounded row draws as one multinomial.
+
+    H is the largest k with n p(k) >= 1, clipped to [_HEAD_MIN, _HEAD_MAX]:
+    each head value costs one binomial per row whether it is drawn or not,
+    and each tail observation one inverse-transform draw.
+    """
+    expected = n * model._sampling_pmf[:_HEAD_MAX]
+    return min(max(int(np.count_nonzero(expected >= 1.0)), _HEAD_MIN), _HEAD_MAX)
+
+
+def _tail_index(cdf: np.ndarray, u: np.ndarray, head: int, gamma: float) -> np.ndarray:
+    """Smallest i with cdf[i] >= u, cdf the tail cdf of the values head+1.. ending in inf.
+
+    Equal to np.searchsorted(cdf, u), in about a third of the time: each
+    search starts from the inverse of the continuous power law x^(-gamma)
+    over [head + 1/2, limit + 1/2], which almost always lies within a step
+    or two of the answer, and steps towards it.  The few searches still
+    unsettled after _TAIL_STEPS steps, such as those on a run of equal
+    entries, finish by binary search.
+    """
+    low, high = head + 0.5, UNBOUNDED_SAMPLE_LIMIT + 0.5
+    e = 1.0 - gamma
+    with np.errstate(divide="ignore", over="ignore"):  # where x^(-gamma) underflows: gamma > 90
+        x = low * (1.0 - u * (1.0 - (high / low) ** e)) ** (1.0 / e)
+    i = np.rint(np.clip(x, low, high) - (head + 1)).astype(np.int64)
+    todo = np.arange(u.size)
+    for _ in range(_TAIL_STEPS):
+        at, want = i[todo], u[todo]
+        above = cdf[at] >= want  # the answer is at or below i
+        settled = above & ((at == 0) | (cdf[at - 1] < want))
+        i[todo] += np.where(above, -1, 1) * ~settled
+        todo = todo[~settled]
+        if not todo.size:
+            return i
+    i[todo] = np.searchsorted(cdf, u[todo])
+    return i
+
+
 def _value_rows(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> ValueRows:
-    """ValueRows of the next ``rows`` samples, drawn about CHUNK_ELEMENTS values at a time."""
-    step = max(1, CHUNK_ELEMENTS // n)
+    """ValueRows of the next ``rows`` samples: head counts by multinomial, tail values one by one.
+
+    The stream gives every row's head counts first, row after row, then the
+    tail draws in row order; rows are taken about CHUNK_ELEMENTS elements at
+    a time in both passes, which changes no sample.
+    """
+    pmf = model._sampling_pmf
+    head = _head_size(model, n)
     logs = natural_logs(UNBOUNDED_SAMPLE_LIMIT)
-    values, counts, lengths, log_sums = [], [], [], []
+    tails = np.empty(rows, dtype=np.int64)  # observations of each row above the head
+    log_sums = np.empty(rows)
+    head_lengths = np.empty(rows, dtype=np.int64)  # distinct values of each row in the head
+    tail_lengths = np.zeros(rows, dtype=np.int64)  # and in the tail
+    head_parts, tail_parts = [], []  # (rows lo..hi, their values and counts, row after row)
+    p = np.append(pmf[:head], pmf[head:].sum())
+    step = max(1, CHUNK_ELEMENTS // (head + 1))
     for lo in range(0, rows, step):
-        chunk = min(step, rows - lo)
-        drawn = _draw_values(model, chunk * n, stream).reshape(chunk, n)
-        log_sums.append(logs[drawn].sum(axis=1))
-        ordered = np.sort(drawn, axis=1).ravel()
-        first = np.ones(ordered.size, dtype=bool)  # first of its value within its row
-        first[1:] = ordered[1:] != ordered[:-1]
-        first[::n] = True
-        at = np.flatnonzero(first)
-        values.append(ordered[at])
-        counts.append(np.diff(at, append=ordered.size))
-        lengths.append(np.bincount(at // n, minlength=chunk))
-    starts = np.concatenate(([0], np.cumsum(np.concatenate(lengths))))
-    return ValueRows(np.concatenate(values), np.concatenate(counts), starts,
-                     np.concatenate(log_sums), n)
+        table = stream.multinomial(n, p, min(step, rows - lo))
+        hi = lo + len(table)
+        tails[lo:hi] = table[:, head]
+        table = table[:, :head]
+        log_sums[lo:hi] = row_dots(table.astype(np.float64), logs[1 : head + 1])
+        row, cell = np.nonzero(table)  # row-major: each row's values in increasing order
+        head_lengths[lo:hi] = np.bincount(row, minlength=hi - lo)
+        head_parts.append((lo, hi, cell + 1, table[row, cell]))
+    ends = np.cumsum(tails)
+    if ends[-1]:
+        tail_cdf = np.empty(UNBOUNDED_SAMPLE_LIMIT - head + 1)
+        np.cumsum(pmf[head:], out=tail_cdf[:-1])
+        tail_cdf[:-1] *= 1.0 / tail_cdf[-2]
+        tail_cdf[-1] = np.inf  # past the table's end: the clamp below takes it back
+        lo = 0
+        while lo < rows:
+            done = ends[lo] - tails[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, done + CHUNK_ELEMENTS, side="right")))
+            keys = _tail_index(tail_cdf, stream.uniforms(ends[hi - 1] - done), head, model.gamma)
+            keys += head + 1
+            np.minimum(keys, UNBOUNDED_SAMPLE_LIMIT, out=keys)  # the value drawn
+            keys += np.repeat(np.arange(hi - lo) * _ROW_KEY, tails[lo:hi])
+            keys.sort()
+            first = np.flatnonzero(np.diff(keys, prepend=-1))  # first of its value in its row
+            row, value = np.divmod(keys[first], _ROW_KEY)
+            seen = np.diff(first, append=keys.size)
+            log_sums[lo:hi] += np.bincount(row, seen * logs[value], minlength=hi - lo)
+            tail_lengths[lo:hi] = np.bincount(row, minlength=hi - lo)
+            tail_parts.append((lo, hi, value, seen))
+            lo = hi
+    # each row holds its head values, then its tail values
+    starts = np.concatenate(([0], np.cumsum(head_lengths + tail_lengths)))
+    observations = np.empty(starts[-1], dtype=np.int64)
+    counts = np.empty(starts[-1], dtype=np.int64)
+    for parts, lengths, offsets in ((head_parts, head_lengths, starts[:-1]),
+                                    (tail_parts, tail_lengths, starts[:-1] + head_lengths)):
+        while parts:  # popped, so that each part is freed once placed
+            lo, hi, part_values, part_counts = parts.pop()
+            part = lengths[lo:hi]
+            at = np.repeat(offsets[lo:hi] - (np.cumsum(part) - part), part)
+            at += np.arange(at.size)
+            observations[at] = part_values
+            counts[at] = part_counts
+    return ValueRows(observations, counts, starts, log_sums, n)
 
 
 def sample(
@@ -266,14 +364,25 @@ def sample(
     rounding.  Unbounded supports draw from the model restricted to
     1..UNBOUNDED_SAMPLE_LIMIT (see the constant's note).
 
-    With ``rows``, the model instead gives that many samples as one batch.
-    On a finite support that is CountRows: when K <= n the counts are drawn
-    directly by conditional binomials (Generator.multinomial), which costs
-    O(K) per row whatever n is; otherwise by inverse transform and a
-    row-offset bincount, O(n) per row.  On the unbounded support it is
-    ValueRows, drawn by inverse transform a chunk of rows at a time.  Either
-    way the stream is consumed row after row, so drawing rows in several
-    calls gives the same samples as one call.
+    With ``rows``, the model instead gives that many samples as one batch,
+    drawn as counts by conditional binomials (Generator.multinomial) where
+    that is cheaper than drawing observations one by one.
+
+    - Finite support, K <= n: CountRows, every row's counts of 1..K one
+      multinomial, O(K) per row whatever n is.
+    - Finite support, K > n: CountRows by inverse transform and a row-offset
+      bincount, O(n) per row.
+    - Unbounded support: ValueRows.  A head 1..H, H the largest k with
+      n p(k) >= 1 clipped to [16, 4096], is drawn as a multinomial over
+      1..H plus one tail category; its nonzero counts are the row's first
+      distinct values, and its log sum a dot product.  Only the row's tail
+      observations are drawn by inverse transform on the tail's own cdf over
+      H+1..UNBOUNDED_SAMPLE_LIMIT, clamped like a one-sample draw.  The
+      stream gives all rows' head counts first, then all tail uniforms.
+
+    Finite-support batches consume the stream row after row, so drawing
+    rows in several calls gives the same samples as one call; an unbounded
+    batch depends on its row count, but never on CHUNK_ELEMENTS.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")

@@ -122,11 +122,11 @@ def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.n
     model = _generating_model(config.gamma, config.support.k)
     stream = RandomStream.for_span(config.base_seed, repetition, span)
     # Finite-support rows are scored in chunks of about CHUNK_ELEMENTS
-    # count-matrix elements (rows x K), which keeps the arrays in cache.
-    # Unbounded rows are small once drawn (sample chunks the draw itself), and
-    # one fit for the whole span costs far less per row than many small ones.
-    # Chunking does not change results: the span's stream is consumed row
-    # after row.
+    # count-matrix elements (rows x K), which keeps the arrays in cache;
+    # chunking does not change them, since they consume the span's stream row
+    # after row.  Unbounded rows are small once drawn (sample chunks the draw
+    # itself), and one draw and fit for the whole span costs far less per row
+    # than many small ones.
     step = max(1, CHUNK_ELEMENTS // config.support.k) if config.support.is_finite else count
     ks = np.empty(count)
     gamma_hat = np.empty(count)
@@ -184,15 +184,21 @@ def _estimated_seconds(config: SimulationConfig) -> float:
     """Rough serial cost of a simulation, used only to decide whether a pool pays.
 
     Per-replicate costs measured on one core: about 3-6 us at K=20, 0.1 ms at
-    K=1000 and 3-4 ms at K=32766; unbounded 0.03-0.13 ms at n <= 100,
-    0.06-0.19 ms at n = 1000 and 2.1-5.0 ms at n = 5x10^4 (gamma from 4 down
-    to 1.25).  The estimate depends only on the configuration, so the same
-    call always takes the same path.
+    K=1000 and 3-4 ms at K=32766.  Unbounded, from gamma = 4 down to 1.25:
+    0.04-0.12 ms at n = 10, 0.05-0.17 ms at n = 1000 and 0.05-1.3 ms at
+    n = 5x10^4 (0.18, 0.21 and 2.6 ms at gamma = 1.05).  The unbounded cost
+    grows with a row's distinct values, about n^(1/gamma), and its zeta
+    series with 1/(gamma - 1).  The model below is within a factor of two of
+    those figures from gamma = 1.25 up; at gamma = 1.05 it overestimates
+    large n (3.6 times at 5x10^4), where a call is far above the pool
+    threshold either way.  The estimate depends only on the configuration,
+    so the same call always takes the same path.
     """
     if config.support.is_finite:
         per_replicate = 3e-6 + 1e-7 * config.support.k
     else:
-        per_replicate = 1e-4 + 5e-8 * config.n
+        gamma = config.gamma
+        per_replicate = 4e-5 + 1e-5 / (gamma - 1.0) + 3e-7 * config.n ** (1.0 / gamma)
     return per_replicate * config.replicates * config.repetitions
 
 

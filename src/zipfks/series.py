@@ -12,7 +12,6 @@ Euler-Maclaurin tail whose error bound is checked explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,40 +32,21 @@ _log_cache = np.zeros(1)
 
 
 def natural_logs(limit: int) -> np.ndarray:
-    """Array ``a`` with ``a[k] = ln k`` for ``k = 1..limit`` (``a[0]`` is 0 padding).
+    """Read-only array ``a`` with ``a[k] = ln k`` for ``k = 1..limit`` (``a[0]`` is 0 padding).
 
-    Backed by a shared cache that grows geometrically; returned views must be
-    treated as read-only.
+    Backed by a shared cache that grows geometrically.
     """
     global _log_cache
+    if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool) or limit < 1:
+        raise ValueError(f"log table limit must be a positive integer, got {limit!r}")
     if len(_log_cache) < limit + 1:
         size = 1024
         while size < limit + 1:
             size *= 2
         fresh = np.log(np.arange(1, size, dtype=np.float64))
         _log_cache = np.concatenate(([0.0], fresh))
+        _log_cache.flags.writeable = False
     return _log_cache[: limit + 1]
-
-
-@dataclass(frozen=True)
-class LogTable:
-    """Precomputed natural logarithms of 1..limit, indexable by integer value."""
-
-    logs: np.ndarray
-    limit: int
-
-
-def build_log_table(limit: int) -> LogTable:
-    """Table of ln k for k = 1..limit; entry 0 is padding, entry 1 is exactly 0."""
-    if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool):
-        raise ValueError(f"log table limit must be an integer, got {limit!r}")
-    if limit < 1 or limit > MAX_FINITE_SUPPORT:
-        raise ValueError(
-            f"log table limit must be in [1, {MAX_FINITE_SUPPORT}], got {limit}"
-        )
-    view = natural_logs(int(limit))
-    view.flags.writeable = False
-    return LogTable(logs=view, limit=int(limit))
 
 
 def finite_log_moments(gamma: float, k: int) -> tuple[float, float, float]:

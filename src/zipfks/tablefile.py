@@ -8,7 +8,8 @@ Layout (round-trips exactly; floats are written with repr precision):
     k_support,gamma,n,q90,q95,q99,q999
     20,0.25,10,0.2486,...
 
-k_support is an integer or the literal ``inf``.
+k_support is an integer or the literal ``inf``.  The three comment lines
+are required: a table without them cannot say how it was made.
 """
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ from .distribution import Support
 from .montecarlo import DEFAULT_LEVELS, CutoffTable
 
 _HEADER = "k_support,gamma,n,q90,q95,q99,q999"
+
+# Comment lines every table file must hold: how its cutoffs were simulated.
+_PROVENANCE = ("replicates", "repetitions", "seed")
 
 
 class TableFormatError(ValueError):
@@ -64,7 +68,7 @@ def load_table(path: str | os.PathLike) -> CutoffTable:
                 body = line[1:].strip()
                 key, _, value = body.partition("=")
                 key = key.strip()
-                if key in ("replicates", "repetitions", "seed"):
+                if key in _PROVENANCE:
                     try:
                         metadata[key] = int(value.strip())
                     except ValueError as err:
@@ -123,13 +127,16 @@ def load_table(path: str | os.PathLike) -> CutoffTable:
     missing = [(g, n) for g in gammas for n in ns if (g, n) not in cells]
     if missing:
         raise TableFormatError(f"{path}: incomplete grid, missing cells {missing[:4]}")
+    for key in _PROVENANCE:
+        if key not in metadata:
+            raise TableFormatError(f"{path}: missing provenance line '# {key}='")
     return CutoffTable(
         support=support,
         levels=DEFAULT_LEVELS,
         gammas=tuple(gammas),
         ns=tuple(ns),
         cells=cells,
-        replicates=metadata.get("replicates", 0),
-        repetitions=metadata.get("repetitions", 0),
-        base_seed=metadata.get("seed", 0),
+        replicates=metadata["replicates"],
+        repetitions=metadata["repetitions"],
+        base_seed=metadata["seed"],
     )

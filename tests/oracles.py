@@ -3,10 +3,10 @@
 Most deliberately avoid the production algorithms: sums are taken directly
 (or in high precision via mpmath), the exponent is found by maximizing the
 likelihood instead of root-finding, and the KS supremum is an O(K*N) scan.
-The scalar replicate is the exception: it is the one-sample pipeline
-(sample -> mle_gamma -> ks_statistic), itself checked against the oracles
-above, and it is the reference for the batched engines (count vectors on
-finite supports, distinct values on the unbounded one).
+The scalar score is the exception: it is the one-sample pipeline
+(mle_gamma -> ks_statistic), itself checked against the oracles above, and
+it is the reference for the batched engines (count vectors on finite
+supports, distinct values on the unbounded one).
 """
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ import math
 
 import mpmath
 import numpy as np
+from scipy import stats
 
-from zipfks.distribution import RandomStream, Sample, Support, ValueRows, ZipfModel, sample
-from zipfks.estimate import mle_gamma
-from zipfks.gof import ks_statistic
+from zipfks.distribution import Sample, Support, ValueRows, ZipfModel
+from zipfks.estimate import NoRootError, mle_gamma
+from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.series import natural_logs
 
 mpmath.mp.dps = 50
@@ -108,11 +109,6 @@ def scalar_score(drawn: Sample, support: Support) -> tuple[float, float]:
     return ks_statistic(drawn, ZipfModel(gamma_hat, support)).statistic, gamma_hat
 
 
-def scalar_replicate(model: ZipfModel, n: int, stream: RandomStream) -> tuple[float, float]:
-    """One replicate the one-sample way: draw n values, re-fit, score against the re-fit."""
-    return scalar_score(sample(model, n, stream), model.support)
-
-
 def expand_counts(counts) -> Sample:
     """The sample, in sorted order, whose count vector over 1..K is ``counts``."""
     counts = np.asarray(counts)
@@ -130,3 +126,73 @@ def value_rows(samples: list[Sample]) -> ValueRows:
         log_sums=np.array([np.log(s.observations.astype(np.float64)).sum() for s in samples]),
         n=samples[0].n,
     )
+
+
+def expand_value_rows(drawn: ValueRows) -> list[Sample]:
+    """The samples, each in sorted order, that a ValueRows batch holds."""
+    bounds = zip(drawn.starts[:-1], drawn.starts[1:])
+    return [Sample(np.repeat(drawn.observations[a:b], drawn.counts[a:b])) for a, b in bounds]
+
+
+def chi_square_p(values: np.ndarray, pmf: np.ndarray, edges=None) -> float:
+    """Pearson chi-square p-value of draws from 1..pmf.size against pmf.
+
+    Bins are [edges[i], edges[i + 1]); by default [2^j, 2^(j + 1)) up to
+    pmf.size.  From the top down, bins are merged until each expects at
+    least five draws.  1.0 when fewer than two bins remain.
+    """
+    if edges is None:
+        edges = 2 ** np.arange(int(math.log2(pmf.size)) + 1)
+    edges = np.append(np.asarray(edges), pmf.size + 1)
+    expected = values.size * np.add.reduceat(pmf, edges[:-1] - 1)
+    observed = np.histogram(values, edges)[0]
+    merged: list[list[float]] = []
+    pending = [0.0, 0.0]
+    for got, want in zip(observed[::-1], expected[::-1]):
+        pending = [pending[0] + got, pending[1] + want]
+        if pending[1] >= 5.0:
+            merged.append(pending)
+            pending = [0.0, 0.0]
+    if merged:
+        merged[-1] = [merged[-1][0] + pending[0], merged[-1][1] + pending[1]]
+    if len(merged) < 2:
+        return 1.0
+    got, want = np.array(merged).T
+    return float(stats.chi2.sf(((got - want) ** 2 / want).sum(), len(merged) - 1))
+
+
+def assert_draw_properties(drawn: ValueRows, model: ZipfModel, rows: int, n: int,
+                           fitted: bool = True) -> list[Sample]:
+    """Check a batch drawn from the unbounded model; return its samples.
+
+    Each row holds strictly increasing values in 1..65535 with positive
+    counts summing to n, and a log sum equal to its expanded sum of ln x.
+    With ``fitted``, the batch's fit and KS statistic match the one-sample
+    pipeline on each expanded row (NaN exactly where that finds no root),
+    and the pooled draws pass a chi-square test against the sampling pmf.
+    """
+    assert drawn.n == n and drawn.starts.size == rows + 1 and drawn.starts[0] == 0
+    assert drawn.starts[-1] == drawn.observations.size == drawn.counts.size
+    samples = expand_value_rows(drawn)
+    for row, one in enumerate(samples):
+        values = drawn.observations[drawn.starts[row] : drawn.starts[row + 1]]
+        counts = drawn.counts[drawn.starts[row] : drawn.starts[row + 1]]
+        assert (np.diff(values) > 0).all() and values[0] >= 1 and values[-1] <= 65535
+        assert (counts > 0).all() and counts.sum() == n
+    want = np.array([np.log(one.observations.astype(np.float64)).sum() for one in samples])
+    np.testing.assert_allclose(drawn.log_sums, want, rtol=1e-12, atol=0)
+    if not fitted:
+        return samples
+    gamma_hat = mle_gamma(drawn, model.support)
+    ks = ks_statistic(drawn, ZipfRows(gamma_hat, model.support))
+    for row, one in enumerate(samples):
+        try:
+            want_ks, want_gamma = scalar_score(one, model.support)
+        except NoRootError:
+            assert np.isnan(gamma_hat[row]) and np.isnan(ks[row])
+            continue
+        assert abs(gamma_hat[row] - want_gamma) <= 1e-9
+        assert abs(ks[row] - want_ks) <= 1e-12
+    pooled = np.repeat(drawn.observations, drawn.counts)
+    assert chi_square_p(pooled, model._sampling_pmf) > 1e-6
+    return samples

@@ -79,12 +79,17 @@ class TestSimulate:
         assert result.returncode == 2
 
     def test_non_standard_quantiles_rejected_before_running(self, tmp_path):
+        # the table schema holds the four standard levels only, so there is
+        # no flag to choose others: argparse rejects it before any work
+        out = tmp_path / "t.csv"
         result = run_cli(
             "simulate", "--n", "10", "--gamma", "1.5", "--k", "20",
-            "--quantiles", "0.5,0.9", "--seed", "1", "--out", str(tmp_path / "t.csv"),
+            "--quantiles", "0.9,0.95,0.99,0.999", "--seed", "1", "--out", str(out),
         )
         assert result.returncode == 2
-        assert "levels" in result.stderr
+        assert "unrecognized arguments: --quantiles" in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
 
 
 class TestFit:

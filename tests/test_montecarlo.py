@@ -25,7 +25,7 @@ from zipfks.montecarlo import (
     run_simulation,
 )
 
-from oracles import expand_counts, nth_element, scalar_replicate, scalar_score
+from oracles import assert_draw_properties, expand_counts, nth_element, scalar_score
 
 
 def config(**overrides):
@@ -167,8 +167,8 @@ class TestRunReplicate:
 
     def test_matches_manual_pipeline_unbounded(self):
         # an unbounded span is exactly: the span's value rows -> batched
-        # re-fit -> batched KS against the re-fit, and each row equals the
-        # one-sample pipeline drawing from the span's stream in turn
+        # re-fit -> batched KS against the re-fit, and each row agrees with
+        # the one-sample pipeline run on the sample that row holds
         cfg = config(support=Support.unbounded(), gamma=2.0, n=30, replicates=100)
         ks, gamma_hat = _run_span((cfg, 0, 0))
         model = ZipfModel(cfg.gamma, cfg.support)
@@ -176,9 +176,11 @@ class TestRunReplicate:
         want_gamma = mle_gamma(drawn, cfg.support)
         np.testing.assert_array_equal(gamma_hat, want_gamma)
         np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, cfg.support)))
-        stream = RandomStream.for_span(cfg.base_seed, 0, 0)
-        for row in range(cfg.replicates):
-            assert (ks[row], gamma_hat[row]) == scalar_replicate(model, cfg.n, stream)
+        samples = assert_draw_properties(drawn, model, cfg.replicates, cfg.n)
+        for row, one in enumerate(samples):
+            want_ks, want_g = scalar_score(one, cfg.support)
+            assert abs(gamma_hat[row] - want_g) < 1e-9
+            assert abs(ks[row] - want_ks) < 1e-12
 
     def test_index_range_checked(self):
         with pytest.raises(ValueError):

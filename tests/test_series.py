@@ -6,7 +6,6 @@ import pytest
 
 from zipfks.series import (
     MAX_FINITE_SUPPORT,
-    build_log_table,
     finite_log_moments,
     natural_logs,
     tail_mass,
@@ -19,32 +18,42 @@ from oracles import mp_zeta
 
 class TestLogTable:
     def test_small_tables(self):
-        table = build_log_table(3)
-        assert table.limit == 3
-        assert table.logs[1] == 0.0
-        assert table.logs[2] == pytest.approx(0.693147, abs=1e-6)
-        assert table.logs[3] == pytest.approx(1.098612, abs=1e-6)
+        logs = natural_logs(3)
+        assert logs.size == 4
+        assert logs[0] == 0.0  # padding
+        assert logs[1] == 0.0
+        assert logs[2] == pytest.approx(0.693147, abs=1e-6)
+        assert logs[3] == pytest.approx(1.098612, abs=1e-6)
 
     def test_limit_one(self):
-        table = build_log_table(1)
-        assert table.limit == 1
-        assert table.logs[1] == 0.0
+        logs = natural_logs(1)
+        assert logs.size == 2
+        assert logs[1] == 0.0
 
     def test_entry_matches_high_precision_log(self):
         # independent oracle: 50-digit logarithm
-        table = build_log_table(20)
-        assert table.logs[20] == pytest.approx(float(mpmath.log(20)), abs=1e-15)
-        assert table.logs[20] == pytest.approx(2.995732, abs=1e-6)
+        logs = natural_logs(20)
+        assert logs[20] == pytest.approx(float(mpmath.log(20)), abs=1e-15)
+        assert logs[20] == pytest.approx(2.995732, abs=1e-6)
 
-    @pytest.mark.parametrize("limit", [0, -3, MAX_FINITE_SUPPORT + 1, 2.5, "20"])
+    @pytest.mark.parametrize("limit", [0, -3, 2.5, "20"])
     def test_rejects_bad_limits(self, limit):
         with pytest.raises(ValueError):
-            build_log_table(limit)
+            natural_logs(limit)
+
+    def test_read_only(self):
+        # every caller shares the cache, so no view of it may be written
+        for limit in (20, MAX_FINITE_SUPPORT + 1):
+            logs = natural_logs(limit)
+            assert not logs.flags.writeable
+            with pytest.raises(ValueError):
+                logs[2] = 0.0
 
     def test_cache_growth_keeps_values(self):
         first = natural_logs(10)[7]
         natural_logs(1 << 17)
         assert natural_logs(10)[7] == first == np.log(7.0)
+        assert not natural_logs(1 << 17).flags.writeable
 
 
 class TestInfiniteSums:

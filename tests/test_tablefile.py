@@ -112,3 +112,14 @@ def test_cutoffs_outside_unit_interval_rejected(tmp_path):
     path.write_text("k_support,gamma,n,q90,q95,q99,q999\n20,1.0,10,0.1,0.2,0.3,1.4\n")
     with pytest.raises(TableFormatError, match=r"\(0, 1\)"):
         load_table(path)
+
+
+@pytest.mark.parametrize("key", ["replicates", "repetitions", "seed"])
+def test_missing_provenance_rejected(tmp_path, key):
+    table = small_table()
+    path = tmp_path / "t.csv"
+    write_table(table, path)
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(f"# {key}=")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TableFormatError, match=f"missing provenance line '# {key}='"):
+        load_table(path)

@@ -4,20 +4,30 @@ On the unbounded support a batch of replicates is ValueRows: each sample
 reduced to its log sum and its distinct values with their counts.  They are
 drawn by ``sample(..., rows=...)``, fitted by ``mle_gamma`` and scored by
 ``ks_statistic`` a whole batch at a time.  Each row must agree with the
-scalar pipeline run on the very sample it holds.
+scalar pipeline run on the very sample it holds.  A batch draws its rows'
+counts of 1..H as multinomials and only the rest one value at a time, so
+its rows are not the samples one-sample draws would give; they must follow
+the same distribution.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zipfks import distribution, gof, series
+from zipfks import distribution, gof, montecarlo, series
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
 from zipfks.estimate import DEFAULT_SETTINGS, NoRootError, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
-from zipfks.montecarlo import SimulationConfig, run_simulation
+from zipfks.montecarlo import _RETRY_OFFSET, SimulationConfig, _run_span, run_simulation
 
-from oracles import brute_force_ks, golden_section_mle, scalar_score, value_rows
+from oracles import (
+    assert_draw_properties,
+    brute_force_ks,
+    chi_square_p,
+    golden_section_mle,
+    scalar_score,
+    value_rows,
+)
 
 GAMMA_TOL = 1e-9
 KS_TOL = 1e-12
@@ -61,13 +71,7 @@ class TestAgainstScalarOracle:
     def test_drawn_rows(self, gamma, n, seed):
         model = ZipfModel(gamma, UNBOUNDED)
         drawn = sample(model, n, RandomStream([seed]), rows=4)
-        stream = RandomStream([seed])
-        samples = [sample(model, n, stream) for _ in range(4)]
-        # the batch holds the samples that four one-sample draws give
-        want = value_rows(samples)
-        for field in ("observations", "counts", "starts", "log_sums"):
-            np.testing.assert_array_equal(getattr(drawn, field), getattr(want, field))
-        assert_rows_match_oracle(samples)
+        assert_draw_properties(drawn, model, 4, n)
 
     @settings(max_examples=150, deadline=None)
     @given(equal_size_samples())
@@ -126,10 +130,8 @@ class TestEdges:
         model = ZipfModel(1.0501, UNBOUNDED)
         drawn = sample(model, 200, RandomStream([17]), rows=6)
         gamma_hat = mle_gamma(drawn, UNBOUNDED)
-        stream = RandomStream([17])
-        for row in range(6):
-            obs = sample(model, 200, stream).observations
-            want = golden_section_mle(obs, None, 1.05, 20.0)
+        for row, one in enumerate(assert_draw_properties(drawn, model, 6, 200)):
+            want = golden_section_mle(one.observations, None, 1.05, 20.0)
             assert abs(gamma_hat[row] - want) <= DEFAULT_SETTINGS.absolute_tolerance
 
 
@@ -144,3 +146,134 @@ class TestChunks:
         for module in (distribution, gof, series):
             monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
         assert run_simulation(cfg, workers=1) == want
+
+
+class TopStream(RandomStream):
+    """A stream whose uniforms are all 1: every tail draw lands on the last table entry."""
+
+    __slots__ = ()
+
+    def uniforms(self, count: int) -> np.ndarray:
+        return np.ones(count)
+
+
+class TailStream(RandomStream):
+    """A stream whose multinomials put every observation in the last category, the tail."""
+
+    __slots__ = ()
+
+    def multinomial(self, n: int, p: np.ndarray, rows: int) -> np.ndarray:
+        table = np.zeros((rows, p.size), dtype=np.int64)
+        table[:, -1] = n
+        return table
+
+
+class TestHeadTailDraw:
+    """Head counts 1..H by multinomial, the tail H+1..65535 by inverse transform."""
+
+    def test_single_observation_rows(self):
+        # n = 1: no value expects a whole observation, so H is its floor of 16
+        for gamma in (1.05, 2.0, 6.0):
+            model = ZipfModel(gamma, UNBOUNDED)
+            assert distribution._head_size(model, 1) == distribution._HEAD_MIN
+            drawn = sample(model, 1, RandomStream([3]), rows=200)
+            assert_draw_properties(drawn, model, 200, 1)
+
+    def test_heavy_tail_at_the_head_limit(self):
+        model = ZipfModel(1.05, UNBOUNDED)
+        assert distribution._head_size(model, 200_000) == distribution._HEAD_MAX
+        for n, rows in ((50_000, 2), (200_000, 1)):
+            head = distribution._head_size(model, n)
+            drawn = sample(model, n, RandomStream([5, n]), rows=rows)
+            assert_draw_properties(drawn, model, rows, n)
+            # about a fifth of the observations lie in the tail
+            tail = drawn.counts[drawn.observations > head].sum()
+            assert 0.1 * rows * n < tail < 0.4 * rows * n
+
+    def test_steep_exponent_draws_no_tail(self):
+        # the mass above 16 is below 1e-24: every observation is a head count,
+        # and the stream gives no uniforms for the tail
+        model = ZipfModel(20.0, UNBOUNDED)
+        assert model._sampling_pmf[distribution._HEAD_MIN :].sum() < 1e-24
+        stream = RandomStream([8])
+        drawn = sample(model, 1000, stream, rows=50)
+        assert_draw_properties(drawn, model, 50, 1000)
+        assert drawn.observations.max() <= distribution._HEAD_MIN
+        replay = RandomStream([8])
+        pmf = model._sampling_pmf
+        head = distribution._HEAD_MIN
+        replay.multinomial(1000, np.append(pmf[:head], pmf[head:].sum()), 50)
+        assert stream.uniforms(4).tolist() == replay.uniforms(4).tolist()
+
+    def test_draws_at_the_sampling_limit(self):
+        # a uniform of 1 lands on the last entry of the tail table, or just
+        # past it when rounding leaves that entry below 1: either way 65535
+        model = ZipfModel(1.05, UNBOUNDED)
+        drawn = sample(model, 1000, TopStream([11]), rows=20)
+        samples = assert_draw_properties(drawn, model, 20, 1000, fitted=False)
+        head = distribution._head_size(model, 1000)
+        for one in samples:
+            tail = one.observations[one.observations > head]
+            assert tail.size > 0 and (tail == distribution.UNBOUNDED_SAMPLE_LIMIT).all()
+
+    def test_tail_draws_follow_the_conditional_pmf(self):
+        # with every observation in the tail, the draws must follow the pmf
+        # restricted to H+1..65535; unit bins at the seam catch a shifted table
+        model = ZipfModel(2.0, UNBOUNDED)
+        head = distribution._head_size(model, 1000)
+        drawn = sample(model, 1000, TailStream([12]), rows=200)
+        assert_draw_properties(drawn, model, 200, 1000, fitted=False)
+        assert drawn.observations.min() > head
+        tail = model._sampling_pmf.copy()
+        tail[:head] = 0.0
+        tail /= tail.sum()
+        edges = np.concatenate(([1], np.arange(head + 1, head + 9), 2 ** np.arange(6, 16)))
+        assert chi_square_p(np.repeat(drawn.observations, drawn.counts), tail, edges) > 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.floats(1.05, 60.0), head=st.integers(16, 4096), seed=st.integers(0, 2**32 - 1))
+    def test_tail_search_equals_binary_search(self, gamma, head, seed):
+        # steep exponents give runs of equal entries at 1.0, where the search
+        # must fall back; uniforms equal to an entry must land on its first copy
+        pmf = ZipfModel(gamma, UNBOUNDED)._sampling_pmf
+        assume(pmf[head:].sum() > 0.0)
+        cdf = np.append(np.cumsum(pmf[head:]), np.inf)
+        cdf[:-1] *= 1.0 / cdf[-2]
+        u = np.concatenate((RandomStream([seed]).uniforms(2000), [1.0, 2.0**-53], cdf[[0, 1, 7, -2]]))
+        got = distribution._tail_index(cdf, u, head, gamma)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
+
+    def test_retried_replicate_draws_one_row_on_offset_stream(self, monkeypatch):
+        # unbounded fits always find a root, so force replicate 3 to fail once:
+        # its retry is a one-row batch from the stream keyed 2^32 + 3
+        cfg = SimulationConfig(n=300, support=UNBOUNDED, gamma=1.5, base_seed=4, replicates=100,
+                               repetitions=1)
+        fit = montecarlo.mle_gamma
+
+        def fail_row_3_once(drawn, support):
+            gamma_hat = fit(drawn, support)
+            if gamma_hat.size > 1:
+                gamma_hat[3] = np.nan
+            return gamma_hat
+
+        monkeypatch.setattr(montecarlo, "mle_gamma", fail_row_3_once)
+        ks, gamma_hat = _run_span((cfg, 0, 0))
+        model = ZipfModel(cfg.gamma, UNBOUNDED)
+        retry = RandomStream.for_replicate(cfg.base_seed, 0, _RETRY_OFFSET + 3)
+        redrawn = sample(model, cfg.n, retry, rows=1)
+        (one,) = assert_draw_properties(redrawn, model, 1, cfg.n)
+        want_ks, want_gamma = scalar_score(one, UNBOUNDED)
+        assert abs(gamma_hat[3] - want_gamma) <= GAMMA_TOL
+        assert abs(ks[3] - want_ks) <= KS_TOL
+
+    @pytest.mark.parametrize("gamma,n", [(1.05, 1000), (1.25, 1000), (2.0, 100), (4.0, 1000)])
+    def test_pooled_draws_follow_the_sampling_pmf(self, gamma, n):
+        # unit bins around the head's last value catch a seam misplaced by one
+        model = ZipfModel(gamma, UNBOUNDED)
+        head = distribution._head_size(model, n)
+        drawn = sample(model, n, RandomStream([int(gamma * 100), n]), rows=512)
+        pooled = np.repeat(drawn.observations, drawn.counts)
+        edges = np.unique(np.concatenate((np.arange(1, 9), [head - 1, head, head + 1, head + 2],
+                                          2 ** np.arange(4, 16))))
+        assert chi_square_p(pooled, model._sampling_pmf, edges) > 1e-4
+        assert chi_square_p(pooled, model._sampling_pmf) > 1e-4
