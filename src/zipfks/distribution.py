@@ -18,7 +18,7 @@ from .series import (
     MAX_FINITE_SUPPORT,
     natural_logs,
     row_dots,
-    tail_mass,
+    zeta_cdf,
     zeta_value,
 )
 
@@ -41,10 +41,6 @@ _TAIL_STEPS = 4
 
 # Sort key of a tail draw: row * _ROW_KEY + value orders draws by row, then value.
 _ROW_KEY = UNBOUNDED_SAMPLE_LIMIT + 1
-
-# Partial sums of the unbounded model are read from a dense table up to here
-# and closed with the series tail beyond.
-_PARTIAL_SEAM = 4096
 
 
 @dataclass(frozen=True)
@@ -126,18 +122,6 @@ class ZipfModel:
         """Cumulative probabilities over 1..limit used by inverse-transform draws."""
         return np.cumsum(self._sampling_pmf)
 
-    @cached_property
-    def _partial_table(self) -> np.ndarray:
-        """Running sums of pmf over 1..seam for unbounded cdf queries."""
-        seam = _PARTIAL_SEAM
-        logs = natural_logs(seam)[1 : seam + 1]
-        return np.cumsum(np.exp(-self.gamma * logs) * (1.0 / self.norm))
-
-    def pmf(self, k: int) -> float:
-        return pmf(self, k)
-
-    def cdf(self, k: int) -> float:
-        return cdf(self, k)
 
 
 @dataclass(frozen=True)
@@ -214,10 +198,11 @@ def pmf(model: ZipfModel, k: int) -> float:
 def cdf(model: ZipfModel, k: int) -> float:
     """Probability of observing a value <= k."""
     k = _check_in_support(model, k)
-    if model.support.is_finite or k <= _PARTIAL_SEAM:
+    if model.support.is_finite:
         logs = natural_logs(k)[1 : k + 1]
         return float((np.exp(-model.gamma * logs) * (1.0 / model.norm)).sum())
-    return float((model.norm - tail_mass(model.gamma, k + 1)) / model.norm)
+    one = np.zeros(1, dtype=np.int64)
+    return float(zeta_cdf(np.array([model.gamma]), np.array([model.norm]), one, one + k)[1][0])
 
 
 class RandomStream:

@@ -3,8 +3,10 @@
 The statistic is the largest absolute gap between the fitted cdf and the
 empirical cdf, taken over the integers 1..max(observations).  Beyond the
 largest observation both curves only get closer, so stopping there is
-exact.  Both curves are accumulated term by term in the same order, which
-keeps the result bit-identical to a naive per-k scan.
+exact.  On a finite support both curves are accumulated term by term in the
+same order, which keeps the result bit-identical to a naive per-k scan.  On
+the unbounded support the gap is extremal at the ends of each stretch of
+constant empirical cdf: just below and at each observed value.
 """
 from __future__ import annotations
 
@@ -12,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, _PARTIAL_SEAM
-from .series import CHUNK_ELEMENTS, natural_logs, power_rows, tail_mass, zeta_moments
-
-# Above this many support points the per-k scan switches to evaluating only
-# the stretch endpoints around observed values (sup-equivalent, see below).
-_DENSE_LIMIT = 4096
+from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel
+from .series import CHUNK_ELEMENTS, natural_logs, power_rows, zeta_cdf, zeta_moments
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,15 @@ def ks_statistic(
     obs = sample.observations
     if not model.support.contains(obs):
         raise ValueError(f"observations exceed the support 1..{model.support}")
-    kmax = int(obs.max())
-    if model.support.is_finite or kmax <= _DENSE_LIMIT:
-        return _ks_dense(obs, model, kmax)
-    return _ks_sparse(obs, model, kmax)
+    if model.support.is_finite:
+        return _ks_dense(obs, model, int(obs.max()))
+    values, counts = np.unique(obs, return_counts=True)
+    below, at = _endpoint_gaps(values, counts, np.array([values.size]), obs.size,
+                               np.array([model.gamma]), np.array([model.norm]))
+    best = max(below.max(), at.max())
+    # the smallest point among equal gaps; the gap below a value sits at value - 1
+    points = np.concatenate((values[at == best], values[below == best] - 1))
+    return KsResult(statistic=float(best), argmax_k=int(points.min()))
 
 
 def _ks_dense(obs: np.ndarray, model: ZipfModel, kmax: int) -> KsResult:
@@ -103,112 +106,48 @@ def _ks_rows(counts: CountRows, models: ZipfRows) -> np.ndarray:
     return np.maximum(gaps.max(axis=1), -gaps.min(axis=1))
 
 
-def _ks_sparse(obs: np.ndarray, model: ZipfModel, kmax: int) -> KsResult:
-    """Endpoint evaluation for unbounded fits with very large observations.
+def _endpoint_gaps(
+    values: np.ndarray, counts: np.ndarray, lengths: np.ndarray, n: int,
+    gamma: np.ndarray, norm: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """|fitted cdf - empirical cdf| just below and at each distinct value of some samples.
 
-    The empirical cdf is constant between consecutive observed values while
-    the fitted cdf increases, so on each stretch the gap is extremal at the
-    stretch ends; only those points need to be visited.
+    Sample r holds the next lengths[r] sorted values, seen ``counts`` times out of n,
+    fitted by gamma[r] with zeta sum norm[r].  Its empirical cdf is an integer
+    running count, restarted at the sample, so no sample depends on the others.
     """
-    values, counts = np.unique(obs, return_counts=True)
-    empirical = np.cumsum(counts / obs.size)
-    below = np.concatenate(([0.0], empirical[:-1]))  # empirical just left of each value
-
-    prev_points = np.maximum(values - 1, 1)
-    points = np.concatenate((values, prev_points))
-    gaps = np.concatenate(
-        (
-            np.abs(_partial_cdf(model, values) - empirical),
-            np.where(values > 1, np.abs(_partial_cdf(model, prev_points) - below), 0.0),
-        )
-    )
-    order = np.lexsort((-gaps, points))  # smallest point first among equal gaps
-    best = order[int(np.argmax(gaps[order]))]
-    return KsResult(statistic=float(gaps[best]), argmax_k=int(points[best]))
-
-
-def _partial_cdf(model: ZipfModel, points: np.ndarray) -> np.ndarray:
-    """Fitted cdf at integer points, table below the seam and tail sums above."""
-    points = np.maximum(points, 1)
-    out = np.empty(points.shape, dtype=np.float64)
-    small = points <= _PARTIAL_SEAM
-    if small.any():
-        out[small] = model._partial_table[points[small] - 1]
-    if (~small).any():
-        big = points[~small]
-        out[~small] = (model.norm - tail_mass(model.gamma, big + 1)) / model.norm
-    return out
-
-
-def _segments(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, offset in it) of every element of consecutive segments of these lengths."""
-    segment = np.repeat(np.arange(lengths.size), lengths)
-    return segment, np.arange(segment.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    offsets = np.cumsum(lengths) - lengths
+    seen = np.cumsum(counts)
+    seen -= np.repeat(seen[offsets] - counts[offsets], lengths)  # observations <= value
+    below, at = zeta_cdf(gamma, norm, np.repeat(np.arange(lengths.size), lengths), values)
+    at -= seen / n
+    seen -= counts
+    below -= seen / n
+    return np.abs(below, out=below), np.abs(at, out=at)
 
 
 def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
     """Row-wise KS statistic of unbounded samples, NaN where the fitted exponent is NaN.
 
-    Each row gives what ks_statistic gives on its own sample.  It is scanned
-    over 1..min(largest value, _DENSE_LIMIT) with running sums of the fitted
-    pmf and of counts / n, as in _ks_dense; values above the limit are scored
-    at the ends of the stretches between them, as in _ks_sparse.  The
-    normalizers come from the row-wise zeta series.  Rows are taken widest
-    first, in blocks of about CHUNK_ELEMENTS scanned points.
+    Each row gives what ks_statistic gives on its own sample: both take the
+    largest of _endpoint_gaps, with normalizers from the row-wise zeta
+    series.  Rows are taken in blocks of about CHUNK_ELEMENTS distinct values.
     """
     if models.support.is_finite:
         raise ValueError("value rows need the unbounded support")
     starts = drawn.starts
-    width = np.minimum(drawn.observations[starts[1:] - 1], _DENSE_LIMIT)
-    below_limit = np.concatenate(([0], np.cumsum(drawn.observations <= _DENSE_LIMIT)))
-    dense = below_limit[starts[1:]] - below_limit[starts[:-1]]  # distinct values scanned
-    scored = np.flatnonzero(~np.isnan(models.gamma))
-    norm = np.full(width.size, np.nan)
+    rows = starts.size - 1
+    scored = ~np.isnan(models.gamma)
+    norm = np.full(rows, np.nan)
     norm[scored] = zeta_moments(models.gamma[scored], 1)[0]
-    out = np.full(width.size, np.nan)
-    order = scored[np.argsort(-width[scored], kind="stable")]
+    out = np.empty(rows)
     lo = 0
-    while lo < order.size:
-        rows = order[lo : lo + max(1, CHUNK_ELEMENTS // int(width[order[lo]]))]
-        out[rows] = _ks_value_block(drawn, rows, models.gamma[rows], norm[rows], width[rows],
-                                    dense[rows])
-        lo += rows.size
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + CHUNK_ELEMENTS, "right")) - 1)
+        entries = slice(starts[lo], starts[hi])
+        below, at = _endpoint_gaps(drawn.observations[entries], drawn.counts[entries],
+                                   np.diff(starts[lo : hi + 1]), drawn.n, models.gamma[lo:hi],
+                                   norm[lo:hi])
+        out[lo:hi] = np.maximum.reduceat(np.maximum(below, at, out=at), starts[lo:hi] - starts[lo])
+        lo = hi
     return out
-
-
-def _ks_value_block(
-    drawn: ValueRows, rows: np.ndarray, gamma: np.ndarray, norm: np.ndarray,
-    width: np.ndarray, dense: np.ndarray,
-) -> np.ndarray:
-    """_ks_value_rows for some rows, the first of them the widest."""
-    kmax = int(width[0])
-    first = drawn.starts[rows]
-    line, offset = _segments(dense)
-    at = first[line] + offset
-    counts = np.zeros((rows.size, kmax))
-    counts[line, drawn.observations[at] - 1] = drawn.counts[at]
-    empirical = np.cumsum(counts / drawn.n, axis=1)
-    fitted = np.cumsum(power_rows(gamma, kmax) * (1.0 / norm)[:, None], axis=1)
-    gaps = np.abs(fitted - empirical)
-    gaps[np.arange(kmax) >= width[:, None]] = 0.0  # past a row's largest value
-    best = gaps.max(axis=1)
-    tail = drawn.starts[rows + 1] - first - dense  # distinct values above the limit
-    if not tail.any():
-        return best
-    # empirical cdf at each value above the limit, continuing the running sum
-    line, offset = _segments(tail)
-    at = first[line] + dense[line] + offset
-    steps = np.zeros((rows.size, tail.max() + 1))
-    steps[:, 0] = empirical[:, -1]
-    steps[line, offset + 1] = drawn.counts[at] / drawn.n
-    np.cumsum(steps, axis=1, out=steps)
-    values = drawn.observations[at]
-    g, z = gamma[line], norm[line]
-    at_value = np.abs((z - tail_mass(g, values + 1)) / z - steps[line, offset + 1])
-    before = np.where(
-        values - 1 > _DENSE_LIMIT,
-        np.abs((z - tail_mass(g, values)) / z - steps[line, offset]),
-        0.0,
-    )
-    np.maximum.at(best, line, np.maximum(at_value, before))
-    return best

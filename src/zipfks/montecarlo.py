@@ -184,21 +184,17 @@ def _estimated_seconds(config: SimulationConfig) -> float:
     """Rough serial cost of a simulation, used only to decide whether a pool pays.
 
     Per-replicate costs measured on one core: about 3-6 us at K=20, 0.1 ms at
-    K=1000 and 3-4 ms at K=32766.  Unbounded, from gamma = 4 down to 1.25:
-    0.04-0.12 ms at n = 10, 0.05-0.17 ms at n = 1000 and 0.05-1.3 ms at
-    n = 5x10^4 (0.18, 0.21 and 2.6 ms at gamma = 1.05).  The unbounded cost
-    grows with a row's distinct values, about n^(1/gamma), and its zeta
-    series with 1/(gamma - 1).  The model below is within a factor of two of
-    those figures from gamma = 1.25 up; at gamma = 1.05 it overestimates
-    large n (3.6 times at 5x10^4), where a call is far above the pool
-    threshold either way.  The estimate depends only on the configuration,
+    K=1000 and 3-4 ms at K=32766.  Unbounded, they grow with a row's distinct
+    values, about n^(1/gamma): from gamma = 4 down to 1.25, 0.01-0.02 ms at
+    n <= 100, 0.015-0.06 ms at n = 1000 and up to 1.1 ms at n = 5x10^4 (2.4 ms
+    at gamma = 1.05).  The model is within a factor of two of those figures but
+    at gamma = 1.05, n = 5x10^4 (three).  It depends only on the configuration,
     so the same call always takes the same path.
     """
     if config.support.is_finite:
         per_replicate = 3e-6 + 1e-7 * config.support.k
     else:
-        gamma = config.gamma
-        per_replicate = 4e-5 + 1e-5 / (gamma - 1.0) + 3e-7 * config.n ** (1.0 / gamma)
+        per_replicate = 1e-5 + 2.5e-7 * config.n ** (1.0 / config.gamma)
     return per_replicate * config.replicates * config.repetitions
 
 

@@ -12,6 +12,7 @@ Euler-Maclaurin tail whose error bound is checked explicitly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +22,16 @@ MAX_FINITE_SUPPORT = 32766
 # Relative accuracy target for infinite sums.
 SERIES_RTOL = 1e-12
 
-# Direct terms are summed up to at least this index before a tail is attached.
-_TAIL_MIN_START = 64
+# Direct terms of a sum over all positive integers, before its tail; also
+# where the unbounded model's cdf turns from a running sum to a tail.
+HEAD_TERMS = 32
+
+# w_j = B_(j+1) / (j+1)!, the weights of f^(j)(a), j = 1, 3, 5, 7, in the
+# Euler-Maclaurin tail sum_{k>=a} f(k); shaped to scale (4 x moments x rows).
+_EM_WEIGHTS = np.repeat([[[1 / 12]], [[-1 / 720]], [[1 / 30240]], [[-1 / 1209600]]], 3, axis=1)
+
+# A column of 0, 1, 2, ...: shifts of the exponent and powers of ln k.
+_SHIFTS = np.arange(10.0)[:, None]
 
 # Batched evaluations take their rows in blocks of about this many elements.
 # No result depends on it: a row's values do not depend on its block.
@@ -73,58 +82,123 @@ def row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ vector)[:, 0]
 
 
+def _tail_factors(
+    gammas: np.ndarray, starts: np.ndarray, moments: int, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a^(-gamma), b, (gamma)_7): sum_{k>=a} k^(-gamma) (ln k)^p = a^(-gamma) b[p], p < moments.
+
+    Elementwise over 1-d gammas and starts a (either may have one element),
+    or with start i under gammas[rows[i]].  Euler-Maclaurin: the integral,
+    f(a)/2 and the f', f''', f^(5), f^(7) terms.  As f = (-d/dgamma)^p x^(-gamma),
+    f^(j)(a) = (-1)^j a^(-gamma-j) sum_i C(p, i) (-1)^i D_i L^(p-i), L = ln a, with
+    D_i the i-th gamma-derivative of (gamma)_j: D_1 = D_0 H_1, D_2 = D_0 (H_1^2 - H_2),
+    H_q = sum_{c<j} (gamma + c)^(-q).  zeta_moments bounds the remainder.
+    """
+    L = np.log(starts)
+    shifted = gammas + _SHIFTS[:7]  # gamma + c, c = 0..6
+    rising = np.multiply.accumulate(shifted, axis=0)  # (gamma)_j, j = 1..7
+    d = rising[::2, None] * _EM_WEIGHTS[:, :moments]  # w_j D_i, j = 1, 3, 5, 7
+    if moments > 1:
+        np.reciprocal(shifted, out=shifted)
+        h = np.add.accumulate(shifted, axis=0)[::2]
+        d[:, 1] *= h
+        if moments > 2:
+            shifted *= shifted
+            h *= h
+            h -= np.add.accumulate(shifted, axis=0)[::2]
+            d[:, 2] *= h
+    r = np.reciprocal(gammas - 1.0)
+    if rows is not None:
+        d, r, gammas = d[..., rows], r[rows], gammas[rows]
+    inv = np.reciprocal(starts)
+    step = inv * inv
+    e = d[3]  # e_i = sum over j of w_j a^(-j) D_i, by Horner in a^-2
+    for m in (2, 1, 0):
+        e *= step
+        e += d[m]
+    e *= inv
+    # The integral is a^(1-gamma) J_p, J_0 = r = 1 / (gamma - 1) and, by parts,
+    # J_p = (L^p + p J_(p-1)) r.  In powers of L, with u = a r: b_0 = c_0,
+    # b_1 = c_0 L + c_1 and b_2 = (c_0 L + 2 c_1) L + c_2, where
+    # c_0 = 1/2 + u + e_0, c_1 = u r - e_1 and c_2 = 2 u r^2 + e_2.
+    u = starts * r
+    b = e
+    b[0] += u + 0.5
+    if moments > 1:
+        c1 = u * r - e[1]
+        if moments > 2:
+            b[2] += 2.0 * u * r * r + (b[0] * L + 2.0 * c1) * L
+        b[1] = b[0] * L + c1
+    return np.exp(gammas * -L), b, rising[6]
+
+
+def tail_mass(gamma: float | np.ndarray, start: np.ndarray | int) -> np.ndarray | float:
+    """sum_{k>=start} k^(-gamma), elementwise, start > HEAD_TERMS; within 1e-15 of zeta(gamma).
+
+    Within 1e-13 of itself but for steep exponents near HEAD_TERMS (5e-10 at 20, start 33).
+    """
+    gamma, start = np.broadcast_arrays(np.asarray(gamma, float), np.asarray(start, float))
+    if np.any(start <= HEAD_TERMS):
+        raise ValueError(f"tail_mass requires start > {HEAD_TERMS}; sum small ranges directly")
+    power, b, _ = _tail_factors(gamma.ravel(), start.ravel(), 1)
+    value = (power * b[0]).reshape(start.shape)
+    return float(value) if value.ndim == 0 else value
+
+
+@lru_cache(maxsize=None)
+def _head_constants(m: int, moments: int) -> tuple[np.ndarray, ...]:
+    """Read-only (a, -ln k and (ln k)^p for k <= m, (9 + 9 ln a)^p |B_8| / (8! a^7)), a = m + 1."""
+    logs = natural_logs(m)[1 : m + 1]
+    scale = (9.0 + 9.0 * math.log(m + 1)) ** _SHIFTS[:moments] / (1209600.0 * (m + 1.0) ** 7)
+    out = (np.full(1, m + 1.0), -logs, logs ** _SHIFTS[:moments], scale)
+    for shared in out:
+        shared.flags.writeable = False
+    return out
+
+
 def zeta_moments(gammas: np.ndarray, moments: int = 3) -> np.ndarray:
     """(moments x rows) array of s_p = sum_{k>=1} k^(-gamma) (ln k)^p, p < moments, gamma > 1.
 
-    Direct summation over 1..m plus the Euler-Maclaurin tail from a = m + 1
-    through the first-derivative term, whose error is below |f'''(a)| / 720
-    (the third derivative is monotone on [a, inf) for a >= 16).  Each exponent
-    doubles its own m from 256 until that bound is below SERIES_RTOL of every
-    requested sum, so its sums do not depend on the other exponents of the call.
+    Terms 1..m plus the tail from a = m + 1, whose remainder is below |B_8| / 8!
+    times the integral of |f^(8)|: each differentiation of x^(-gamma) (ln x)^p
+    scales its polynomial in ln x >= 1 by at most gamma + p + j, so that is below
+    (gamma + p)_8 a^(-gamma-7) (1 + ln a)^p / (gamma + 7), and the first factor
+    over the last is below 9^p (gamma)_7.  Each exponent doubles its own m from
+    HEAD_TERMS until this bound is below SERIES_RTOL of every requested sum, so
+    no row depends on the others.  From gamma = 1 + 1e-6 to 200 all close at
+    m = 32; the bound comes closest, 0.8 SERIES_RTOL, for s_2 at gamma = 2.5.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if not (gammas > 1.0).all():
         raise ValueError(f"series diverges for gamma <= 1, got {gammas[~(gammas > 1.0)][0]}")
-    out = np.empty((moments, gammas.size))
-    todo = np.arange(gammas.size)
-    m = 256
-    while todo.size:
+    g, m, todo = gammas, HEAD_TERMS, None  # todo: the rows still open, None while all are
+    while True:
         if m > 1 << 22:
-            raise RuntimeError(f"tail bound not converging at gamma={gammas[todo[0]]}")
-        g = gammas[todo]
-        a = m + 1
-        L = math.log(a)
-        p = np.arange(moments)[:, None]
-        lp = L**p
-        power = np.exp(-g * L)  # a^(-gamma)
-        # the integral of x^(-gamma) (ln x)^p over [a, inf) is a^(1-gamma) I_p,
-        # where I_0 = 1 / (gamma - 1) and, by parts, I_p = (L^p + p I_(p-1)) / (gamma - 1)
-        integral = [1.0 / (g - 1.0)]
-        for q in range(1, moments):
-            integral.append((L**q + q * integral[-1]) / (g - 1.0))
-        fprime = (p * L ** (p - 1.0) - g * lp) / a  # f'(a) / a^(-gamma)
-        sums = power * (a * np.array(integral) + 0.5 * lp - fprime / 12.0)
-        # conservative |f'''| bound: three differentiations of x^(-gamma) (ln x)^p
-        # each contribute a factor below (gamma + p + 3) / x once ln x >= 1
-        bounds = (g + p + 3.0) ** 3 * power * lp / (720.0 * a**3)
-        logs = natural_logs(m)[1 : m + 1]
+            raise RuntimeError(f"tail bound not converging at gamma={g[0]}")
+        start, neg_logs, log_powers, scale = _head_constants(m, moments)
+        power, sums, rising = _tail_factors(g, start, moments)
+        sums *= power
         step = max(1, CHUNK_ELEMENTS // m)
         for lo in range(0, g.size, step):
-            w = power_rows(g[lo : lo + step], m)
-            for q in range(moments):
-                sums[q, lo : lo + step] += w.sum(axis=1)
-                w *= logs
-        done = (bounds <= SERIES_RTOL * sums).all(axis=0)
+            w = np.exp(np.multiply.outer(g[lo : lo + step], neg_logs))  # k^(-gamma)
+            sums[:, lo : lo + step] += (w[:, None, :] * log_powers).sum(axis=2).T
+        done = rising * power * scale <= SERIES_RTOL * sums
+        if todo is None:
+            if done.all():
+                return sums
+            todo, out = np.arange(gammas.size), np.empty((moments, gammas.size))
+        done = done.all(axis=0)
         out[:, todo[done]] = sums[:, done]
         todo = todo[~done]
-        m *= 2
-    return out
+        if not todo.size:
+            return out
+        g, m = gammas[todo], 2 * m
 
 
 def zeta_log_moments(gamma: float) -> tuple[float, float, float]:
     """(s0, s1, s2) with s_p = sum_{k>=1} k^(-gamma) (ln k)^p, gamma > 1."""
-    s0, s1, s2 = zeta_moments(np.array([gamma], dtype=np.float64))[:, 0]
-    return float(s0), float(s1), float(s2)
+    s0, s1, s2 = zeta_moments(np.array([gamma], dtype=np.float64)).ravel().tolist()
+    return s0, s1, s2
 
 
 def zeta_value(gamma: float) -> float:
@@ -132,23 +206,26 @@ def zeta_value(gamma: float) -> float:
     return float(zeta_moments(np.array([gamma], dtype=np.float64), 1)[0, 0])
 
 
-def tail_mass(gamma: float | np.ndarray, start: np.ndarray | int) -> np.ndarray | float:
-    """sum_{k>=start} k^(-gamma), vectorized over ``gamma`` and ``start`` (each >= 65).
+def zeta_cdf(
+    gammas: np.ndarray, norms: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F(v - 1), F(v)) at each value v >= 1 under the unbounded model of row rows[i].
 
-    Euler-Maclaurin through the third-derivative term; the next term is below
-    1e-13 of the tail for every admissible (gamma, start).
+    Row r's exponent is gammas[r] and its zeta sum norms[r].  Up to HEAD_TERMS, F is
+    a running sum of the pmf; above, with t = sum_{k>=v} k^(-gamma) = v^(-gamma) b,
+    F(v - 1) = 1 - t / zeta and F(v) = 1 - v^(-gamma) (b - 1) / zeta.
     """
-    a = np.asarray(start, dtype=np.float64)
-    if np.any(a < _TAIL_MIN_START + 1):
-        raise ValueError("tail_mass requires start > 64; sum small ranges directly")
-    L = np.log(a)
-    g1 = gamma - 1.0
-    value = (
-        np.exp(-g1 * L) / g1
-        + 0.5 * np.exp(-gamma * L)
-        + (gamma / 12.0) * np.exp(-(gamma + 1.0) * L)
-        - (gamma * (gamma + 1.0) * (gamma + 2.0) / 720.0) * np.exp(-(gamma + 3.0) * L)
-    )
-    if np.ndim(value) == 0:
-        return float(value)
-    return value
+    head = np.zeros((gammas.size, HEAD_TERMS + 1))  # head[r, k] = F(k) for k <= HEAD_TERMS
+    np.cumsum(power_rows(gammas, HEAD_TERMS) * (1.0 / norms)[:, None], axis=1, out=head[:, 1:])
+    below, at = np.empty(values.size), np.empty(values.size)
+    small = values <= HEAD_TERMS
+    row, value = rows[small], values[small]
+    below[small], at[small] = head[row, value - 1], head[row, value]
+    big = ~small
+    if big.any():
+        row = rows[big]
+        power, b, _ = _tail_factors(gammas, values[big].astype(np.float64), 1, row)
+        power *= (1.0 / norms)[row]
+        below[big] = 1.0 - power * b[0]
+        at[big] = 1.0 - power * (b[0] - 1.0)
+    return below, at

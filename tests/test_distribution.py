@@ -18,7 +18,7 @@ from zipfks.distribution import (
     sample,
 )
 
-from oracles import mp_finite_norm
+from oracles import mp_finite_norm, mp_zeta
 
 
 class FixedStream:
@@ -131,6 +131,17 @@ class TestPmfCdf:
         assert all(b >= a for a, b in zip(around_seam, around_seam[1:]))
         direct = float(mp_finite_norm(1.25, 5000)) / model.norm
         assert cdf(model, 5000) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("gamma", [1.05, 1.25, 2.0, 6.0])
+    def test_unbounded_cdf_across_head_seam(self, gamma):
+        # running sums up to 32, normalized tails above: monotone across the
+        # seam and equal to direct partial sums on both sides
+        model = ZipfModel(gamma, Support.unbounded())
+        values = [cdf(model, k) for k in range(1, 41)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        for k in (31, 32, 33, 34, 40):
+            want = float(mp_finite_norm(gamma, k) / mp_zeta(gamma))
+            assert cdf(model, k) == pytest.approx(want, abs=1e-15)
 
     def test_term_identity_exp_log_vs_power(self):
         ks = np.arange(1, 1001, dtype=np.float64)

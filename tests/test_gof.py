@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
-from zipfks.gof import _ks_sparse, judge, ks_statistic
+from zipfks.gof import ZipfRows, judge, ks_statistic
 
-from oracles import brute_force_ks
+from oracles import brute_force_ks, value_rows
+
+# Values on both sides of each seam of the unbounded cdf (the running sum of
+# the first 32 terms, the old 4096-point scan, the 65535 sampling limit) and
+# small values, drawn from a few per sample so that ties are common.
+SEAM_VALUES = st.one_of(st.sampled_from([1, 2, 32, 33, 4096, 4097, 65535, 65536]),
+                        st.integers(1, 40))
 
 
 class TestTrivialCases:
@@ -50,10 +58,28 @@ class TestOracleEquality:
 
     def test_sparse_handles_gap_before_first_value(self):
         model = ZipfModel(1.5, Support.unbounded())
-        result = _ks_sparse(np.array([5000, 6000]), model, 6000)
+        result = ks_statistic(Sample([5000, 6000]), model)
         # empirical cdf is 0 below 5000 while the fitted cdf is almost 1
         assert result.statistic > 0.9
         assert result.argmax_k == 4999
+
+
+class TestUnboundedEndpoints:
+    # gamma <= 3 keeps every pmf term up to 65536 above the rounding of the
+    # oracle's running sum, whose argmax is then the same stretch end
+    @settings(max_examples=40, deadline=None)
+    @given(pool=st.lists(SEAM_VALUES, min_size=1, max_size=5),
+           picks=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+           gamma=st.floats(1.05, 3.0))
+    def test_matches_brute_force(self, pool, picks, gamma):
+        one = Sample(np.array([pool[i % len(pool)] for i in picks]))
+        model = ZipfModel(gamma, Support.unbounded())
+        got = ks_statistic(one, model)
+        want, want_k = brute_force_ks(one.observations, model)
+        assert got.statistic == pytest.approx(want, abs=1e-11)
+        assert got.argmax_k == want_k
+        batched = ks_statistic(value_rows([one]), ZipfRows(np.array([gamma]), model.support))
+        assert batched[0] == got.statistic
 
 
 class TestProperties:

@@ -3,13 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zipfks import series
 from zipfks.series import (
     MAX_FINITE_SUPPORT,
     finite_log_moments,
     natural_logs,
     tail_mass,
     zeta_log_moments,
+    zeta_moments,
     zeta_value,
 )
 
@@ -91,6 +95,62 @@ class TestInfiniteSums:
     def test_tail_mass_guards_small_starts(self):
         with pytest.raises(ValueError):
             tail_mass(1.5, 10)
+
+
+GAMMAS = st.floats(1.05, 20.0)
+
+# Tail starts: the first tail index, the unbounded sampling limit and the
+# logarithm table boundaries around them, and values far past both.
+TAIL_STARTS = [33, 34, 4096, 4097, 65536, 2**20 + 1, 10**10]
+
+
+def mp_tail(gamma: float, start: int, p: int) -> float:
+    """sum_{k>=start} k^(-gamma) (ln k)^p from the Hurwitz zeta function, 120 digits."""
+    with mpmath.workdps(120):
+        return float((-1) ** p * mpmath.zeta(mpmath.mpf(gamma), start, p))
+
+
+class TestSeriesProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMAS)
+    def test_zeta_moments_match_mpmath(self, gamma):
+        got = zeta_moments(np.array([gamma]))[:, 0]
+        for p in range(3):
+            want = float((-1) ** p * mp_zeta(gamma, p))
+            assert got[p] == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gammas=st.lists(GAMMAS, min_size=1, max_size=12), moments=st.integers(1, 3))
+    def test_rows_bit_identical_alone_and_among_longer_series(self, gammas, moments):
+        # a tighter target makes exponents near 2.5 double their series
+        # length while others close at 32 terms; no row may notice the others
+        batch = np.array(gammas + [2.5])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "SERIES_RTOL", 1e-16)
+            together = zeta_moments(batch, moments)
+            for row, gamma in enumerate(batch):
+                alone = zeta_moments(np.array([gamma]), moments)[:, 0]
+                assert together[:, row].tolist() == alone.tolist()
+        assert zeta_moments(np.array([2.5]), moments)[:, 0].tolist() != together[:, -1].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMAS, start=st.sampled_from(TAIL_STARTS), p=st.integers(0, 2))
+    def test_tail_matches_mpmath_partial_sums(self, gamma, start, p):
+        # within 1e-12 of the tail, or of 1e-15 of the whole sum where the
+        # tail is negligible (steep exponents at the first tail indices)
+        power, brackets, _ = series._tail_factors(np.array([gamma]), np.array([float(start)]), 3)
+        got = float(power[0] * brackets[p, 0])
+        want = mp_tail(gamma, start, p)
+        whole = float((-1) ** p * mp_zeta(gamma, p))
+        assert abs(got - want) <= 1e-12 * want + 1e-15 * whole
+        if p == 0:
+            assert tail_mass(gamma, start) == got
+
+    @pytest.mark.parametrize("start", TAIL_STARTS)
+    def test_tail_at_moderate_exponents_to_1e12_of_itself(self, start):
+        for gamma in (1.05, 1.5, 2.0, 4.0):
+            got = tail_mass(gamma, start)
+            assert got == pytest.approx(mp_tail(gamma, start, 0), rel=1e-12)
 
 
 class TestFiniteMoments:
