@@ -2,9 +2,10 @@
 
 The estimate solves  mean_log(data) = s1(gamma) / s0(gamma)  where
 s_p(gamma) = sum k^(-gamma) (ln k)^p over the declared support, by
-Newton-Raphson with a bisection fallback.  The left side is the sample
-mean of ln x; the right side is the model mean of ln X, strictly
-decreasing in gamma, so the root is unique whenever it exists.
+Newton-Raphson from a tabulated inverse of the model mean log, with a
+bisection fallback.  The left side is the sample mean of ln x; the right
+side is the model mean of ln X, strictly decreasing in gamma, so the root is
+unique whenever it exists.
 """
 from __future__ import annotations
 
@@ -33,14 +34,14 @@ MAX_UNBOUNDED_GAMMA = 20.0
 class MleSettings:
     """Newton-Raphson controls.
 
-    The bracket is the fallback bisection range and the admissible region for
-    Newton iterates.  It spans negative exponents on purpose: short-tailed
-    samples over a finite support (common at n <= 50 when the generating
-    exponent is below ~0.75) have their likelihood maximum there, and the
-    calibration pipeline must fit them rather than fail.
+    The bracket is the fallback bisection range, the admissible region for
+    Newton iterates and the range of the table they start from.  It spans
+    negative exponents on purpose: short-tailed samples over a finite support
+    (common at n <= 50 when the generating exponent is below ~0.75) have their
+    likelihood maximum there, and the calibration pipeline must fit them
+    rather than fail.
     """
 
-    initial_guess: float = 0.5
     absolute_tolerance: float = 1e-5
     max_iterations: int = 200
     bracket: tuple[float, float] = (-20.0, 20.0)
@@ -51,8 +52,8 @@ class MleSettings:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         low, high = self.bracket
-        if not low < self.initial_guess < high:
-            raise ValueError("bracket must satisfy low < initial_guess < high")
+        if not low < high:
+            raise ValueError("bracket must satisfy low < high")
 
 
 DEFAULT_SETTINGS = MleSettings()
@@ -90,17 +91,11 @@ def log_mean(sample: Sample | CountRows | ValueRows) -> float | np.ndarray:
     return raw / sample.n
 
 
-# Bisection midpoints read from the cache of _mean_log_and_slope: the first
-# eight halvings of the bracket visit at most 255 distinct exponents.
-_SHARED_HALVINGS = 8
-
-
 @lru_cache(maxsize=1024)
 def _mean_log_and_slope(gamma: float, support: Support) -> tuple[float, float]:
     """Model mean of ln X and the variance of ln X (its negative slope).
 
-    Cached: every fit starts from the same exponent, and bisections share the
-    bracket ends and their first midpoints.
+    Cached: every bisection starts from the bracket ends.
     """
     if support.is_finite:
         s0, s1, s2 = finite_log_moments(gamma, support.k)
@@ -118,23 +113,24 @@ def _search_range(support: Support, settings: MleSettings) -> tuple[float, float
     return low, high
 
 
-def _model_mean_log(gamma: np.ndarray, support: Support) -> np.ndarray:
-    """Model mean of ln X at each exponent of the array."""
+def _mean_log_rows(gamma: np.ndarray, support: Support) -> tuple[np.ndarray, np.ndarray]:
+    """_mean_log_and_slope at each exponent of the array: one (rows x K) array
+    on a finite support, the row-wise zeta series on the unbounded one."""
     if support.is_finite:
+        logs = natural_logs(support.k)[1 : support.k + 1]
         w = power_rows(gamma, support.k)
-        return row_dots(w, natural_logs(support.k)[1 : support.k + 1]) / w.sum(axis=1)
-    s0, s1 = zeta_moments(gamma, 2)
-    return s1 / s0
+        s0, s1, s2 = w.sum(axis=1), row_dots(w, logs), row_dots(w, logs * logs)
+    else:
+        s0, s1, s2 = zeta_moments(gamma)
+    mean = s1 / s0
+    return mean, s2 / s0 - mean * mean
 
 
 def _bisect_rows(target: np.ndarray, support: Support, low: float, high: float) -> np.ndarray:
     """Roots of mean_log(gamma) = target in [low, high] to 1e-8, one per target.
 
     Every target halves the same bracket, so all widths shrink together and
-    each halving is one batched evaluation.  The first _SHARED_HALVINGS
-    midpoints are few (2^j at halving j) and recur across targets and calls,
-    so those are read from the cached scalar evaluation.  NaN where no root
-    is bracketed.
+    each halving is one batched evaluation.  NaN where no root is bracketed.
     """
     f_low = target - _mean_log_and_slope(low, support)[0]
     f_high = target - _mean_log_and_slope(high, support)[0]
@@ -142,17 +138,11 @@ def _bisect_rows(target: np.ndarray, support: Support, low: float, high: float) 
     todo = np.flatnonzero(np.isnan(out) & (f_low * f_high < 0.0))
     lo = np.full(todo.size, low)
     hi = np.full(todo.size, high)
-    halvings = 0
     while todo.size and (hi - lo).max() > 1e-8:
         mid = 0.5 * (lo + hi)
-        if halvings < _SHARED_HALVINGS:
-            mean = np.array([_mean_log_and_slope(float(m), support)[0] for m in mid])
-        else:
-            mean = _model_mean_log(mid, support)
-        left = (target[todo] - mean) * f_low[todo] <= 0.0
+        left = (target[todo] - _mean_log_rows(mid, support)[0]) * f_low[todo] <= 0.0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
-        halvings += 1
     out[todo] = 0.5 * (lo + hi)
     return out
 
@@ -172,14 +162,37 @@ def _bound_nudge(support: Support, n: int) -> float:
     return (math.log(support.k) - math.log(support.k - 1)) / n
 
 
-def _initial_guess(low: float, high: float, settings: MleSettings) -> float:
-    x = settings.initial_guess
-    if not low < x < high:
-        # Start just inside the admissible range.  The model mean-log is
-        # convex decreasing in gamma, so Newton climbs monotonically from the
-        # left edge without overshooting.
-        x = low + 0.01
-    return x
+@lru_cache(maxsize=32)
+def _start_table(support: Support, low: float, high: float) -> tuple[np.ndarray, ...]:
+    """(model mean logs, exponents, d gamma / d mean log) on a grid over [low, high].
+
+    Ordered by increasing mean log.  Unbounded, the mean log grows without
+    bound as gamma falls towards 1, so the grid crowds cubically towards low;
+    finite, it takes as many points as keep the build near 2^21 power terms.
+    """
+    if support.is_finite:
+        grid = np.linspace(low, high, max(64, min(2048, (1 << 21) // support.k)))
+    else:
+        grid = low + (high - low) * np.linspace(0.0, 1.0, 2048) ** 3
+    mean, slope = _mean_log_rows(grid, support)
+    return mean[::-1], grid[::-1], -1.0 / slope[::-1]
+
+
+def _start(target: float | np.ndarray, support: Support, low: float, high: float) -> float | np.ndarray:
+    """First Newton iterate per target mean log, from the start table.
+
+    Cubic Hermite interpolation of the inverse of the model mean log: from a
+    table of 2048 points a start is within about 1e-8 of its root, so one
+    step converges.  Targets beyond the table take its end exponent.
+    """
+    mean, gamma, dgamma = _start_table(support, low, high)
+    i = np.clip(np.searchsorted(mean, target) - 1, 0, mean.size - 2)
+    h = mean[i + 1] - mean[i]
+    u = np.clip((target - mean[i]) / h, 0.0, 1.0)
+    v = 1.0 - u
+    return v * v * ((1.0 + 2.0 * u) * gamma[i] + u * h * dgamma[i]) + u * u * (
+        (3.0 - 2.0 * u) * gamma[i + 1] - v * h * dgamma[i + 1]
+    )
 
 
 def mle_gamma(
@@ -189,7 +202,7 @@ def mle_gamma(
 ) -> float | np.ndarray:
     """Exponent estimate for the sample over the declared support.
 
-    Newton-Raphson from settings.initial_guess; iterates leaving the bracket
+    Newton-Raphson from the start table (_start); iterates leaving the bracket
     (or failing to converge within max_iterations) fall back to bisection.
     Raises NoRootError when the bracket does not straddle a root.
 
@@ -217,7 +230,7 @@ def mle_gamma(
         # so mirror the all-ones nudge and score one observation as K-1
         target -= _bound_nudge(support, sample.n)
     low, high = _search_range(support, settings)
-    x = _initial_guess(low, high, settings)
+    x = float(_start(target, support, low, high))
     for _ in range(settings.max_iterations):
         mean, slope = _mean_log_and_slope(x, support)
         step = (mean - target) / slope
@@ -234,33 +247,17 @@ def _mle_rows(target: np.ndarray, support: Support, settings: MleSettings) -> np
     """mle_gamma for every target mean log at once: the same Newton steps, vectorized over rows.
 
     Each iteration evaluates the model's log moments for all rows still
-    running at once: as one (rows x K) array on a finite support, and from
-    the row-wise zeta series on the unbounded one.  Rows stop when their step
-    is within the tolerance; rows that leave the bracket, or have not
-    converged after max_iterations, go on to one batched bisection.
+    running at once.  Rows stop when their step is within the tolerance; rows
+    that leave the bracket, or have not converged after max_iterations, go on
+    to one batched bisection.
     """
     low, high = _search_range(support, settings)
-    start = _initial_guess(low, high, settings)
-    if support.is_finite:
-        logs = natural_logs(support.k)[1 : support.k + 1]
-        logs_sq = logs * logs
     out = np.full(target.size, np.nan)
     active = np.arange(target.size)
-    x = np.full(target.size, start)
+    x = _start(target, support, low, high)
     escapes = []
-    for iteration in range(settings.max_iterations):
-        if iteration == 0:
-            # every row starts from the same exponent
-            mean, slope = _mean_log_and_slope(start, support)
-        elif support.is_finite:
-            w = power_rows(x, support.k)
-            s0 = w.sum(axis=1)
-            mean = row_dots(w, logs) / s0
-            slope = row_dots(w, logs_sq) / s0 - mean * mean
-        else:
-            s0, s1, s2 = zeta_moments(x)
-            mean = s1 / s0
-            slope = s2 / s0 - mean * mean
+    for _ in range(settings.max_iterations):
+        mean, slope = _mean_log_rows(x, support)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x + (mean - target[active]) / slope
         escaped = ~np.isfinite(x_new) | (x_new < low) | (x_new > high)

@@ -168,5 +168,4 @@ class TestMleGamma:
             MleSettings(absolute_tolerance=0.0)
         with pytest.raises(ValueError):
             MleSettings(bracket=(1.0, 0.2))
-        assert DEFAULT_SETTINGS.initial_guess == 0.5
         assert DEFAULT_SETTINGS.absolute_tolerance == 1e-5
