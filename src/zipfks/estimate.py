@@ -114,8 +114,11 @@ def _search_range(support: Support, settings: MleSettings) -> tuple[float, float
 
 
 def _mean_log_rows(gamma: np.ndarray, support: Support) -> tuple[np.ndarray, np.ndarray]:
-    """_mean_log_and_slope at each exponent of the array: one (rows x K) array
-    on a finite support, the row-wise zeta series on the unbounded one."""
+    """_mean_log_and_slope at each exponent of the array.
+
+    One (rows x K) array on a finite support, the row-wise zeta series on the
+    unbounded one.
+    """
     if support.is_finite:
         logs = natural_logs(support.k)[1 : support.k + 1]
         w = power_rows(gamma, support.k)
@@ -182,7 +185,7 @@ def _start(target: float | np.ndarray, support: Support, low: float, high: float
     """First Newton iterate per target mean log, from the start table.
 
     Cubic Hermite interpolation of the inverse of the model mean log: from a
-    table of 2048 points a start is within about 1e-8 of its root, so one
+    table of 2048 points a start is within a few 1e-8 of its root, so one
     step converges.  Targets beyond the table take its end exponent.
     """
     mean, gamma, dgamma = _start_table(support, low, high)

@@ -183,16 +183,16 @@ def resolve_workers(workers: int | None) -> int:
 def _estimated_seconds(config: SimulationConfig) -> float:
     """Rough serial cost of a simulation, used only to decide whether a pool pays.
 
-    Per-replicate costs measured on one core: about 2-5 us at K=20, 0.02-0.08
-    ms at K=1000 and 0.8-0.9 ms at K=32766.  Unbounded, they grow with a row's
-    distinct values, about n^(1/gamma): from gamma = 4 down to 1.25, 2.5-10 us
-    at n <= 100, 4-40 us at n = 1000 and up to 0.7 ms at n = 5x10^4 (1.6 ms at
-    gamma = 1.05).  The model is within a factor of two of those figures but
-    at gamma = 1.05, n = 5x10^4 (2.7 over).  It depends only on the
-    configuration, so the same call always takes the same path.
+    Per-replicate costs measured on one core: about 1-3.5 us at K=20, 0.013-0.05
+    ms at K=1000 and 0.4-0.6 ms at K=32766, growing with n.  Unbounded, they
+    grow with a row's distinct values, about n^(1/gamma): from gamma = 4 down
+    to 1.25, 2.3-9 us at n <= 100, 3.6-37 us at n = 1000 and up to 0.66 ms at
+    n = 5x10^4 (1.4 ms at gamma = 1.05).  The model is within a factor of two
+    of those figures but at gamma = 1.05, n = 5x10^4 (three).  It depends only
+    on the configuration, so the same call always takes the same path.
     """
     if config.support.is_finite:
-        per_replicate = 3e-6 + 4e-8 * config.support.k
+        per_replicate = 1.5e-6 + 2.5e-8 * config.support.k
     else:
         per_replicate = 3e-6 + 1.5e-7 * config.n ** (1.0 / config.gamma)
     return per_replicate * config.replicates * config.repetitions

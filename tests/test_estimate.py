@@ -2,18 +2,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
+from zipfks import estimate
+from zipfks.distribution import (
+    MIN_UNBOUNDED_GAMMA,
+    CountRows,
+    RandomStream,
+    Sample,
+    Support,
+    ValueRows,
+    ZipfModel,
+    sample,
+)
 from zipfks.estimate import (
     DEFAULT_SETTINGS,
     MleSettings,
     NoRootError,
     _bisect,
+    _start_table,
     log_mean,
     mle_gamma,
 )
+from zipfks.gof import ZipfRows, ks_statistic
+from zipfks.montecarlo import SimulationConfig, _run_span
+from zipfks.series import finite_log_moments, zeta_moments
 
-from oracles import golden_section_mle, log_likelihood
+from oracles import (
+    expand_counts,
+    expand_value_rows,
+    golden_section_mle,
+    log_likelihood,
+    scalar_score,
+)
 
 
 def draw(gamma, support_k, n, seed):
@@ -169,3 +191,212 @@ class TestMleGamma:
         with pytest.raises(ValueError):
             MleSettings(bracket=(1.0, 0.2))
         assert DEFAULT_SETTINGS.absolute_tolerance == 1e-5
+
+
+def draw_rows(support_k, gamma, n, rows, seed):
+    model = ZipfModel(gamma, Support(k=support_k))
+    return sample(model, n, RandomStream.for_span(seed, 0, 0), rows)
+
+
+def row_samples(drawn):
+    if isinstance(drawn, CountRows):
+        return [expand_counts(row) for row in drawn.table]
+    return expand_value_rows(drawn)
+
+
+def one_row(drawn, r):
+    """Row r of a batch as a batch of its own."""
+    if isinstance(drawn, CountRows):
+        return CountRows(table=drawn.table[r : r + 1], n=drawn.n)
+    a, b = drawn.starts[r], drawn.starts[r + 1]
+    return ValueRows(observations=drawn.observations[a:b], counts=drawn.counts[a:b],
+                     starts=np.array([0, b - a]), log_sums=drawn.log_sums[r : r + 1], n=drawn.n)
+
+
+def fit_mean_logs(targets, n=1):
+    """Unbounded fits of the given mean logs: a value row's fit reads only its log sum."""
+    targets = np.asarray(targets, dtype=np.float64)
+    return mle_gamma(
+        ValueRows(observations=np.full(targets.size, 2), counts=np.full(targets.size, n),
+                  starts=np.arange(targets.size + 1), log_sums=targets * n, n=n),
+        Support.unbounded(),
+    )
+
+
+def model_mean_log(gamma, support_k):
+    s0, s1, _ = finite_log_moments(gamma, support_k)
+    return s1 / s0
+
+
+@st.composite
+def cells(draw):
+    """A support (K in 2..32766, or None for unbounded) with an exponent it admits."""
+    support_k = draw(st.one_of(st.none(), st.integers(2, 32766)))
+    low = MIN_UNBOUNDED_GAMMA if support_k is None else -1.0
+    return support_k, draw(st.floats(low, 4.0))
+
+
+class TestFitProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(cell=cells(), n=st.integers(1, 2000), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_scalar_and_likelihood_maximizer(self, cell, n, rows, seed):
+        support_k, gamma = cell
+        support = Support(k=support_k)
+        drawn = draw_rows(support_k, gamma, n, rows, seed)
+        got = mle_gamma(drawn, support)
+        ks = ks_statistic(drawn, ZipfRows(got, support))
+        for row, one in enumerate(row_samples(drawn)):
+            if np.isnan(got[row]):
+                with pytest.raises(NoRootError):
+                    scalar_score(one, support)
+                continue
+            want_ks, want_g = scalar_score(one, support)
+            assert abs(got[row] - want_g) < 1e-9
+            assert abs(ks[row] - want_ks) < 1e-12
+            if support_k is not None and int(one.observations.min()) == support_k:
+                continue  # the all-at-K nudge is the estimator's, not the likelihood's
+            low = got[row] - 0.5 if support_k is not None else max(got[row] - 0.5, 1.001)
+            want = golden_section_mle(one.observations, support_k, low, got[row] + 0.5)
+            assert abs(got[row] - want) < 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(cell=cells(), n=st.integers(1, 2000), rows=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_row_fit_alone_equals_row_fit_in_batch(self, cell, n, rows, seed):
+        support_k, gamma = cell
+        support = Support(k=support_k)
+        drawn = draw_rows(support_k, gamma, n, rows, seed)
+        batch = mle_gamma(drawn, support)
+        for row in range(rows):
+            np.testing.assert_array_equal(mle_gamma(one_row(drawn, row), support), batch[row : row + 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        support_k=st.one_of(st.none(), st.integers(2, 32766)),
+        data=st.data(),
+    )
+    def test_estimate_falls_as_mean_log_rises(self, support_k, data):
+        # raise one observation at a time: the mean log rises, the estimate
+        # falls (to within Newton's precision), until no root is left
+        top = support_k or 10**6
+        obs = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=30))
+        support = Support(k=support_k)
+        previous = math.inf
+        for _ in range(data.draw(st.integers(1, 10))):
+            try:
+                got = mle_gamma(Sample(obs), support)
+            except NoRootError:
+                return
+            assert got <= previous + 1e-9
+            previous = got
+            lower = [i for i, v in enumerate(obs) if v < top]
+            if not lower:
+                return
+            i = data.draw(st.sampled_from(lower))
+            obs[i] = data.draw(st.integers(obs[i] + 1, top))
+
+
+class TestStart:
+    def test_targets_beyond_the_table(self):
+        # all ones at n = 2x10^6 sits below the mean log at gamma = 20, all
+        # at K above the one at -20, and a mean log of ln 10^9 above the
+        # unbounded one at 1.05: each starts at its table's end, leaves the
+        # bracket and has no root, batched (NaN) and alone (NoRootError)
+        ones = CountRows(table=np.array([[2_000_000] + [0] * 19]), n=2_000_000)
+        at_k = CountRows(table=np.array([[0] * 19 + [3]]), n=3)
+        for rows, values in ((ones, [1] * 2_000_000), (at_k, [20, 20, 20])):
+            assert np.isnan(mle_gamma(rows, Support.finite(20))).all()
+            with pytest.raises(NoRootError):
+                mle_gamma(Sample(values), Support.finite(20))
+        assert np.isnan(fit_mean_logs([math.log(1e9)])).all()
+        with pytest.raises(NoRootError):
+            mle_gamma(Sample([10**9, 10**9]), Support.unbounded())
+
+    def test_rows_without_root_are_exactly_those_beyond_the_model_range(self):
+        # gamma = -5 at n = 5 piles samples onto K = 20; some mean logs lie
+        # above the model's at -20, and only those rows fail (and get redrawn
+        # by the calibration loop, see test_montecarlo)
+        drawn = draw_rows(20, -5.0, 5, 400, seed=7)
+        got = mle_gamma(drawn, Support.finite(20))
+        target = log_mean(drawn)
+        target[drawn.table[:, -1] == 5] -= (math.log(20) - math.log(19)) / 5
+        beyond = (target > model_mean_log(-20.0, 20)) | (target < model_mean_log(20.0, 20))
+        assert beyond.any()
+        np.testing.assert_array_equal(np.isnan(got), beyond)
+
+    def test_custom_bracket_gets_its_own_table(self):
+        custom = MleSettings(bracket=(-5.0, 5.0))
+        support = Support.finite(20)
+        for values in ([1, 1, 2, 5], [3, 9, 14, 20], [1] * 10):
+            obs = np.array(values)
+            got = mle_gamma(Sample(obs), support, custom)
+            assert -5.0 <= got <= 5.0
+            assert got == pytest.approx(mle_gamma(Sample(obs), support), abs=1e-9)
+        # roots outside the custom bracket: below -5 and above 5
+        with pytest.raises(NoRootError):
+            mle_gamma(Sample([18, 19, 20, 20]), support, custom)
+        with pytest.raises(NoRootError):
+            mle_gamma(Sample([1] * 60 + [2]), support, custom)
+        mean, gamma, _ = _start_table(support, -5.0, 5.0)
+        assert gamma.min() == -5.0 and gamma.max() == 5.0
+
+    def test_unbounded_roots_at_and_near_the_lower_end(self):
+        low = MIN_UNBOUNDED_GAMMA
+        edge = [low, low + 1e-9, low + 1e-6, low + 1e-3, 1.06]
+        s0, s1 = zeta_moments(np.array(edge), 2)
+        np.testing.assert_allclose(fit_mean_logs(s1 / s0), edge, rtol=0, atol=1e-9)
+        drawn = draw_rows(None, 1.05, 50, 64, seed=3)
+        got = mle_gamma(drawn, Support.unbounded())
+        assert np.nanmin(got) >= low
+        for row, one in enumerate(row_samples(drawn)):
+            if not np.isnan(got[row]):
+                assert abs(got[row] - mle_gamma(one, Support.unbounded())) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_two_point_support_closed_form(self, n):
+        # on 1..2 with a ones and b twos the root is log2(a / b); all ones
+        # (all twos) are scored as n - 1 ones and one two (the reverse)
+        support = Support.finite(2)
+        table = np.array([[a, n - a] for a in range(n + 1)])
+        got = mle_gamma(CountRows(table=table, n=n), support)
+        for (a, b), g in zip(table, got):
+            a, b = (n - 1, 1) if b == 0 else (1, n - 1) if a == 0 else (a, b)
+            if n == 1:
+                assert np.isnan(g)
+                continue
+            assert g == pytest.approx(math.log2(a / b), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "support_k,gamma,n", [(None, 1.05, 1000), (None, 2.0, 100), (None, 19.0, 10), (20, 1.0, 10), (1000, 0.5, 1000)]
+    )
+    def test_one_newton_step_per_fit(self, monkeypatch, support_k, gamma, n):
+        # from a start within about 1e-8 of its root the first step converges
+        support = Support(k=support_k)
+        drawn = draw_rows(support_k, gamma, n, 512, seed=5)
+        mle_gamma(one_row(drawn, 0), support)  # builds the start table
+        evaluated = []
+        mean_log_rows = estimate._mean_log_rows
+
+        def counting(exponents, *args):
+            evaluated.append(exponents.size)
+            return mean_log_rows(exponents, *args)
+
+        monkeypatch.setattr(estimate, "_mean_log_rows", counting)
+        assert not np.isnan(mle_gamma(drawn, support)).any()
+        assert evaluated == [512]
+
+    def test_few_fits_fall_back_to_bisection_at_the_largest_support(self, monkeypatch):
+        # at K = 32766, gamma = 1, n = 10 Newton from a fixed start left the
+        # bracket for about half of all rows, each then bisected 32 times
+        bisected = []
+        bisect_rows = estimate._bisect_rows
+
+        def counting(target, *args):
+            bisected.append(target.size)
+            return bisect_rows(target, *args)
+
+        monkeypatch.setattr(estimate, "_bisect_rows", counting)
+        cfg = SimulationConfig(n=10, support=Support.finite(32766), gamma=1.0,
+                               base_seed=11, replicates=512, repetitions=1)
+        _, gamma_hat = _run_span((cfg, 0, 0))
+        assert not np.isnan(gamma_hat).any()
+        assert sum(bisected) < 0.05 * 512
