@@ -16,6 +16,7 @@ import numpy as np
 from .series import (
     CHUNK_ELEMENTS,
     MAX_FINITE_SUPPORT,
+    finite_moments,
     natural_logs,
     row_dots,
     zeta_cdf,
@@ -86,8 +87,7 @@ def normalization(gamma: float, support: Support) -> float:
     if not math.isfinite(gamma):
         raise ValueError(f"exponent must be finite, got {gamma}")
     if support.is_finite:
-        logs = natural_logs(support.k)[1 : support.k + 1]
-        total = float(np.exp(-gamma * logs).sum())
+        total = float(finite_moments(np.array([gamma]), support.k, 1)[0, 0])
         if not math.isfinite(total):
             raise ValueError(f"normalizer overflows at gamma={gamma} with K={support.k}")
         return total
@@ -199,8 +199,10 @@ def cdf(model: ZipfModel, k: int) -> float:
     """Probability of observing a value <= k."""
     k = _check_in_support(model, k)
     if model.support.is_finite:
+        # a running sum, as in the KS statistic: each term can only raise it,
+        # so the cdf never falls as k grows
         logs = natural_logs(k)[1 : k + 1]
-        return float((np.exp(-model.gamma * logs) * (1.0 / model.norm)).sum())
+        return float(np.cumsum(np.exp(-model.gamma * logs) * (1.0 / model.norm))[-1])
     one = np.zeros(1, dtype=np.int64)
     return float(zeta_cdf(np.array([model.gamma]), np.array([model.norm]), one, one + k)[1][0])
 
@@ -215,13 +217,11 @@ class RandomStream:
 
     @classmethod
     def for_replicate(cls, base_seed: int, repetition: int, index: int) -> "RandomStream":
-        """Independent stream keyed by (seed, repetition, replicate); worker-count free."""
-        return cls([int(base_seed), int(repetition), int(index)])
+        """Independent stream keyed by (seed, repetition, index); worker-count free.
 
-    @classmethod
-    def for_span(cls, base_seed: int, repetition: int, span: int) -> "RandomStream":
-        """Stream of one block of consecutive replicates, keyed like for_replicate."""
-        return cls([int(base_seed), int(repetition), int(span)])
+        The index is a span of replicates, or a replicate's retry offset.
+        """
+        return cls([int(base_seed), int(repetition), int(index)])
 
     def uniforms(self, count: int) -> np.ndarray:
         return 1.0 - self._generator.random(count)

@@ -10,7 +10,6 @@ unique whenever it exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,45 +17,27 @@ import numpy as np
 from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support, ValueRows
 from .series import (
     finite_log_moments,
+    finite_moments,
     natural_logs,
-    power_rows,
-    row_dots,
     zeta_log_moments,
     zeta_moments,
 )
 
+# Newton stops once a step is within ABSOLUTE_TOLERANCE, and a row still
+# running after MAX_ITERATIONS steps is bisected.
+ABSOLUTE_TOLERANCE = 1e-5
+MAX_ITERATIONS = 200
+
+# The fallback bisection range, the admissible region for Newton iterates and
+# the range of the table they start from.  It spans negative exponents on
+# purpose: short-tailed samples over a finite support (common at n <= 50 when
+# the generating exponent is below ~0.75) have their likelihood maximum there,
+# and the calibration pipeline must fit them rather than fail.
+BRACKET = (-20.0, 20.0)
+
 # Hard ceiling of the unbounded search range; estimates above it are reported
 # as no-root rather than extrapolated.
 MAX_UNBOUNDED_GAMMA = 20.0
-
-
-@dataclass(frozen=True)
-class MleSettings:
-    """Newton-Raphson controls.
-
-    The bracket is the fallback bisection range, the admissible region for
-    Newton iterates and the range of the table they start from.  It spans
-    negative exponents on purpose: short-tailed samples over a finite support
-    (common at n <= 50 when the generating exponent is below ~0.75) have their
-    likelihood maximum there, and the calibration pipeline must fit them
-    rather than fail.
-    """
-
-    absolute_tolerance: float = 1e-5
-    max_iterations: int = 200
-    bracket: tuple[float, float] = (-20.0, 20.0)
-
-    def __post_init__(self) -> None:
-        if self.absolute_tolerance <= 0:
-            raise ValueError("absolute_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        low, high = self.bracket
-        if not low < high:
-            raise ValueError("bracket must satisfy low < high")
-
-
-DEFAULT_SETTINGS = MleSettings()
 
 _LN2 = math.log(2.0)
 
@@ -105,26 +86,13 @@ def _mean_log_and_slope(gamma: float, support: Support) -> tuple[float, float]:
     return mean, s2 / s0 - mean * mean
 
 
-def _search_range(support: Support, settings: MleSettings) -> tuple[float, float]:
-    low, high = settings.bracket
-    if not support.is_finite:
-        low = max(low, MIN_UNBOUNDED_GAMMA)
-        high = min(high, MAX_UNBOUNDED_GAMMA)
-    return low, high
+def _search_range(support: Support) -> tuple[float, float]:
+    return BRACKET if support.is_finite else (MIN_UNBOUNDED_GAMMA, MAX_UNBOUNDED_GAMMA)
 
 
 def _mean_log_rows(gamma: np.ndarray, support: Support) -> tuple[np.ndarray, np.ndarray]:
-    """_mean_log_and_slope at each exponent of the array.
-
-    One (rows x K) array on a finite support, the row-wise zeta series on the
-    unbounded one.
-    """
-    if support.is_finite:
-        logs = natural_logs(support.k)[1 : support.k + 1]
-        w = power_rows(gamma, support.k)
-        s0, s1, s2 = w.sum(axis=1), row_dots(w, logs), row_dots(w, logs * logs)
-    else:
-        s0, s1, s2 = zeta_moments(gamma)
+    """_mean_log_and_slope at each exponent of the array, from the row-wise sums."""
+    s0, s1, s2 = finite_moments(gamma, support.k) if support.is_finite else zeta_moments(gamma)
     mean = s1 / s0
     return mean, s2 / s0 - mean * mean
 
@@ -150,29 +118,20 @@ def _bisect_rows(target: np.ndarray, support: Support, low: float, high: float) 
     return out
 
 
-def _bisect(target: float, support: Support, low: float, high: float) -> float:
-    root = float(_bisect_rows(np.array([target]), support, low, high)[0])
-    if math.isnan(root):
-        raise NoRootError(
-            f"estimating equation has no root in [{low}, {high}] "
-            f"(mean log of data: {target:.6g})"
-        )
-    return root
-
-
 def _bound_nudge(support: Support, n: int) -> float:
     """Shift of the mean log that scores one of n observations all at K as K-1."""
     return (math.log(support.k) - math.log(support.k - 1)) / n
 
 
 @lru_cache(maxsize=32)
-def _start_table(support: Support, low: float, high: float) -> tuple[np.ndarray, ...]:
-    """(model mean logs, exponents, d gamma / d mean log) on a grid over [low, high].
+def _start_table(support: Support) -> tuple[np.ndarray, ...]:
+    """(model mean logs, exponents, d gamma / d mean log) on a grid over the search range.
 
     Ordered by increasing mean log.  Unbounded, the mean log grows without
     bound as gamma falls towards 1, so the grid crowds cubically towards low;
     finite, it takes as many points as keep the build near 2^21 power terms.
     """
+    low, high = _search_range(support)
     if support.is_finite:
         grid = np.linspace(low, high, max(64, min(2048, (1 << 21) // support.k)))
     else:
@@ -181,14 +140,14 @@ def _start_table(support: Support, low: float, high: float) -> tuple[np.ndarray,
     return mean[::-1], grid[::-1], -1.0 / slope[::-1]
 
 
-def _start(target: float | np.ndarray, support: Support, low: float, high: float) -> float | np.ndarray:
+def _start(target: np.ndarray, support: Support) -> np.ndarray:
     """First Newton iterate per target mean log, from the start table.
 
     Cubic Hermite interpolation of the inverse of the model mean log: from a
     table of 2048 points a start is within a few 1e-8 of its root, so one
     step converges.  Targets beyond the table take its end exponent.
     """
-    mean, gamma, dgamma = _start_table(support, low, high)
+    mean, gamma, dgamma = _start_table(support)
     i = np.clip(np.searchsorted(mean, target) - 1, 0, mean.size - 2)
     h = mean[i + 1] - mean[i]
     u = np.clip((target - mean[i]) / h, 0.0, 1.0)
@@ -198,20 +157,16 @@ def _start(target: float | np.ndarray, support: Support, low: float, high: float
     )
 
 
-def mle_gamma(
-    sample: Sample | CountRows | ValueRows,
-    support: Support,
-    settings: MleSettings = DEFAULT_SETTINGS,
-) -> float | np.ndarray:
+def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float | np.ndarray:
     """Exponent estimate for the sample over the declared support.
 
     Newton-Raphson from the start table (_start); iterates leaving the bracket
-    (or failing to converge within max_iterations) fall back to bisection.
-    Raises NoRootError when the bracket does not straddle a root.
+    (or failing to converge within MAX_ITERATIONS) fall back to bisection.
 
     CountRows over a finite support, and ValueRows over the unbounded one,
     are fitted all at once and give one estimate per row; a row without a
-    root is NaN instead of an error.
+    root is NaN.  A Sample is fitted as a batch of one row, and raises
+    NoRootError when it has no root.
     """
     if isinstance(sample, CountRows):
         k = support.k
@@ -219,11 +174,11 @@ def mle_gamma(
             raise ValueError(f"count rows do not match the finite support 1..{support}")
         target = log_mean(sample)
         target[sample.table[:, -1] == sample.n] -= _bound_nudge(support, sample.n)
-        return _mle_rows(target, support, settings)
+        return _mle_rows(target, support)
     if isinstance(sample, ValueRows):
         if support.is_finite:
             raise ValueError("value rows need the unbounded support")
-        return _mle_rows(log_mean(sample), support, settings)
+        return _mle_rows(log_mean(sample), support)
     obs = sample.observations
     if not support.contains(obs):
         raise ValueError(f"observations exceed the declared support 1..{support}")
@@ -232,39 +187,35 @@ def mle_gamma(
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1
         target -= _bound_nudge(support, sample.n)
-    low, high = _search_range(support, settings)
-    x = float(_start(target, support, low, high))
-    for _ in range(settings.max_iterations):
-        mean, slope = _mean_log_and_slope(x, support)
-        step = (mean - target) / slope
-        x_new = x + step
-        if not math.isfinite(x_new) or x_new < low or x_new > high:
-            return _bisect(target, support, low, high)
-        if abs(x_new - x) <= settings.absolute_tolerance:
-            return x_new
-        x = x_new
-    return _bisect(target, support, low, high)
+    root = float(_mle_rows(np.array([target]), support)[0])
+    if math.isnan(root):
+        low, high = _search_range(support)
+        raise NoRootError(
+            f"estimating equation has no root in [{low}, {high}] "
+            f"(mean log of data: {target:.6g})"
+        )
+    return root
 
 
-def _mle_rows(target: np.ndarray, support: Support, settings: MleSettings) -> np.ndarray:
-    """mle_gamma for every target mean log at once: the same Newton steps, vectorized over rows.
+def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:
+    """mle_gamma for every target mean log at once: Newton-Raphson, vectorized over rows.
 
     Each iteration evaluates the model's log moments for all rows still
     running at once.  Rows stop when their step is within the tolerance; rows
-    that leave the bracket, or have not converged after max_iterations, go on
+    that leave the bracket, or have not converged after MAX_ITERATIONS, go on
     to one batched bisection.
     """
-    low, high = _search_range(support, settings)
+    low, high = _search_range(support)
     out = np.full(target.size, np.nan)
     active = np.arange(target.size)
-    x = _start(target, support, low, high)
+    x = _start(target, support)
     escapes = []
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         mean, slope = _mean_log_rows(x, support)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = x + (mean - target[active]) / slope
         escaped = ~np.isfinite(x_new) | (x_new < low) | (x_new > high)
-        done = ~escaped & (np.abs(x_new - x) <= settings.absolute_tolerance)
+        done = ~escaped & (np.abs(x_new - x) <= ABSOLUTE_TOLERANCE)
         out[active[done]] = x_new[done]
         escapes.append(active[escaped])
         running = ~(escaped | done)

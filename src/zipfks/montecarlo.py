@@ -120,7 +120,7 @@ def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.n
         raise ValueError(f"span {span} outside the {config.replicates} replicates")
     count = min(_SPAN, config.replicates - start)
     model = _generating_model(config.gamma, config.support.k)
-    stream = RandomStream.for_span(config.base_seed, repetition, span)
+    stream = RandomStream.for_replicate(config.base_seed, repetition, span)
     # Finite-support rows are scored in chunks of about CHUNK_ELEMENTS
     # count-matrix elements (rows x K), which keeps the arrays in cache;
     # chunking does not change them, since they consume the span's stream row

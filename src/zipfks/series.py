@@ -58,14 +58,6 @@ def natural_logs(limit: int) -> np.ndarray:
     return _log_cache[: limit + 1]
 
 
-def finite_log_moments(gamma: float, k: int) -> tuple[float, float, float]:
-    """(s0, s1, s2) with s_p = sum_{j=1..k} j^(-gamma) (ln j)^p."""
-    logs = natural_logs(k)[1 : k + 1]
-    w = np.exp(-gamma * logs)
-    wl = w * logs
-    return float(w.sum()), float(wl.sum()), float(wl @ logs)
-
-
 def power_rows(gammas: np.ndarray, k: int) -> np.ndarray:
     """(rows x k) array of j^(-gamma) for j = 1..k, one row per exponent."""
     w = np.multiply.outer(-np.asarray(gammas, dtype=np.float64), natural_logs(k)[1 : k + 1])
@@ -82,12 +74,34 @@ def row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ vector)[:, 0]
 
 
+def finite_moments(gammas: np.ndarray, k: int, moments: int = 3) -> np.ndarray:
+    """(moments x rows) array of s_p = sum_{j=1..k} j^(-gamma) (ln j)^p, p < moments.
+
+    One (rows x k) array of powers; each row's sums are its own (see row_dots).
+    """
+    logs = natural_logs(k)[1 : k + 1]
+    w = power_rows(gammas, k)
+    sums = np.empty((moments, w.shape[0]))
+    sums[0] = w.sum(axis=1)
+    weights = logs
+    for p in range(1, moments):
+        sums[p] = row_dots(w, weights)
+        weights = weights * logs
+    return sums
+
+
+def finite_log_moments(gamma: float, k: int) -> tuple[float, float, float]:
+    """(s0, s1, s2) with s_p = sum_{j=1..k} j^(-gamma) (ln j)^p."""
+    s0, s1, s2 = finite_moments(np.array([gamma], dtype=np.float64), k).ravel().tolist()
+    return s0, s1, s2
+
+
 def _tail_factors(
     gammas: np.ndarray, starts: np.ndarray, moments: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a^(-gamma), b, (gamma)_7): sum_{k>=a} k^(-gamma) (ln k)^p = a^(-gamma) b[p], p < moments.
 
-    Elementwise over 1-d gammas and starts a (either may have one element),
+    Elementwise over 1-d gammas and starts a (starts may have one element),
     or with start i under gammas[rows[i]].  Euler-Maclaurin: the integral,
     f(a)/2 and the f', f''', f^(5), f^(7) terms.  As f = (-d/dgamma)^p x^(-gamma),
     f^(j)(a) = (-1)^j a^(-gamma-j) sum_i C(p, i) (-1)^i D_i L^(p-i), L = ln a, with
@@ -130,19 +144,6 @@ def _tail_factors(
             b[2] += 2.0 * u * r * r + (b[0] * L + 2.0 * c1) * L
         b[1] = b[0] * L + c1
     return np.exp(gammas * -L), b, rising[6]
-
-
-def tail_mass(gamma: float | np.ndarray, start: np.ndarray | int) -> np.ndarray | float:
-    """sum_{k>=start} k^(-gamma), elementwise, start > HEAD_TERMS; within 1e-15 of zeta(gamma).
-
-    Within 1e-13 of itself but for steep exponents near HEAD_TERMS (5e-10 at 20, start 33).
-    """
-    gamma, start = np.broadcast_arrays(np.asarray(gamma, float), np.asarray(start, float))
-    if np.any(start <= HEAD_TERMS):
-        raise ValueError(f"tail_mass requires start > {HEAD_TERMS}; sum small ranges directly")
-    power, b, _ = _tail_factors(gamma.ravel(), start.ravel(), 1)
-    value = (power * b[0]).reshape(start.shape)
-    return float(value) if value.ndim == 0 else value
 
 
 @lru_cache(maxsize=None)

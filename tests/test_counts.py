@@ -18,8 +18,8 @@ from zipfks.montecarlo import SimulationConfig, _run_span
 
 from oracles import expand_counts, scalar_score
 
-GAMMA_TOL = 1e-5
-KS_TOL = 1e-6
+GAMMA_TOL = 1e-9
+KS_TOL = 1e-12
 
 
 def assert_rows_match_oracle(counts: CountRows, support: Support) -> None:
@@ -95,7 +95,7 @@ class TestEdges:
         cfg = SimulationConfig(n=n, support=Support.finite(32766), gamma=1.0, base_seed=5,
                                replicates=100, repetitions=1)
         ks, gamma_hat = _run_span((cfg, 0, 0))
-        stream = RandomStream.for_span(5, 0, 0)
+        stream = RandomStream.for_replicate(5, 0, 0)
         counts = sample(ZipfModel(1.0, cfg.support), n, stream, rows=100)
         for row in range(100):
             want_ks, want_gamma = scalar_score(expand_counts(counts.table[row]), cfg.support)

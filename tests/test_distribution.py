@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipfks.distribution import (
     MIN_UNBOUNDED_GAMMA,
@@ -123,6 +125,16 @@ class TestPmfCdf:
         model = ZipfModel(1.5, Support.finite(60))
         values = [cdf(model, k) for k in range(1, 61)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 32766), gamma=st.floats(-20.0, 20.0), data=st.data())
+    def test_finite_cdf_monotone_and_reaching_one(self, k, gamma, data):
+        # rounding must not make the cdf fall anywhere, not even between neighbours
+        model = ZipfModel(gamma, Support.finite(k))
+        first = data.draw(st.integers(1, k))
+        values = [cdf(model, p) for p in range(first, min(first + 32, k) + 1)] + [cdf(model, k)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert abs(values[-1] - 1.0) <= 1e-12
 
     def test_unbounded_cdf_consistent_across_seam(self):
         # the dense-table and tail-sum representations must agree and stay monotone

@@ -17,11 +17,10 @@ from zipfks.distribution import (
     sample,
 )
 from zipfks.estimate import (
-    DEFAULT_SETTINGS,
-    MleSettings,
+    ABSOLUTE_TOLERANCE,
     NoRootError,
-    _bisect,
-    _start_table,
+    _bisect_rows,
+    _search_range,
     log_mean,
     mle_gamma,
 )
@@ -146,8 +145,29 @@ class TestMleGamma:
             obs = draw(gamma, k, 100, seed=seed)
             support = Support.finite(k)
             newton = mle_gamma(obs, support)
-            forced = _bisect(log_mean(obs), support, -20.0, 20.0)
+            (forced,) = _bisect_rows(np.array([log_mean(obs)]), support, -20.0, 20.0)
             assert abs(newton - forced) < 1e-4
+
+    @pytest.mark.parametrize(
+        "support_k,gamma,n",
+        [(2, 0.5, 7), (20, 0.8, 100), (20, -3.0, 8), (1000, 2.2, 60), (32766, 1.0, 10),
+         (None, 1.05, 200), (None, 1.6, 1), (None, 3.5, 40)],
+    )
+    def test_bisected_fits_match_likelihood_maximizer(self, support_k, gamma, n):
+        # the fallback alone, on every row of a batch: within Newton's
+        # stopping tolerance of the maximizer, as Newton's own fits are
+        support = Support(k=support_k)
+        drawn = draw_rows(support_k, gamma, n, 6, seed=21)
+        low, high = _search_range(support)
+        got = _bisect_rows(log_mean(drawn), support, low, high)
+        checked = 0
+        for row, one in enumerate(row_samples(drawn)):
+            if support_k is not None and int(one.observations.min()) == support_k:
+                continue  # the all-at-K nudge is the estimator's, not the likelihood's
+            want = golden_section_mle(one.observations, support_k, low, high)
+            assert abs(got[row] - want) <= ABSOLUTE_TOLERANCE
+            checked += 1
+        assert checked >= 3
 
     def test_root_condition_holds(self):
         from zipfks.estimate import _mean_log_and_slope
@@ -185,17 +205,10 @@ class TestMleGamma:
         got = mle_gamma(Sample([1] * 50), Support.unbounded())
         assert 1.05 <= got <= 20.0
 
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            MleSettings(absolute_tolerance=0.0)
-        with pytest.raises(ValueError):
-            MleSettings(bracket=(1.0, 0.2))
-        assert DEFAULT_SETTINGS.absolute_tolerance == 1e-5
-
 
 def draw_rows(support_k, gamma, n, rows, seed):
     model = ZipfModel(gamma, Support(k=support_k))
-    return sample(model, n, RandomStream.for_span(seed, 0, 0), rows)
+    return sample(model, n, RandomStream.for_replicate(seed, 0, 0), rows)
 
 
 def row_samples(drawn):
@@ -322,22 +335,6 @@ class TestStart:
         beyond = (target > model_mean_log(-20.0, 20)) | (target < model_mean_log(20.0, 20))
         assert beyond.any()
         np.testing.assert_array_equal(np.isnan(got), beyond)
-
-    def test_custom_bracket_gets_its_own_table(self):
-        custom = MleSettings(bracket=(-5.0, 5.0))
-        support = Support.finite(20)
-        for values in ([1, 1, 2, 5], [3, 9, 14, 20], [1] * 10):
-            obs = np.array(values)
-            got = mle_gamma(Sample(obs), support, custom)
-            assert -5.0 <= got <= 5.0
-            assert got == pytest.approx(mle_gamma(Sample(obs), support), abs=1e-9)
-        # roots outside the custom bracket: below -5 and above 5
-        with pytest.raises(NoRootError):
-            mle_gamma(Sample([18, 19, 20, 20]), support, custom)
-        with pytest.raises(NoRootError):
-            mle_gamma(Sample([1] * 60 + [2]), support, custom)
-        _, gamma, _ = _start_table(support, -5.0, 5.0)
-        assert gamma.min() == -5.0 and gamma.max() == 5.0
 
     def test_unbounded_roots_at_and_near_the_lower_end(self):
         low = MIN_UNBOUNDED_GAMMA

@@ -155,7 +155,7 @@ class TestRunReplicate:
         cfg = config(replicates=1100)
         support = cfg.support
         ks, gamma_hat = _run_span((cfg, 1, 2))
-        stream = RandomStream.for_span(cfg.base_seed, 1, 2)
+        stream = RandomStream.for_replicate(cfg.base_seed, 1, 2)
         drawn = sample(ZipfModel(cfg.gamma, support), cfg.n, stream, rows=ks.size)
         want_gamma = mle_gamma(drawn, support)
         np.testing.assert_array_equal(gamma_hat, want_gamma)
@@ -172,7 +172,7 @@ class TestRunReplicate:
         cfg = config(support=Support.unbounded(), gamma=2.0, n=30, replicates=100)
         ks, gamma_hat = _run_span((cfg, 0, 0))
         model = ZipfModel(cfg.gamma, cfg.support)
-        drawn = sample(model, cfg.n, RandomStream.for_span(cfg.base_seed, 0, 0), rows=ks.size)
+        drawn = sample(model, cfg.n, RandomStream.for_replicate(cfg.base_seed, 0, 0), rows=ks.size)
         want_gamma = mle_gamma(drawn, cfg.support)
         np.testing.assert_array_equal(gamma_hat, want_gamma)
         np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, cfg.support)))
@@ -193,7 +193,7 @@ class TestRunReplicate:
         # alone, from the stream keyed (seed, repetition, 2^32 + index)
         cfg = config(n=5, gamma=-5.0, base_seed=7)
         model = ZipfModel(cfg.gamma, cfg.support)
-        first = mle_gamma(sample(model, cfg.n, RandomStream.for_span(7, 0, 0), rows=400), cfg.support)
+        first = mle_gamma(sample(model, cfg.n, RandomStream.for_replicate(7, 0, 0), rows=400), cfg.support)
         failed = np.flatnonzero(np.isnan(first))
         assert failed.size > 0
         ks, gamma_hat = _run_span((cfg, 0, 0))

@@ -10,14 +10,22 @@ from zipfks import series
 from zipfks.series import (
     MAX_FINITE_SUPPORT,
     finite_log_moments,
+    finite_moments,
     natural_logs,
-    tail_mass,
     zeta_log_moments,
     zeta_moments,
     zeta_value,
 )
 
 from oracles import mp_zeta
+
+
+def tail_sum(gamma, start):
+    """sum_{k>=start} k^(-gamma) by the Euler-Maclaurin tail alone, elementwise over the starts."""
+    starts = np.atleast_1d(np.asarray(start, dtype=np.float64))
+    power, b, _ = series._tail_factors(np.full(starts.size, float(gamma)), starts, 1)
+    value = power * b[0]
+    return value if np.ndim(start) else float(value[0])
 
 
 class TestLogTable:
@@ -84,17 +92,13 @@ class TestInfiniteSums:
     def test_tail_mass_matches_zeta_minus_head(self, gamma, start):
         head = mpmath.fsum(mpmath.power(j, -gamma) for j in range(1, start))
         expected = float(mp_zeta(gamma) - head)
-        assert tail_mass(gamma, start) == pytest.approx(expected, rel=1e-10)
+        assert tail_sum(gamma, start) == pytest.approx(expected, rel=1e-10)
 
     def test_tail_mass_vectorized(self):
         starts = np.array([100, 1000, 10000])
-        values = tail_mass(1.5, starts)
+        values = tail_sum(1.5, starts)
         for start, value in zip(starts, values):
-            assert value == pytest.approx(tail_mass(1.5, int(start)), rel=0)
-
-    def test_tail_mass_guards_small_starts(self):
-        with pytest.raises(ValueError):
-            tail_mass(1.5, 10)
+            assert value == pytest.approx(tail_sum(1.5, int(start)), rel=0)
 
 
 GAMMAS = st.floats(1.05, 20.0)
@@ -144,12 +148,12 @@ class TestSeriesProperties:
         whole = float((-1) ** p * mp_zeta(gamma, p))
         assert abs(got - want) <= 1e-12 * want + 1e-15 * whole
         if p == 0:
-            assert tail_mass(gamma, start) == got
+            assert tail_sum(gamma, start) == got
 
     @pytest.mark.parametrize("start", TAIL_STARTS)
     def test_tail_at_moderate_exponents_to_1e12_of_itself(self, start):
         for gamma in (1.05, 1.5, 2.0, 4.0):
-            got = tail_mass(gamma, start)
+            got = tail_sum(gamma, start)
             assert got == pytest.approx(mp_tail(gamma, start, 0), rel=1e-12)
 
 
@@ -162,3 +166,18 @@ class TestFiniteMoments:
             assert s0 == pytest.approx(float((js**-gamma).sum()), rel=1e-12)
             assert s1 == pytest.approx(float((js**-gamma * np.log(js)).sum()), rel=1e-12)
             assert s2 == pytest.approx(float((js**-gamma * np.log(js) ** 2).sum()), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gammas=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
+        k=st.integers(2, MAX_FINITE_SUPPORT),
+        moments=st.integers(1, 3),
+    )
+    def test_rows_bit_identical_alone_and_in_a_batch(self, gammas, k, moments):
+        # the one-sample fit and the normalizer are one-row calls of the batch
+        together = finite_moments(np.array(gammas), k, moments)
+        assert together.tolist() == finite_moments(np.array(gammas), k)[:moments].tolist()
+        for row, gamma in enumerate(gammas):
+            alone = finite_moments(np.array([gamma]), k, moments)[:, 0]
+            assert together[:, row].tolist() == alone.tolist()
+        assert list(finite_log_moments(gammas[0], k))[:moments] == together[:, 0].tolist()

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipfks.distribution import Support
 from zipfks.montecarlo import DEFAULT_LEVELS, CutoffTable, build_table
@@ -42,6 +47,37 @@ def test_unbounded_label_round_trip(tmp_path):
     assert loaded.support.k is None
     # first reference row of the unbounded grid: lookup returns the 0.9 cell
     assert loaded.cutoff(1.25, 10, 0.9) == 0.2792
+
+
+CUTOFFS = st.lists(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=4, max_size=4
+).map(lambda row: tuple(sorted(row)))
+
+
+@st.composite
+def tables(draw):
+    """A table on a finite or unbounded support, with any grid, cutoffs and provenance."""
+    gammas = draw(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4, unique=True))
+    ns = draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=4, unique=True))
+    return CutoffTable(
+        support=Support(k=draw(st.one_of(st.none(), st.integers(2, 32766)))),
+        levels=DEFAULT_LEVELS,
+        gammas=tuple(gammas),
+        ns=tuple(ns),
+        cells={(g, n): draw(CUTOFFS) for g in gammas for n in ns},
+        replicates=draw(st.integers(1, 10**6)),
+        repetitions=draw(st.integers(1, 100)),
+        base_seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=tables())
+def test_round_trip_property(table):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "t.csv"
+        write_table(table, path)
+        assert load_table(path) == table
 
 
 def test_metadata_comments(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from zipfks import distribution, gof, montecarlo, series
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
-from zipfks.estimate import DEFAULT_SETTINGS, NoRootError, log_mean, mle_gamma
+from zipfks.estimate import ABSOLUTE_TOLERANCE, NoRootError, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import _RETRY_OFFSET, SimulationConfig, _run_span, run_simulation
 
@@ -124,7 +124,7 @@ class TestEdges:
         gamma_hat = mle_gamma(value_rows(samples), UNBOUNDED)
         for row, one in enumerate(samples):
             want = golden_section_mle(one.observations, None, 1.05, 20.0)
-            assert abs(gamma_hat[row] - want) <= DEFAULT_SETTINGS.absolute_tolerance
+            assert abs(gamma_hat[row] - want) <= ABSOLUTE_TOLERANCE
 
     def test_fits_just_above_the_bracket_edge_against_golden_section(self):
         model = ZipfModel(1.0501, UNBOUNDED)
@@ -132,7 +132,7 @@ class TestEdges:
         gamma_hat = mle_gamma(drawn, UNBOUNDED)
         for row, one in enumerate(assert_draw_properties(drawn, model, 6, 200)):
             want = golden_section_mle(one.observations, None, 1.05, 20.0)
-            assert abs(gamma_hat[row] - want) <= DEFAULT_SETTINGS.absolute_tolerance
+            assert abs(gamma_hat[row] - want) <= ABSOLUTE_TOLERANCE
 
 
 class TestChunks:
