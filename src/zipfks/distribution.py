@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,8 +37,8 @@ UNBOUNDED_SAMPLE_LIMIT = 65535
 _HEAD_MIN = 16
 _HEAD_MAX = 4096
 
-# Steps a tail search takes from its start before it falls back to binary search.
-_TAIL_STEPS = 4
+# Steps a guided search takes from its start before it falls back to binary search.
+_SEARCH_STEPS = 4
 
 # Sort key of a tail draw: row * _ROW_KEY + value orders draws by row, then value.
 _ROW_KEY = UNBOUNDED_SAMPLE_LIMIT + 1
@@ -118,10 +118,10 @@ class ZipfModel:
         return weights * (1.0 / weights.sum())
 
     @cached_property
-    def _sampling_cdf(self) -> np.ndarray:
-        """Cumulative probabilities over 1..limit used by inverse-transform draws."""
-        return np.cumsum(self._sampling_pmf)
-
+    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cumulative probabilities over 1..limit, then inf, and their guide (see _guide)."""
+        cdf = np.append(np.cumsum(self._sampling_pmf), np.inf)
+        return cdf, _guide(cdf)
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,55 @@ class RandomStream:
         return self._generator.multinomial(n, p, size=rows)
 
 
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a cdf: entry j is the smallest i with cdf[i] >= j / M, j = 0..M.
+
+    M is the smallest power of two above the table's finite entries, so that
+    u M is exact; the entries are int32, M + 1 of them.  That smallest i is
+    the count of entries below j / M, and cdf[i] < j / M exactly when
+    floor(cdf[i] M) < j, so each entry is counted by floor(cdf[i] M).
+    """
+    m = 1 << (cdf.size - 1).bit_length()
+    buckets = np.minimum(cdf * m, m).astype(np.intp)  # an entry of 1 or more is below no edge
+    guide = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(buckets, minlength=m + 1)[:m], out=guide[1:])
+    return guide
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u) for u in [0, 1], cdf nondecreasing and ending in inf.
+
+    Inverse transform by guide table (Chen & Asau, 1974; Devroye, 1986,
+    section III.2.4): with M = guide.size - 1, the answer is at or after
+    guide[floor(u M)], since u >= floor(u M) / M, and rarely more than a step
+    past it.  Searches still short of it after _SEARCH_STEPS steps forward,
+    such as those in a bucket holding a long run of small entries, finish by
+    binary search.
+    """
+    i = guide[(u * (guide.size - 1)).astype(np.intp)].astype(np.intp)
+    todo = np.flatnonzero(cdf[i] < u)
+    for _ in range(_SEARCH_STEPS):
+        if not todo.size:
+            return i
+        i[todo] += 1
+        todo = todo[cdf[i[todo]] < u[todo]]
+    i[todo] = np.searchsorted(cdf, u[todo])
+    return i
+
+
 def _draw_values(model: ZipfModel, count: int, stream: RandomStream) -> np.ndarray:
-    """count values by inverse transform, clamped to the table's end against rounding."""
-    values = np.searchsorted(model._sampling_cdf, stream.uniforms(count), side="left") + 1
-    return np.minimum(values, model._sampling_cdf.size)
+    """count values by inverse transform, clamped to the table's end against rounding.
+
+    The uniforms are searched CHUNK_ELEMENTS at a time, each block's indices
+    written over its own uniforms, so that a large draw holds one array.
+    """
+    cdf, guide = model._sampling_table
+    u = stream.uniforms(count)
+    values = u.view(np.int64)
+    for lo in range(0, count, CHUNK_ELEMENTS):
+        values[lo : lo + CHUNK_ELEMENTS] = _guided_search(cdf, guide, u[lo : lo + CHUNK_ELEMENTS])
+    values += 1
+    return np.minimum(values, cdf.size - 1, out=values)
 
 
 def _head_size(model: ZipfModel, n: int) -> int:
@@ -248,32 +293,29 @@ def _head_size(model: ZipfModel, n: int) -> int:
     return min(max(int(np.count_nonzero(expected >= 1.0)), _HEAD_MIN), _HEAD_MAX)
 
 
-def _tail_index(cdf: np.ndarray, u: np.ndarray, head: int, gamma: float) -> np.ndarray:
-    """Smallest i with cdf[i] >= u, cdf the tail cdf of the values head+1.. ending in inf.
+# The tables of an unbounded batch draw, built once per model and head.  A
+# calibration call uses one pair, and each tail table takes about 0.8 MB, so
+# only two are kept.
+@lru_cache(maxsize=2)
+def _head_pmf(model: ZipfModel, head: int) -> np.ndarray:
+    """Read-only probabilities of 1..head, then of the tail head+1..: a row's multinomial."""
+    pmf = model._sampling_pmf
+    p = np.append(pmf[:head], pmf[head:].sum())
+    p.flags.writeable = False
+    return p
 
-    Equal to np.searchsorted(cdf, u), in about a third of the time: each
-    search starts from the inverse of the continuous power law x^(-gamma)
-    over [head + 1/2, limit + 1/2], which almost always lies within a step
-    or two of the answer, and steps towards it.  The few searches still
-    unsettled after _TAIL_STEPS steps, such as those on a run of equal
-    entries, finish by binary search.
-    """
-    low, high = head + 0.5, UNBOUNDED_SAMPLE_LIMIT + 0.5
-    e = 1.0 - gamma
-    with np.errstate(divide="ignore", over="ignore"):  # where x^(-gamma) underflows: gamma > 90
-        x = low * (1.0 - u * (1.0 - (high / low) ** e)) ** (1.0 / e)
-    i = np.rint(np.clip(x, low, high) - (head + 1)).astype(np.int64)
-    todo = np.arange(u.size)
-    for _ in range(_TAIL_STEPS):
-        at, want = i[todo], u[todo]
-        above = cdf[at] >= want  # the answer is at or below i
-        settled = above & ((at == 0) | (cdf[at - 1] < want))
-        i[todo] += np.where(above, -1, 1) * ~settled
-        todo = todo[~settled]
-        if not todo.size:
-            return i
-    i[todo] = np.searchsorted(cdf, u[todo])
-    return i
+
+@lru_cache(maxsize=2)
+def _tail_table(model: ZipfModel, head: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cdf of head+1..UNBOUNDED_SAMPLE_LIMIT given the tail, then inf, and its guide."""
+    pmf = model._sampling_pmf
+    cdf = np.empty(UNBOUNDED_SAMPLE_LIMIT - head + 1)
+    np.cumsum(pmf[head:], out=cdf[:-1])
+    cdf[:-1] *= 1.0 / cdf[-2]
+    cdf[-1] = np.inf  # past the table's end: the draw's clamp takes it back
+    guide = _guide(cdf)
+    cdf.flags.writeable = guide.flags.writeable = False
+    return cdf, guide
 
 
 def _value_rows(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> ValueRows:
@@ -281,17 +323,18 @@ def _value_rows(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Va
 
     The stream gives every row's head counts first, row after row, then the
     tail draws in row order; rows are taken about CHUNK_ELEMENTS elements at
-    a time in both passes, which changes no sample.
+    a time in both passes, which changes no sample.  Each tail value is a
+    guided search of the tail's cdf; that cdf, its guide and the
+    multinomial's probabilities are built once per model and head.
     """
-    pmf = model._sampling_pmf
     head = _head_size(model, n)
+    p = _head_pmf(model, head)
     logs = natural_logs(UNBOUNDED_SAMPLE_LIMIT)
     tails = np.empty(rows, dtype=np.int64)  # observations of each row above the head
     log_sums = np.empty(rows)
     head_lengths = np.empty(rows, dtype=np.int64)  # distinct values of each row in the head
     tail_lengths = np.zeros(rows, dtype=np.int64)  # and in the tail
     head_parts, tail_parts = [], []  # (rows lo..hi, their values and counts, row after row)
-    p = np.append(pmf[:head], pmf[head:].sum())
     step = max(1, CHUNK_ELEMENTS // (head + 1))
     for lo in range(0, rows, step):
         table = stream.multinomial(n, p, min(step, rows - lo))
@@ -304,15 +347,12 @@ def _value_rows(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Va
         head_parts.append((lo, hi, cell + 1, table[row, cell]))
     ends = np.cumsum(tails)
     if ends[-1]:
-        tail_cdf = np.empty(UNBOUNDED_SAMPLE_LIMIT - head + 1)
-        np.cumsum(pmf[head:], out=tail_cdf[:-1])
-        tail_cdf[:-1] *= 1.0 / tail_cdf[-2]
-        tail_cdf[-1] = np.inf  # past the table's end: the clamp below takes it back
+        tail_cdf, guide = _tail_table(model, head)
         lo = 0
         while lo < rows:
             done = ends[lo] - tails[lo]
             hi = max(lo + 1, int(np.searchsorted(ends, done + CHUNK_ELEMENTS, side="right")))
-            keys = _tail_index(tail_cdf, stream.uniforms(ends[hi - 1] - done), head, model.gamma)
+            keys = _guided_search(tail_cdf, guide, stream.uniforms(ends[hi - 1] - done))
             keys += head + 1
             np.minimum(keys, UNBOUNDED_SAMPLE_LIMIT, out=keys)  # the value drawn
             keys += np.repeat(np.arange(hi - lo) * _ROW_KEY, tails[lo:hi])
@@ -347,7 +387,9 @@ def sample(
 
     Finite supports use the exact model cdf and clamp to K against end-of-table
     rounding.  Unbounded supports draw from the model restricted to
-    1..UNBOUNDED_SAMPLE_LIMIT (see the constant's note).
+    1..UNBOUNDED_SAMPLE_LIMIT (see the constant's note).  Every inverse
+    transform is a guided search (_guided_search), which finds the index a
+    binary search would.
 
     With ``rows``, the model instead gives that many samples as one batch,
     drawn as counts by conditional binomials (Generator.multinomial) where
@@ -362,7 +404,8 @@ def sample(
       1..H plus one tail category; its nonzero counts are the row's first
       distinct values, and its log sum a dot product.  Only the row's tail
       observations are drawn by inverse transform on the tail's own cdf over
-      H+1..UNBOUNDED_SAMPLE_LIMIT, clamped like a one-sample draw.  The
+      H+1..UNBOUNDED_SAMPLE_LIMIT, clamped like a one-sample draw; that cdf
+      and its guide table are built once per model and H.  The
       stream gives all rows' head counts first, then all tail uniforms.
 
     Finite-support batches consume the stream row after row, so drawing

@@ -92,9 +92,7 @@ class SimulationConfig:
 
 @lru_cache(maxsize=8)
 def _generating_model(gamma: float, support_k: int | None) -> ZipfModel:
-    model = ZipfModel(gamma=gamma, support=Support(k=support_k))
-    model._sampling_cdf  # build the draw tables once per process
-    return model
+    return ZipfModel(gamma=gamma, support=Support(k=support_k))
 
 
 def _score(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> tuple[np.ndarray, np.ndarray]:

@@ -122,8 +122,8 @@ def _tail_factors(
             h -= np.add.accumulate(shifted, axis=0)[::2]
             d[:, 2] *= h
     r = np.reciprocal(gammas - 1.0)
-    if rows is not None:
-        d, r, gammas = d[..., rows], r[rows], gammas[rows]
+    if rows is not None:  # np.take: a gather on the last axis, far faster than d[..., rows]
+        d, r, gammas = np.take(d, rows, axis=-1), np.take(r, rows), np.take(gammas, rows)
     inv = np.reciprocal(starts)
     step = inv * inv
     e = d[3]  # e_i = sum over j of w_j a^(-j) D_i, by Horner in a^-2

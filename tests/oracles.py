@@ -20,6 +20,7 @@ from scipy import stats
 from zipfks.distribution import Sample, Support, ValueRows, ZipfModel
 from zipfks.estimate import NoRootError, _start, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
+from zipfks.observations import ObservationParseError
 from zipfks.series import finite_log_moments, natural_logs, zeta_log_moments
 
 mpmath.mp.dps = 50
@@ -244,3 +245,26 @@ def assert_draw_properties(drawn: ValueRows, model: ZipfModel, rows: int, n: int
     pooled = np.repeat(drawn.observations, drawn.counts)
     assert chi_square_p(pooled, model._sampling_pmf) > 1e-6
     return samples
+
+
+def token_loop_observations(path) -> np.ndarray:
+    """The observation reader as a plain token loop: the reference for parse_observations.
+
+    Lines are those of text-mode iteration (ended by \\n, \\r or \\r\\n), tokens
+    those of str.split(), and a token is read when it is all Unicode decimal
+    digits (str.isdecimal, what int() reads).  The first token that is not a
+    positive int64 raises, naming its line and place on the line.
+    """
+    values: list[int] = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            for token_no, token in enumerate(line.split(), start=1):
+                where = f"{path}: line {line_no}, token {token_no}: {token!r}"
+                if not token.isdecimal() or int(token) == 0:
+                    raise ObservationParseError(f"{where} is not a positive integer")
+                if int(token) >= 2**63:
+                    raise ObservationParseError(f"{where} exceeds {2**63 - 1}")
+                values.append(int(token))
+    if not values:
+        raise ObservationParseError(f"{path}: no observations found")
+    return np.array(values, dtype=np.int64)

@@ -240,7 +240,7 @@ class TestHeadTailDraw:
         cdf = np.append(np.cumsum(pmf[head:]), np.inf)
         cdf[:-1] *= 1.0 / cdf[-2]
         u = np.concatenate((RandomStream([seed]).uniforms(2000), [1.0, 2.0**-53], cdf[[0, 1, 7, -2]]))
-        got = distribution._tail_index(cdf, u, head, gamma)
+        got = distribution._guided_search(cdf, distribution._guide(cdf), u)
         np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
 
     def test_retried_replicate_draws_one_row_on_offset_stream(self, monkeypatch):
@@ -277,3 +277,73 @@ class TestHeadTailDraw:
                                           2 ** np.arange(4, 16))))
         assert chi_square_p(pooled, model._sampling_pmf, edges) > 1e-4
         assert chi_square_p(pooled, model._sampling_pmf) > 1e-4
+
+
+def search_points(cdf: np.ndarray, guide: np.ndarray, seed: int) -> np.ndarray:
+    """Uniforms, 1.0, every bucket edge j/M and its neighbours, and the table's own entries."""
+    m = guide.size - 1
+    edges = np.arange(1, m + 1) / m
+    finite = cdf[np.isfinite(cdf) & (cdf > 0.0) & (cdf <= 1.0)]
+    return np.concatenate((RandomStream([seed]).uniforms(5000), [1.0, 2.0**-53], edges,
+                           np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 1.0), finite))
+
+
+class TestGuidedSearch:
+    """_guided_search gives np.searchsorted's index on every table the draws search."""
+
+    @pytest.mark.parametrize("gamma,n", [(1.05, 1), (1.05, 200_000), (1.25, 1000), (20.0, 1000)])
+    def test_tail_tables(self, gamma, n):
+        model = ZipfModel(gamma, UNBOUNDED)
+        cdf, guide = distribution._tail_table(model, distribution._head_size(model, n))
+        u = search_points(cdf, guide, int(gamma * 100) + n)
+        got = distribution._guided_search(cdf, guide, u)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
+
+    @pytest.mark.parametrize("gamma,k", [(1.0, 20), (4.0, 20), (-2.0, 20), (1.0, 32766),
+                                         (-1.0, 32766), (1.05, None), (20.0, None)])
+    def test_sampling_tables(self, gamma, k):
+        # the whole-support table of one-sample draws and of K > n batches
+        model = ZipfModel(gamma, Support(k=k))
+        cdf, guide = model._sampling_table
+        u = search_points(cdf, guide, 31)
+        got = distribution._guided_search(cdf, guide, u)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
+
+    @pytest.mark.parametrize("gamma,k", [(1.0, 20), (20.0, None), (1.05, None), (1.5, 32766)])
+    def test_guide_is_the_first_entry_at_each_bucket_edge(self, gamma, k):
+        model = ZipfModel(gamma, Support(k=k))
+        tables = [model._sampling_table]
+        if k is None:
+            tables.append(distribution._tail_table(model, 16))
+        for cdf, guide in tables:
+            m = guide.size - 1
+            assert guide.dtype == np.int32 and m & (m - 1) == 0 and cdf.size - 1 <= m < 2 * cdf.size
+            want = np.searchsorted(cdf, np.arange(m + 1) / m, side="left")
+            np.testing.assert_array_equal(guide, want)
+            assert cdf[-1] == np.inf and (np.diff(cdf) >= 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-300, 1e-9, 0.01, 0.3]), min_size=1,
+                          max_size=300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_runs_of_equal_entries(self, steps, seed):
+        # long runs of one value, in the middle or ending below 1, must land on
+        # their first entry and must send a bucket's searches past the run
+        weights = np.array(steps)
+        assume(weights.sum() > 0.0)
+        cdf = np.append(np.cumsum(weights), np.inf)
+        cdf[:-1] *= 1.0 / cdf[-2]
+        guide = distribution._guide(cdf)
+        u = search_points(cdf, guide, seed)
+        got = distribution._guided_search(cdf, guide, u)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
+
+    def test_draw_values_clamp_at_the_table_end(self):
+        # a uniform of 1 above a finite table's last entry lands on its sentinel,
+        # then on K
+        model = ZipfModel(2.0, Support.finite(20))
+        cdf, _ = model._sampling_table
+        drawn = distribution._draw_values(model, 50, TopStream([1]))
+        want = np.minimum(np.searchsorted(cdf[:-1], np.ones(50)) + 1, 20)
+        np.testing.assert_array_equal(drawn, want)
+        assert (drawn == 20).all()
