@@ -197,7 +197,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise UsageError(str(err)) from None
     except ObservationParseError as err:
         raise UsageError(str(err)) from None
-    if not support.contains(sample.observations):
+    if not support.contains(sample.distinct[0]):
         raise UsageError(
             f"{args.input}: observations exceed the declared support 1..{support}"
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +43,15 @@ _SEARCH_STEPS = 4
 
 # Sort key of a tail draw: row * _ROW_KEY + value orders draws by row, then value.
 _ROW_KEY = UNBOUNDED_SAMPLE_LIMIT + 1
+
+# A sample whose largest value is at most this many times its size is
+# counted by one np.bincount pass, whose counts then take no more memory
+# than np.unique's sorted copy of the sample; any other by np.unique.
+_BINCOUNT_SPREAD = 2
+
+# An unbounded batch is drawn and handed on in blocks of rows that hold
+# about this many CHUNK_ELEMENTS of distinct values and tail draws each.
+_BLOCK_CHUNKS = 2
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,23 @@ class Sample:
     def n(self) -> int:
         return int(self.observations.size)
 
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only sorted distinct observations and how often each is seen.
+
+        The estimator, the KS statistic and the support check see a sample
+        only through these, so it is reduced once.
+        """
+        obs = self.observations
+        if int(obs.max()) <= _BINCOUNT_SPREAD * obs.size:
+            counts = np.bincount(obs)
+            values = np.flatnonzero(counts)
+            counts = counts[values]
+        else:
+            values, counts = np.unique(obs, return_counts=True)
+        values.flags.writeable = counts.flags.writeable = False
+        return values, counts
+
 
 @dataclass(frozen=True, eq=False)
 class CountRows:
@@ -224,7 +251,9 @@ class RandomStream:
         return cls([int(base_seed), int(repetition), int(index)])
 
     def uniforms(self, count: int) -> np.ndarray:
-        return 1.0 - self._generator.random(count)
+        """count uniforms in (0, 1]: one minus the generator's [0, 1), taken in place."""
+        u = self._generator.random(count)
+        return np.subtract(1.0, u, out=u)
 
     def multinomial(self, n: int, p: np.ndarray, rows: int) -> np.ndarray:
         """rows x len(p) counts, each row Multinomial(n, p), drawn row after row."""
@@ -318,66 +347,97 @@ def _tail_table(model: ZipfModel, head: int) -> tuple[np.ndarray, np.ndarray]:
     return cdf, guide
 
 
-def _value_rows(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> ValueRows:
-    """ValueRows of the next ``rows`` samples: head counts by multinomial, tail values one by one.
+def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterator[ValueRows]:
+    """ValueRows of the next ``rows`` samples, a block of consecutive rows at a time.
 
-    The stream gives every row's head counts first, row after row, then the
-    tail draws in row order; rows are taken about CHUNK_ELEMENTS elements at
-    a time in both passes, which changes no sample.  Each tail value is a
-    guided search of the tail's cdf; that cdf, its guide and the
-    multinomial's probabilities are built once per model and head.
+    Head counts are drawn by multinomial, tail values one by one.  The
+    stream gives every row's head counts first, row after row, about
+    CHUNK_ELEMENTS counts at a time, and then each block's tail draws in
+    row order, so the samples depend neither on the blocks nor on
+    CHUNK_ELEMENTS.  A block is the longest run of rows, at least one, whose
+    head values seen and tail draws come to at most _BLOCK_CHUNKS *
+    CHUNK_ELEMENTS, which bounds the distinct values it stores.  Besides
+    the block being handed on, only every row's head counts are kept, in
+    the smallest integer type that holds n; _block frees its temporaries
+    before it returns.  Each tail value is a guided search of the tail's
+    cdf; that cdf, its guide and the multinomial's probabilities are built
+    once per model and head.
     """
     head = _head_size(model, n)
     p = _head_pmf(model, head)
     logs = natural_logs(UNBOUNDED_SAMPLE_LIMIT)
+    heads = np.empty((rows, head), dtype=np.min_scalar_type(n))  # each row's counts of 1..head
     tails = np.empty(rows, dtype=np.int64)  # observations of each row above the head
-    log_sums = np.empty(rows)
-    head_lengths = np.empty(rows, dtype=np.int64)  # distinct values of each row in the head
-    tail_lengths = np.zeros(rows, dtype=np.int64)  # and in the tail
-    head_parts, tail_parts = [], []  # (rows lo..hi, their values and counts, row after row)
+    head_logs = np.empty(rows)  # each row's sum of ln x over its head observations
     step = max(1, CHUNK_ELEMENTS // (head + 1))
     for lo in range(0, rows, step):
         table = stream.multinomial(n, p, min(step, rows - lo))
         hi = lo + len(table)
         tails[lo:hi] = table[:, head]
-        table = table[:, :head]
-        log_sums[lo:hi] = row_dots(table.astype(np.float64), logs[1 : head + 1])
-        row, cell = np.nonzero(table)  # row-major: each row's values in increasing order
-        head_lengths[lo:hi] = np.bincount(row, minlength=hi - lo)
-        head_parts.append((lo, hi, cell + 1, table[row, cell]))
-    ends = np.cumsum(tails)
-    if ends[-1]:
+        heads[lo:hi] = table[:, :head]
+        head_logs[lo:hi] = row_dots(table[:, :head].astype(np.float64), logs[1 : head + 1])
+    head_lengths = np.count_nonzero(heads, axis=1)  # distinct values of each row in the head
+    stored = np.cumsum(head_lengths + tails)  # bounds the distinct values of rows 0..r
+    budget = _BLOCK_CHUNKS * CHUNK_ELEMENTS
+    lo = 0
+    while lo < rows:
+        done = stored[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(stored, done + budget, side="right")))
+        yield _block(model, stream, heads[lo:hi], head_lengths[lo:hi], head_logs[lo:hi],
+                     tails[lo:hi], n)
+        lo = hi
+
+
+def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengths: np.ndarray,
+           head_logs: np.ndarray, tails: np.ndarray, n: int) -> ValueRows:
+    """ValueRows of some rows from their head counts, drawing their tails from the stream."""
+    rows, head = heads.shape
+    row, cell = np.nonzero(heads)  # row-major: each row's values in increasing order
+    parts = [(head_lengths, cell + 1, heads[row, cell])]
+    log_sums = head_logs.copy()
+    draws = int(tails.sum())
+    if draws:
         tail_cdf, guide = _tail_table(model, head)
-        lo = 0
-        while lo < rows:
-            done = ends[lo] - tails[lo]
-            hi = max(lo + 1, int(np.searchsorted(ends, done + CHUNK_ELEMENTS, side="right")))
-            keys = _guided_search(tail_cdf, guide, stream.uniforms(ends[hi - 1] - done))
-            keys += head + 1
-            np.minimum(keys, UNBOUNDED_SAMPLE_LIMIT, out=keys)  # the value drawn
-            keys += np.repeat(np.arange(hi - lo) * _ROW_KEY, tails[lo:hi])
-            keys.sort()
-            first = np.flatnonzero(np.diff(keys, prepend=-1))  # first of its value in its row
-            row, value = np.divmod(keys[first], _ROW_KEY)
-            seen = np.diff(first, append=keys.size)
-            log_sums[lo:hi] += np.bincount(row, seen * logs[value], minlength=hi - lo)
-            tail_lengths[lo:hi] = np.bincount(row, minlength=hi - lo)
-            tail_parts.append((lo, hi, value, seen))
-            lo = hi
+        keys = _guided_search(tail_cdf, guide, stream.uniforms(draws))
+        keys += head + 1
+        np.minimum(keys, UNBOUNDED_SAMPLE_LIMIT, out=keys)  # the value drawn
+        keys += np.repeat(np.arange(rows) * _ROW_KEY, tails)
+        keys.sort()
+        first = np.flatnonzero(np.diff(keys, prepend=-1))  # first of its value in its row
+        row, value = np.divmod(keys[first], _ROW_KEY)
+        seen = np.diff(first, append=draws)
+        log_sums += np.bincount(row, seen * natural_logs(UNBOUNDED_SAMPLE_LIMIT)[value],
+                                minlength=rows)
+        parts.append((np.bincount(row, minlength=rows), value, seen))
     # each row holds its head values, then its tail values
-    starts = np.concatenate(([0], np.cumsum(head_lengths + tail_lengths)))
+    lengths = sum(part[0] for part in parts)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
     observations = np.empty(starts[-1], dtype=np.int64)
     counts = np.empty(starts[-1], dtype=np.int64)
-    for parts, lengths, offsets in ((head_parts, head_lengths, starts[:-1]),
-                                    (tail_parts, tail_lengths, starts[:-1] + head_lengths)):
-        while parts:  # popped, so that each part is freed once placed
-            lo, hi, part_values, part_counts = parts.pop()
-            part = lengths[lo:hi]
-            at = np.repeat(offsets[lo:hi] - (np.cumsum(part) - part), part)
-            at += np.arange(at.size)
-            observations[at] = part_values
-            counts[at] = part_counts
+    offsets = starts[:-1].copy()  # where each row's values from the next part go
+    while parts:  # popped, so that each part is freed once placed
+        part, part_values, part_counts = parts.pop(0)
+        at = np.repeat(offsets - (np.cumsum(part) - part), part)
+        at += np.arange(at.size)
+        observations[at] = part_values
+        counts[at] = part_counts
+        offsets += part
     return ValueRows(observations, counts, starts, log_sums, n)
+
+
+def _concatenate(blocks: Iterator[ValueRows]) -> ValueRows:
+    """One ValueRows of consecutive blocks of rows."""
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    lengths = np.concatenate([np.diff(b.starts) for b in blocks])
+    return ValueRows(
+        np.concatenate([b.observations for b in blocks]),
+        np.concatenate([b.counts for b in blocks]),
+        np.concatenate(([0], np.cumsum(lengths))),
+        np.concatenate([b.log_sums for b in blocks]),
+        blocks[0].n,
+    )
 
 
 def sample(
@@ -407,6 +467,7 @@ def sample(
       H+1..UNBOUNDED_SAMPLE_LIMIT, clamped like a one-sample draw; that cdf
       and its guide table are built once per model and H.  The
       stream gives all rows' head counts first, then all tail uniforms.
+      The batch is value_blocks' blocks of rows, joined.
 
     Finite-support batches consume the stream row after row, so drawing
     rows in several calls gives the same samples as one call; an unbounded
@@ -418,7 +479,7 @@ def sample(
         return Sample(_draw_values(model, n, stream))
     k = model.support.k
     if k is None:
-        return _value_rows(model, n, stream, rows)
+        return _concatenate(value_blocks(model, n, stream, rows))
     if k <= n:
         return CountRows(stream.multinomial(n, model._sampling_pmf, rows), n)
     cells = _draw_values(model, rows * n, stream).reshape(rows, n) - 1

@@ -51,15 +51,12 @@ def log_mean(sample: Sample | CountRows | ValueRows) -> float | np.ndarray:
 
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
+    A Sample's log sum is that of its distinct values, each times its count.
     CountRows and ValueRows give one mean per row.
     """
     if isinstance(sample, Sample):
-        obs = sample.observations
-        vmax = int(obs.max())
-        if vmax <= 1 << 20:
-            raw = float(natural_logs(vmax)[obs].sum())
-        else:
-            raw = float(np.log(obs.astype(np.float64)).sum())
+        values, counts = sample.distinct
+        raw = float((counts * np.log(values.astype(np.float64))).sum())
         if raw <= 0.0:
             raw += _LN2
         return raw / sample.n
@@ -179,11 +176,11 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
         if support.is_finite:
             raise ValueError("value rows need the unbounded support")
         return _mle_rows(log_mean(sample), support)
-    obs = sample.observations
-    if not support.contains(obs):
+    values = sample.distinct[0]
+    if not support.contains(values):
         raise ValueError(f"observations exceed the declared support 1..{support}")
     target = log_mean(sample)
-    if support.is_finite and int(obs.min()) == support.k:
+    if support.is_finite and values[0] == support.k:
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1
         target -= _bound_nudge(support, sample.n)

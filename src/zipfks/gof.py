@@ -65,13 +65,12 @@ def ks_statistic(
         return _ks_rows(sample, model)
     if isinstance(sample, ValueRows):
         return _ks_value_rows(sample, model)
-    obs = sample.observations
-    if not model.support.contains(obs):
+    values, counts = sample.distinct
+    if not model.support.contains(values):
         raise ValueError(f"observations exceed the support 1..{model.support}")
     if model.support.is_finite:
-        return _ks_dense(obs, model, int(obs.max()))
-    values, counts = np.unique(obs, return_counts=True)
-    below, at = _endpoint_gaps(values, counts, np.array([values.size]), obs.size,
+        return _ks_dense(values, counts, sample.n, model)
+    below, at = _endpoint_gaps(values, counts, np.array([values.size]), sample.n,
                                np.array([model.gamma]), np.array([model.norm]))
     best = max(below.max(), at.max())
     # the smallest point among equal gaps; the gap below a value sits at value - 1
@@ -79,10 +78,12 @@ def ks_statistic(
     return KsResult(statistic=float(best), argmax_k=int(points.min()))
 
 
-def _ks_dense(obs: np.ndarray, model: ZipfModel, kmax: int) -> KsResult:
-    n = obs.size
-    counts = np.bincount(obs, minlength=kmax + 1)[1:]
-    empirical = np.cumsum(counts / n)
+def _ks_dense(values: np.ndarray, counts: np.ndarray, n: int, model: ZipfModel) -> KsResult:
+    """One sample's statistic on a finite support, from its distinct values and their counts."""
+    kmax = int(values[-1])
+    dense = np.zeros(kmax, dtype=np.int64)
+    dense[values - 1] = counts
+    empirical = np.cumsum(dense / n)
     logs = natural_logs(kmax)[1 : kmax + 1]
     fitted = np.cumsum(np.exp(-model.gamma * logs) * (1.0 / model.norm))
     gaps = np.abs(fitted - empirical)

@@ -8,11 +8,12 @@ valid for parameters estimated from the data).
 Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
 that draw from one stream keyed on (base_seed, repetition, span_index).  A
 span is also the unit of pool work, so results do not depend on worker count
-or scheduling.  A span's replicates are drawn, fitted and scored as a
-batch.  On a finite support they are count vectors, handled as a matrix a
-chunk of rows at a time.  On the unbounded support each is reduced, as it is
-drawn, to its log sum and its distinct values with their counts, and the
-whole span is fitted and scored at once.
+or scheduling.  A span's replicates are drawn, fitted and scored as
+batches, a block of rows at a time, each block before the next is drawn.
+On a finite support a block is a matrix of count vectors.  On the unbounded
+support each replicate is reduced, as it is drawn, to its log sum and its
+distinct values with their counts, and a block holds a bounded number of
+values however heavy the tails.
 """
 from __future__ import annotations
 
@@ -28,7 +29,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distribution import RandomStream, Support, ZipfModel, normalization, sample
+from .distribution import (
+    CountRows,
+    RandomStream,
+    Support,
+    ValueRows,
+    ZipfModel,
+    normalization,
+    sample,
+    value_blocks,
+)
 from .estimate import mle_gamma
 from .gof import ZipfRows, ks_statistic
 from .series import CHUNK_ELEMENTS
@@ -95,14 +105,29 @@ def _generating_model(gamma: float, support_k: int | None) -> ZipfModel:
     return ZipfModel(gamma=gamma, support=Support(k=support_k))
 
 
-def _score(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """KS statistics and re-fitted exponents of the next ``rows`` replicates of the stream.
+def _score(drawn: CountRows | ValueRows, support: Support) -> tuple[np.ndarray, np.ndarray]:
+    """KS statistics and re-fitted exponents of a batch of replicates.
 
     Both are NaN for a replicate whose estimating equation has no root.
     """
-    drawn = sample(model, n, stream, rows)
-    gamma_hat = mle_gamma(drawn, model.support)
-    return ks_statistic(drawn, ZipfRows(gamma_hat, model.support)), gamma_hat
+    gamma_hat = mle_gamma(drawn, support)
+    return ks_statistic(drawn, ZipfRows(gamma_hat, support)), gamma_hat
+
+
+def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterator[CountRows | ValueRows]:
+    """The next ``rows`` replicates of the stream, drawn a block of rows at a time.
+
+    Finite-support rows come in chunks of about CHUNK_ELEMENTS count-matrix
+    elements (rows x K), which keeps the arrays in cache; unbounded rows in
+    value_blocks' blocks, which bounds the values a span holds at once.
+    Neither changes a sample: both consume the stream as one draw would.
+    """
+    if model.support.is_finite:
+        step = max(1, CHUNK_ELEMENTS // model.support.k)
+        for lo in range(0, rows, step):
+            yield sample(model, n, stream, min(step, rows - lo))
+    else:
+        yield from value_blocks(model, n, stream, rows)
 
 
 def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -119,22 +144,18 @@ def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.n
     count = min(_SPAN, config.replicates - start)
     model = _generating_model(config.gamma, config.support.k)
     stream = RandomStream.for_replicate(config.base_seed, repetition, span)
-    # Finite-support rows are scored in chunks of about CHUNK_ELEMENTS
-    # count-matrix elements (rows x K), which keeps the arrays in cache;
-    # chunking does not change them, since they consume the span's stream row
-    # after row.  Unbounded rows are small once drawn (sample chunks the draw
-    # itself), and one draw and fit for the whole span costs far less per row
-    # than many small ones.
-    step = max(1, CHUNK_ELEMENTS // config.support.k) if config.support.is_finite else count
     ks = np.empty(count)
     gamma_hat = np.empty(count)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        ks[lo:hi], gamma_hat[lo:hi] = _score(model, config.n, stream, hi - lo)
+    lo = 0
+    for drawn in _blocks(model, config.n, stream, count):  # each fitted before the next is drawn
+        block_ks, block_gamma = _score(drawn, config.support)
+        hi = lo + block_gamma.size
+        ks[lo:hi], gamma_hat[lo:hi] = block_ks, block_gamma
+        lo = hi
     for row in np.flatnonzero(np.isnan(gamma_hat)):
         index = start + int(row)
         retry = RandomStream.for_replicate(config.base_seed, repetition, _RETRY_OFFSET + index)
-        (ks[row],), (gamma_hat[row],) = _score(model, config.n, retry, 1)
+        (ks[row],), (gamma_hat[row],) = _score(sample(model, config.n, retry, 1), config.support)
         if np.isnan(gamma_hat[row]):
             raise SimulationError(
                 f"replicate {index} (repetition {repetition}, gamma={config.gamma}, "

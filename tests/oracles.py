@@ -165,14 +165,18 @@ def expand_counts(counts) -> Sample:
 
 
 def value_rows(samples: list[Sample]) -> ValueRows:
-    """The ValueRows batch of these equal-size samples, built with np.unique."""
+    """The ValueRows batch of these equal-size samples, built with np.unique.
+
+    A row's log sum is that of its distinct values, each times its count, as
+    the batched draw and the one-sample estimator take it.
+    """
     values, counts = zip(*(np.unique(s.observations, return_counts=True) for s in samples))
     lengths = [v.size for v in values]
     return ValueRows(
         observations=np.concatenate(values),
         counts=np.concatenate(counts),
         starts=np.concatenate(([0], np.cumsum(lengths))),
-        log_sums=np.array([np.log(s.observations.astype(np.float64)).sum() for s in samples]),
+        log_sums=np.array([(c * np.log(v.astype(np.float64))).sum() for v, c in zip(values, counts)]),
         n=samples[0].n,
     )
 

@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipfks import distribution
 from zipfks.distribution import (
     MIN_UNBOUNDED_GAMMA,
     UNBOUNDED_SAMPLE_LIMIT,
@@ -177,6 +178,61 @@ class TestSample:
         assert Sample([1, 2, 3]).observations.dtype == np.int64
 
 
+def assert_distinct(obs, got):
+    """got is np.unique's (values, counts) of obs: same values, counts and dtypes, read-only."""
+    want = np.unique(np.asarray(obs), return_counts=True)
+    for have, expect in zip(got, want):
+        assert have.dtype == expect.dtype
+        np.testing.assert_array_equal(have, expect)
+        assert not have.flags.writeable
+
+
+def both_branches(obs):
+    """Sample(obs).distinct counted by np.unique, then by np.bincount (small values only)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distribution, "_BINCOUNT_SPREAD", 0)
+        by_unique = Sample(obs).distinct
+        patch.setattr(distribution, "_BINCOUNT_SPREAD", 1 << 20)
+        by_bincount = Sample(obs).distinct
+    return by_unique, by_bincount
+
+
+class TestDistinct:
+    """Sample.distinct: one np.bincount pass when the largest value is at most
+    _BINCOUNT_SPREAD times n, else np.unique; both give np.unique's answer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 300), shift=st.integers(-3, 3), data=st.data())
+    def test_branches_agree_at_below_and_above_the_switch(self, n, shift, data):
+        top = max(1, distribution._BINCOUNT_SPREAD * n + shift)
+        rest = data.draw(st.lists(st.integers(1, top), min_size=n - 1, max_size=n - 1))
+        obs = data.draw(st.permutations(rest + [top]))
+        assert_distinct(obs, Sample(obs).distinct)
+        for got in both_branches(obs):
+            assert_distinct(obs, got)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("value", [1, 2, 20, 32766])
+    def test_all_observations_at_one_value(self, n, value):
+        # all ones, and all at K for the supports the tests use
+        obs = [value] * n
+        for got in (Sample(obs).distinct, *both_branches(obs)):
+            assert_distinct(obs, got)
+            assert got[0].tolist() == [value] and got[1].tolist() == [n]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(10**10, 10**11), min_size=2, max_size=2))
+    def test_two_huge_observations_are_not_bincounted(self, obs):
+        # a bincount over values this large would need about 80 GB
+        assert_distinct(obs, Sample(obs).distinct)
+
+    def test_drawn_samples(self):
+        for gamma, k, n in ((2.0, None, 10**5), (1.05, None, 3), (1.0, 32766, 50), (-1.0, 20, 400)):
+            obs = sample(ZipfModel(gamma, Support(k=k)), n, RandomStream([n])).observations
+            for got in (Sample(obs).distinct, *both_branches(obs)):
+                assert_distinct(obs, got)
+
+
 class TestSampling:
     def test_first_cell_draw(self):
         model = ZipfModel(1.7, Support.finite(30))
@@ -207,6 +263,11 @@ class TestSampling:
         u = RandomStream.for_replicate(1, 0, 0).uniforms(100000)
         assert u.min() > 0.0
         assert u.max() <= 1.0
+
+    def test_uniforms_are_one_minus_the_generators(self):
+        generator = np.random.Generator(np.random.Philox(np.random.SeedSequence([1, 0, 0])))
+        want = 1.0 - generator.random(1000)
+        np.testing.assert_array_equal(RandomStream.for_replicate(1, 0, 0).uniforms(1000), want)
 
     @pytest.mark.parametrize("gamma,k", [(0.25, 20), (2.0, 100), (4.0, 1000)])
     def test_draws_stay_in_support(self, gamma, k):

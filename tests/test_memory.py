@@ -1,0 +1,58 @@
+"""Memory guards: one-sample fits and unbounded spans hold bounded working memory.
+
+Peaks are taken with tracemalloc, which also sees numpy's array buffers.
+"""
+import tracemalloc
+
+import pytest
+
+from zipfks.distribution import RandomStream, Support, ZipfModel, sample
+from zipfks.estimate import mle_gamma
+from zipfks.gof import ks_statistic
+from zipfks.montecarlo import SimulationConfig, _run_span
+
+MB = 1 << 20
+
+
+def traced_peak(call) -> float:
+    """Largest traced memory while call() runs, in MB above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - held) / MB
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("gamma,k", [(2.0, None), (1.0, 1000)])
+def test_one_sample_fit_and_ks_hold_little_beyond_the_sample(gamma, k):
+    # the fit and the statistic read the sample's distinct values, not a
+    # gather of its 10^6 logs (7.6 MB) or np.unique's copies (9.5 MB)
+    support = Support(k=k)
+    model = ZipfModel(gamma, support)
+    mle_gamma(sample(model, 100, RandomStream([0])), support)  # builds the start table
+    drawn = sample(model, 10**6, RandomStream([1]))
+
+    def fit_and_score():
+        ks_statistic(drawn, ZipfModel(mle_gamma(drawn, support), support))
+
+    assert traced_peak(fit_and_score) < 2.0
+
+
+def test_one_sample_draw_holds_one_array():
+    # the uniforms are turned into values in place: 8 MB for 10^6, not 16
+    model = ZipfModel(2.0, Support.unbounded())
+    sample(model, 100, RandomStream([0]))  # builds the sampling table
+    assert traced_peak(lambda: sample(model, 10**6, RandomStream([1]))) < 10.0
+
+
+@pytest.mark.parametrize("n,whole_span_mb", [(50_000, 84.8), (200_000, 208.7)])
+def test_heavy_span_is_scored_in_bounded_blocks(n, whole_span_mb):
+    # a span drawn, fitted and scored whole held every row's values at once:
+    # whole_span_mb at gamma = 1.25
+    config = SimulationConfig(n=n, support=Support.unbounded(), gamma=1.25, base_seed=3,
+                              replicates=512, repetitions=1)
+    model = ZipfModel(config.gamma, config.support)
+    mle_gamma(sample(model, n, RandomStream([0]), rows=1), config.support)  # builds the tables
+    assert traced_peak(lambda: _run_span((config, 0, 0))) < whole_span_mb / 3

@@ -48,6 +48,20 @@ def assert_rows_match_oracle(samples: list[Sample]) -> None:
         assert abs(ks[row] - want_ks) <= KS_TOL
 
 
+def assert_one_sample_is_row_zero(one: Sample) -> None:
+    """One-sample fit and KS equal, bit for bit, row 0 of the batch kernels on its value row."""
+    drawn = value_rows([one])
+    batch_gamma = mle_gamma(drawn, UNBOUNDED)
+    try:
+        gamma_hat = mle_gamma(one, UNBOUNDED)
+    except NoRootError:
+        assert np.isnan(batch_gamma[0])
+        return
+    assert gamma_hat == batch_gamma[0]
+    ks = ks_statistic(one, ZipfModel(gamma_hat, UNBOUNDED)).statistic
+    assert ks == ks_statistic(drawn, ZipfRows(batch_gamma, UNBOUNDED))[0]
+
+
 # Values from every regime: the dense scan, past the 4096 scan limit, past
 # the 65535 sampling limit, and so large that the mean log has no root.
 VALUES = st.one_of(
@@ -88,6 +102,17 @@ class TestAgainstScalarOracle:
             Sample([1] * 9 + [70000]),
         ]
         assert_rows_match_oracle(samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(equal_size_samples())
+    def test_one_sample_is_row_zero_of_the_batch(self, samples):
+        assert_one_sample_is_row_zero(samples[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.floats(1.05, 6.0), n=st.integers(1, 20000), seed=st.integers(0, 2**32 - 1))
+    def test_drawn_one_sample_is_row_zero_of_the_batch(self, gamma, n, seed):
+        # many repeats of each value: the log sum is taken from the counts
+        assert_one_sample_is_row_zero(sample(ZipfModel(gamma, UNBOUNDED), n, RandomStream([seed])))
 
     def test_log_mean_per_row(self):
         samples = [Sample([1, 1, 1]), Sample([2, 3, 70000]), Sample([1, 1, 4097])]
@@ -146,6 +171,56 @@ class TestChunks:
         for module in (distribution, gof, series):
             monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
         assert run_simulation(cfg, workers=1) == want
+
+
+class TestBlocks:
+    """value_blocks hands a span on a block of rows at a time, each block
+    bounded by the values it stores; _run_span fits and scores each block
+    before the next is drawn."""
+
+    @pytest.mark.parametrize("gamma,n,replicates,span,chunk", [
+        (1.25, 3000, 700, 0, 1 << 10),  # heavy tails, a few rows per block
+        (1.25, 3000, 700, 1, 1 << 10),  # the last span of 700: 188 rows
+        (2.0, 200, 513, 1, 1 << 16),  # a one-row span
+        (1.05, 20000, 100, 0, 1 << 12),  # rows each past the budget: one row per block
+        (4.0, 50, 1100, 2, 1 << 6),
+        (1.5, 5000, 1030, 0, 1 << 16),  # the default budget: two blocks
+    ])
+    def test_span_equals_the_whole_span_composition(self, monkeypatch, gamma, n, replicates,
+                                                    span, chunk):
+        monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", chunk)
+        cfg = SimulationConfig(n=n, support=UNBOUNDED, gamma=gamma, base_seed=21,
+                               replicates=replicates, repetitions=1)
+        ks, gamma_hat = _run_span((cfg, 0, span))
+        rows = min(montecarlo._SPAN, replicates - span * montecarlo._SPAN)
+        assert ks.size == gamma_hat.size == rows
+        stream = RandomStream.for_replicate(cfg.base_seed, 0, span)
+        drawn = sample(ZipfModel(gamma, UNBOUNDED), n, stream, rows=rows)
+        want_gamma = mle_gamma(drawn, UNBOUNDED)
+        np.testing.assert_array_equal(gamma_hat, want_gamma)
+        np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, UNBOUNDED)))
+
+    @pytest.mark.parametrize("gamma,n,rows,chunk", [
+        (1.25, 3000, 300, 1 << 10), (1.05, 20000, 7, 1 << 8), (2.0, 100, 512, 1 << 8),
+        (20.0, 1000, 512, 1 << 5),  # no tail draws at all
+    ])
+    def test_blocks_are_bounded_and_do_not_change_the_draw(self, monkeypatch, gamma, n, rows, chunk):
+        model = ZipfModel(gamma, UNBOUNDED)
+        whole = list(distribution.value_blocks(model, n, RandomStream([4]), rows))
+        monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", chunk)
+        budget = distribution._BLOCK_CHUNKS * chunk
+        blocks = list(distribution.value_blocks(model, n, RandomStream([4]), rows))
+        assert len(blocks) > len(whole)
+        assert sum(b.log_sums.size for b in blocks) == rows
+        for block in blocks:
+            assert block.starts[-1] <= budget or block.log_sums.size == 1
+            assert block.n == n and block.starts[0] == 0
+        joined = sample(model, n, RandomStream([4]), rows=rows)
+        assert_draw_properties(joined, model, rows, n, fitted=False)
+        for got, want in ((joined, distribution._concatenate(whole)),
+                          (distribution._concatenate(blocks), joined)):
+            for field in ("observations", "counts", "starts", "log_sums"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 class TopStream(RandomStream):
