@@ -222,14 +222,21 @@ def pmf(model: ZipfModel, k: int) -> float:
     return math.exp(-model.gamma * math.log(k)) * (1.0 / model.norm)
 
 
+def finite_cdf(model: ZipfModel, k: int) -> np.ndarray:
+    """F(1..k) of a model over a finite support, as one running sum of its pmf.
+
+    Each term can only raise a running sum, so the cdf never falls as k grows;
+    the one-sample KS statistic reads the same sums.
+    """
+    logs = natural_logs(k)[1 : k + 1]
+    return np.cumsum(np.exp(-model.gamma * logs) * (1.0 / model.norm))
+
+
 def cdf(model: ZipfModel, k: int) -> float:
     """Probability of observing a value <= k."""
     k = _check_in_support(model, k)
     if model.support.is_finite:
-        # a running sum, as in the KS statistic: each term can only raise it,
-        # so the cdf never falls as k grows
-        logs = natural_logs(k)[1 : k + 1]
-        return float(np.cumsum(np.exp(-model.gamma * logs) * (1.0 / model.norm))[-1])
+        return float(finite_cdf(model, k)[-1])
     one = np.zeros(1, dtype=np.int64)
     return float(zeta_cdf(np.array([model.gamma]), np.array([model.norm]), one, one + k)[1][0])
 
@@ -477,6 +484,8 @@ def sample(
         raise ValueError(f"sample size must be >= 1, got {n}")
     if rows is None:
         return Sample(_draw_values(model, n, stream))
+    if rows < 1:
+        raise ValueError(f"row count must be >= 1, got {rows}")
     k = model.support.k
     if k is None:
         return _concatenate(value_blocks(model, n, stream, rows))

@@ -2,10 +2,10 @@
 
 The estimate solves  mean_log(data) = s1(gamma) / s0(gamma)  where
 s_p(gamma) = sum k^(-gamma) (ln k)^p over the declared support, by
-Newton-Raphson from a tabulated inverse of the model mean log, with a
-bisection fallback.  The left side is the sample mean of ln x; the right
-side is the model mean of ln X, strictly decreasing in gamma, so the root is
-unique whenever it exists.
+Newton-Raphson from a tabulated inverse of the model mean log, kept inside
+a bracket of the root that shrinks at every step.  The left side is the
+sample mean of ln x; the right side is the model mean of ln X, strictly
+decreasing in gamma, so the root is unique whenever it exists.
 """
 from __future__ import annotations
 
@@ -23,12 +23,12 @@ from .series import (
     zeta_moments,
 )
 
-# Newton stops once a step is within ABSOLUTE_TOLERANCE, and a row still
-# running after MAX_ITERATIONS steps is bisected.
+# Newton stops once a step is within ABSOLUTE_TOLERANCE; a row still running
+# after MAX_ITERATIONS steps is NaN, like a row without a root.
 ABSOLUTE_TOLERANCE = 1e-5
 MAX_ITERATIONS = 200
 
-# The fallback bisection range, the admissible region for Newton iterates and
+# The search range, which brackets every root and the Newton iterates, and
 # the range of the table they start from.  It spans negative exponents on
 # purpose: short-tailed samples over a finite support (common at n <= 50 when
 # the generating exponent is below ~0.75) have their likelihood maximum there,
@@ -73,7 +73,7 @@ def log_mean(sample: Sample | CountRows | ValueRows) -> float | np.ndarray:
 def _mean_log_and_slope(gamma: float, support: Support) -> tuple[float, float]:
     """Model mean of ln X and the variance of ln X (its negative slope).
 
-    Cached: every bisection starts from the bracket ends.
+    Cached: every fit tests its target against the search range's ends.
     """
     if support.is_finite:
         s0, s1, s2 = finite_log_moments(gamma, support.k)
@@ -92,27 +92,6 @@ def _mean_log_rows(gamma: np.ndarray, support: Support) -> tuple[np.ndarray, np.
     s0, s1, s2 = finite_moments(gamma, support.k) if support.is_finite else zeta_moments(gamma)
     mean = s1 / s0
     return mean, s2 / s0 - mean * mean
-
-
-def _bisect_rows(target: np.ndarray, support: Support, low: float, high: float) -> np.ndarray:
-    """Roots of mean_log(gamma) = target in [low, high] to 1e-8, one per target.
-
-    Every target halves the same bracket, so all widths shrink together and
-    each halving is one batched evaluation.  NaN where no root is bracketed.
-    """
-    f_low = target - _mean_log_and_slope(low, support)[0]
-    f_high = target - _mean_log_and_slope(high, support)[0]
-    out = np.where(f_low == 0.0, low, np.where(f_high == 0.0, high, np.nan))
-    todo = np.flatnonzero(np.isnan(out) & (f_low * f_high < 0.0))
-    lo = np.full(todo.size, low)
-    hi = np.full(todo.size, high)
-    while todo.size and (hi - lo).max() > 1e-8:
-        mid = 0.5 * (lo + hi)
-        left = (target[todo] - _mean_log_rows(mid, support)[0]) * f_low[todo] <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-    out[todo] = 0.5 * (lo + hi)
-    return out
 
 
 def _bound_nudge(support: Support, n: int) -> float:
@@ -157,8 +136,8 @@ def _start(target: np.ndarray, support: Support) -> np.ndarray:
 def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float | np.ndarray:
     """Exponent estimate for the sample over the declared support.
 
-    Newton-Raphson from the start table (_start); iterates leaving the bracket
-    (or failing to converge within MAX_ITERATIONS) fall back to bisection.
+    Newton-Raphson from the start table (_start), kept inside a shrinking
+    bracket of the root (see _mle_rows).
 
     CountRows over a finite support, and ValueRows over the unbounded one,
     are fitted all at once and give one estimate per row; a row without a
@@ -195,31 +174,37 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
 
 
 def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:
-    """mle_gamma for every target mean log at once: Newton-Raphson, vectorized over rows.
+    """mle_gamma for every target mean log at once: safeguarded Newton, vectorized over rows.
 
-    Each iteration evaluates the model's log moments for all rows still
-    running at once.  Rows stop when their step is within the tolerance; rows
-    that leave the bracket, or have not converged after MAX_ITERATIONS, go on
-    to one batched bisection.
+    A target outside the model's range of mean logs has no root and is NaN.
+    Every other row keeps a bracket [lo, hi] around its root, narrowed by the
+    sign of mean_log - target at each iterate (the mean log falls as gamma
+    rises).  A Newton iterate outside the bracket, NaN included, is replaced
+    by its midpoint (Press et al., Numerical Recipes, 3rd ed., section 9.4,
+    rtsafe).  Each iteration evaluates the model's log moments for all rows
+    still running at once, and a row stops once its Newton step is within
+    ABSOLUTE_TOLERANCE.
     """
     low, high = _search_range(support)
-    out = np.full(target.size, np.nan)
-    active = np.arange(target.size)
-    x = _start(target, support)
-    escapes = []
+    mean_low = _mean_log_and_slope(low, support)[0]
+    mean_high = _mean_log_and_slope(high, support)[0]
+    out = np.where(target == mean_low, low, np.where(target == mean_high, high, np.nan))
+    active = np.flatnonzero((target < mean_low) & (target > mean_high))
+    lo, hi = np.full(active.size, low), np.full(active.size, high)
+    x = _start(target[active], support)
     for _ in range(MAX_ITERATIONS):
-        mean, slope = _mean_log_rows(x, support)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_new = x + (mean - target[active]) / slope
-        escaped = ~np.isfinite(x_new) | (x_new < low) | (x_new > high)
-        done = ~escaped & (np.abs(x_new - x) <= ABSOLUTE_TOLERANCE)
-        out[active[done]] = x_new[done]
-        escapes.append(active[escaped])
-        running = ~(escaped | done)
-        active, x = active[running], x_new[running]
         if active.size == 0:
             break
-    fallback = np.concatenate(escapes + [active])
-    if fallback.size:
-        out[fallback] = _bisect_rows(target[fallback], support, low, high)
+        mean, slope = _mean_log_rows(x, support)
+        above = mean > target[active]  # the root lies above x
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = x + (mean - target[active]) / slope
+        newton = (lo <= x_new) & (x_new <= hi)  # inclusive: a start at its root steps by 0
+        done = newton & (np.abs(x_new - x) <= ABSOLUTE_TOLERANCE)
+        out[active[done]] = x_new[done]
+        x_new = np.where(newton, x_new, 0.5 * (lo + hi))
+        running = ~done
+        active, x, lo, hi = active[running], x_new[running], lo[running], hi[running]
     return out

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel
-from .series import CHUNK_ELEMENTS, natural_logs, power_rows, zeta_cdf, zeta_moments
+from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, finite_cdf
+from .series import CHUNK_ELEMENTS, power_rows, zeta_cdf, zeta_moments
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ def _ks_dense(values: np.ndarray, counts: np.ndarray, n: int, model: ZipfModel) 
     dense = np.zeros(kmax, dtype=np.int64)
     dense[values - 1] = counts
     empirical = np.cumsum(dense / n)
-    logs = natural_logs(kmax)[1 : kmax + 1]
-    fitted = np.cumsum(np.exp(-model.gamma * logs) * (1.0 / model.norm))
-    gaps = np.abs(fitted - empirical)
+    gaps = np.abs(finite_cdf(model, kmax) - empirical)
     best = int(np.argmax(gaps))
     return KsResult(statistic=float(gaps[best]), argmax_k=best + 1)
 

@@ -296,13 +296,6 @@ class CutoffTable:
             )
         return self.cells[(nearest, n)]
 
-    def cutoff(self, gamma: float, n: int, level: float) -> float:
-        row = self.cutoffs_for(gamma, n)
-        try:
-            return row[self.levels.index(float(level))]
-        except ValueError:
-            raise CutoffLookupError(f"level {level} not tabulated (have {self.levels})") from None
-
 
 def build_table(
     ns: Iterable[int],
@@ -328,6 +321,10 @@ def build_table(
     gammas = tuple(float(g) for g in gammas)
     if not ns or not gammas:
         raise ValueError("both grids must be nonempty")
+    for name, grid in (("n", ns), ("gamma", gammas)):
+        repeated = [value for i, value in enumerate(grid) if value in grid[:i]]
+        if repeated:
+            raise ValueError(f"{name} grid repeats the value {repeated[0]!r}")
     levels = _validate_levels(quantiles)
     started = time.perf_counter()
     configs = [

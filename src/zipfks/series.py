@@ -147,11 +147,10 @@ def _tail_factors(
 
 
 @lru_cache(maxsize=None)
-def _head_constants(m: int, moments: int) -> tuple[np.ndarray, ...]:
-    """Read-only (a, -ln k and (ln k)^p for k <= m, (9 + 9 ln a)^p |B_8| / (8! a^7)), a = m + 1."""
-    logs = natural_logs(m)[1 : m + 1]
+def _head_constants(m: int, moments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tail start a = m + 1 and bound scale (9 + 9 ln a)^p |B_8| / (8! a^7)."""
     scale = (9.0 + 9.0 * math.log(m + 1)) ** _SHIFTS[:moments] / (1209600.0 * (m + 1.0) ** 7)
-    out = (np.full(1, m + 1.0), -logs, logs ** _SHIFTS[:moments], scale)
+    out = (np.full(1, m + 1.0), scale)
     for shared in out:
         shared.flags.writeable = False
     return out
@@ -176,13 +175,12 @@ def zeta_moments(gammas: np.ndarray, moments: int = 3) -> np.ndarray:
     while True:
         if m > 1 << 22:
             raise RuntimeError(f"tail bound not converging at gamma={g[0]}")
-        start, neg_logs, log_powers, scale = _head_constants(m, moments)
+        start, scale = _head_constants(m, moments)
         power, sums, rising = _tail_factors(g, start, moments)
         sums *= power
         step = max(1, CHUNK_ELEMENTS // m)
         for lo in range(0, g.size, step):
-            w = np.exp(np.multiply.outer(g[lo : lo + step], neg_logs))  # k^(-gamma)
-            sums[:, lo : lo + step] += (w[:, None, :] * log_powers).sum(axis=2).T
+            sums[:, lo : lo + step] += finite_moments(g[lo : lo + step], m, moments)
         done = rising * power * scale <= SERIES_RTOL * sums
         if todo is None:
             if done.all():

@@ -3,11 +3,12 @@
 Most deliberately avoid the production algorithms: sums are taken directly
 (or in high precision via mpmath), the exponent is found by maximizing the
 likelihood instead of root-finding, and the KS supremum is an O(K*N) scan.
-The scalar score is the exception: the estimator's Newton-Raphson and
-bisection, written one exponent at a time on one-exponent moment sums
-(scalar_mle), then the one-sample ks_statistic.  It is the reference for the
-batched engines (count vectors on finite supports, distinct values on the
-unbounded one), whose vectorized fit it shares only the start table with.
+The scalar score is the exception: the estimator's Newton-Raphson, with a
+plain bisection where the estimator safeguards its steps, written one
+exponent at a time on one-exponent moment sums (scalar_mle), then the
+one-sample ks_statistic.  It is the reference for the batched engines (count
+vectors on finite supports, distinct values on the unbounded one), whose
+vectorized fit it shares only the start table with.
 """
 from __future__ import annotations
 
@@ -109,12 +110,14 @@ def scalar_mle(drawn: Sample, support: Support) -> float:
     """The estimator's fit of one sample, one exponent at a time; may raise NoRootError.
 
     The same target as mle_gamma (the ln 2 nudge for all ones, the K - 1
-    nudge for all at K), the same start (estimate._start) and the same rules:
-    Newton steps on finite_log_moments / zeta_log_moments until a step is
-    within 1e-5; an iterate leaving [-20, 20] ([1.05, 20] on the unbounded
-    support), or 200 steps without converging, bisects that range to a
-    width of 1e-8.  Stopping where the estimator stops keeps the KS
-    statistic at this exponent comparable to 1e-12 with the batch's.
+    nudge for all at K), the same start (estimate._start) and the same
+    stopping rule: Newton steps on finite_log_moments / zeta_log_moments
+    until a step is within 1e-5.  Stopping where the estimator stops keeps
+    the KS statistic at this exponent comparable to 1e-12 with the batch's.
+    Where the estimator's safeguarded loop replaces an iterate leaving its
+    bracket by the bracket's midpoint, this fit instead bisects [-20, 20]
+    ([1.05, 20] on the unbounded support) to a width of 1e-8, as do fits
+    that have not converged after 200 steps.
     """
     k = support.k
     target = log_mean(drawn)

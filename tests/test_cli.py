@@ -64,6 +64,22 @@ class TestSimulate:
         assert result.returncode == 2
         assert "invalid with --k inf" in result.stderr
 
+    @pytest.mark.parametrize("flag,values,repeated", [("--n", "10,10", "10"),
+                                                       ("--gamma", "1.0,1", "1.0")])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, flag, values, repeated):
+        # a repeated value would simulate its cells twice and write a table
+        # that load_table rejects as holding duplicate cells
+        grid = {"--n": "10", "--gamma": "1.5", flag: values}
+        out = tmp_path / "t.csv"
+        result = run_cli(
+            "simulate", "--n", grid["--n"], "--gamma", grid["--gamma"], "--k", "20",
+            "--replicates", "100", "--reps", "1", "--seed", "1", "--out", str(out),
+            "--workers", "1",
+        )
+        assert result.returncode == 2
+        assert f"grid repeats the value {repeated}" in result.stderr
+        assert not out.exists()
+
     def test_missing_seed_warns_on_stderr(self, tmp_path):
         result = run_cli(
             "simulate", "--n", "10", "--gamma", "1.5", "--k", "20",

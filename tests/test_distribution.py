@@ -234,6 +234,13 @@ class TestDistinct:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("support_k", [20, 1000, None])
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_batch_needs_a_row(self, support_k, rows):
+        model = ZipfModel(2.0, Support(k=support_k))
+        with pytest.raises(ValueError, match="row count must be >= 1"):
+            sample(model, 10, RandomStream([1]), rows)
+
     def test_first_cell_draw(self):
         model = ZipfModel(1.7, Support.finite(30))
         u = pmf(model, 1) * 0.5

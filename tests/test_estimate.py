@@ -19,7 +19,6 @@ from zipfks.distribution import (
 from zipfks.estimate import (
     ABSOLUTE_TOLERANCE,
     NoRootError,
-    _bisect_rows,
     _search_range,
     log_mean,
     mle_gamma,
@@ -140,34 +139,45 @@ class TestMleGamma:
         want = golden_section_mle(np.ones(10, dtype=np.int64), 20, 2.0, 6.0)
         assert abs(got - want) < 1e-4
 
-    def test_bisection_agrees_with_newton(self):
+    def test_bisection_agrees_with_newton(self, monkeypatch):
+        # started at either end of the bracket, a fit bisects until Newton's
+        # steps stay inside it, and stops on the same rule as a fit from the
+        # tabulated start: within 1e-9 of it
         for seed, gamma, k in [(5, 0.8, 20), (6, 2.2, 200)]:
             obs = draw(gamma, k, 100, seed=seed)
             support = Support.finite(k)
             newton = mle_gamma(obs, support)
-            (forced,) = _bisect_rows(np.array([log_mean(obs)]), support, -20.0, 20.0)
-            assert abs(newton - forced) < 1e-4
+            for end in _search_range(support):
+                force_start(monkeypatch, end)
+                assert abs(mle_gamma(obs, support) - newton) < 1e-9
+                monkeypatch.undo()
 
     @pytest.mark.parametrize(
         "support_k,gamma,n",
         [(2, 0.5, 7), (20, 0.8, 100), (20, -3.0, 8), (1000, 2.2, 60), (32766, 1.0, 10),
          (None, 1.05, 200), (None, 1.6, 1), (None, 3.5, 40)],
     )
-    def test_bisected_fits_match_likelihood_maximizer(self, support_k, gamma, n):
-        # the fallback alone, on every row of a batch: within Newton's
-        # stopping tolerance of the maximizer, as Newton's own fits are
+    def test_bisected_fits_match_likelihood_maximizer(self, monkeypatch, support_k, gamma, n):
+        # every row of a batch started at a bracket end, so that its first
+        # steps bisect: within Newton's stopping tolerance of the maximizer,
+        # and within 1e-9 of the fit from the tabulated start
         support = Support(k=support_k)
         drawn = draw_rows(support_k, gamma, n, 6, seed=21)
         low, high = _search_range(support)
-        got = _bisect_rows(log_mean(drawn), support, low, high)
-        checked = 0
-        for row, one in enumerate(row_samples(drawn)):
-            if support_k is not None and int(one.observations.min()) == support_k:
-                continue  # the all-at-K nudge is the estimator's, not the likelihood's
-            want = golden_section_mle(one.observations, support_k, low, high)
-            assert abs(got[row] - want) <= ABSOLUTE_TOLERANCE
-            checked += 1
-        assert checked >= 3
+        plain = mle_gamma(drawn, support)
+        for end in (low, high):
+            force_start(monkeypatch, end)
+            got = mle_gamma(drawn, support)
+            monkeypatch.undo()
+            np.testing.assert_allclose(got, plain, rtol=0, atol=1e-9)
+            checked = 0
+            for row, one in enumerate(row_samples(drawn)):
+                if support_k is not None and int(one.observations.min()) == support_k:
+                    continue  # the all-at-K nudge is the estimator's, not the likelihood's
+                want = golden_section_mle(one.observations, support_k, low, high)
+                assert abs(got[row] - want) <= ABSOLUTE_TOLERANCE
+                checked += 1
+            assert checked >= 3
 
     def test_root_condition_holds(self):
         from zipfks.estimate import _mean_log_and_slope
@@ -234,6 +244,24 @@ def fit_mean_logs(targets, n=1):
                   starts=np.arange(targets.size + 1), log_sums=targets * n, n=n),
         Support.unbounded(),
     )
+
+
+def force_start(monkeypatch, gamma):
+    """Start every fit at gamma instead of the tabulated inverse."""
+    monkeypatch.setattr(estimate, "_start", lambda target, support: np.full(target.size, gamma))
+
+
+def count_evaluations(monkeypatch):
+    """The list to which each later batched moment evaluation appends its row count."""
+    evaluated = []
+    mean_log_rows = estimate._mean_log_rows
+
+    def counting(exponents, *args):
+        evaluated.append(exponents.size)
+        return mean_log_rows(exponents, *args)
+
+    monkeypatch.setattr(estimate, "_mean_log_rows", counting)
+    return evaluated
 
 
 def model_mean_log(gamma, support_k):
@@ -324,17 +352,21 @@ class TestStart:
         with pytest.raises(NoRootError):
             mle_gamma(Sample([10**9, 10**9]), Support.unbounded())
 
-    def test_rows_without_root_are_exactly_those_beyond_the_model_range(self):
+    def test_rows_without_root_are_exactly_those_beyond_the_model_range(self, monkeypatch):
         # gamma = -5 at n = 5 piles samples onto K = 20; some mean logs lie
         # above the model's at -20, and only those rows fail (and get redrawn
-        # by the calibration loop, see test_montecarlo)
+        # by the calibration loop, see test_montecarlo), found before any
+        # moment evaluation
         drawn = draw_rows(20, -5.0, 5, 400, seed=7)
+        mle_gamma(one_row(drawn, 0), Support.finite(20))  # builds the start table
+        evaluated = count_evaluations(monkeypatch)
         got = mle_gamma(drawn, Support.finite(20))
         target = log_mean(drawn)
         target[drawn.table[:, -1] == 5] -= (math.log(20) - math.log(19)) / 5
         beyond = (target > model_mean_log(-20.0, 20)) | (target < model_mean_log(20.0, 20))
         assert beyond.any()
         np.testing.assert_array_equal(np.isnan(got), beyond)
+        assert evaluated[0] == np.count_nonzero(~beyond)
 
     def test_unbounded_roots_at_and_near_the_lower_end(self):
         low = MIN_UNBOUNDED_GAMMA
@@ -370,30 +402,21 @@ class TestStart:
         support = Support(k=support_k)
         drawn = draw_rows(support_k, gamma, n, 512, seed=5)
         mle_gamma(one_row(drawn, 0), support)  # builds the start table
-        evaluated = []
-        mean_log_rows = estimate._mean_log_rows
-
-        def counting(exponents, *args):
-            evaluated.append(exponents.size)
-            return mean_log_rows(exponents, *args)
-
-        monkeypatch.setattr(estimate, "_mean_log_rows", counting)
+        evaluated = count_evaluations(monkeypatch)
         assert not np.isnan(mle_gamma(drawn, support)).any()
         assert evaluated == [512]
 
-    def test_few_fits_fall_back_to_bisection_at_the_largest_support(self, monkeypatch):
-        # at K = 32766, gamma = 1, n = 10 Newton from a fixed start left the
-        # bracket for about half of all rows, each then bisected 32 times
-        bisected = []
-        bisect_rows = estimate._bisect_rows
-
-        def counting(target, *args):
-            bisected.append(target.size)
-            return bisect_rows(target, *args)
-
-        monkeypatch.setattr(estimate, "_bisect_rows", counting)
-        cfg = SimulationConfig(n=10, support=Support.finite(32766), gamma=1.0,
-                               base_seed=11, replicates=512, repetitions=1)
-        _, gamma_hat = _run_span((cfg, 0, 0))
-        assert not np.isnan(gamma_hat).any()
-        assert sum(bisected) < 0.05 * 512
+    def test_few_row_evaluations_per_span_at_the_largest_support(self, monkeypatch):
+        # at K = 32766 the start table has 64 points: fits take two or three
+        # evaluations (from a fixed start, about half of the rows left the
+        # bracket and were then bisected 32 times)
+        support = Support.finite(32766)
+        estimate._start_table(support)
+        evaluated = count_evaluations(monkeypatch)
+        for gamma, n in [(1.0, 10), (2.0, 1000)]:
+            cfg = SimulationConfig(n=n, support=support, gamma=gamma,
+                                   base_seed=11, replicates=512, repetitions=1)
+            evaluated.clear()
+            _, gamma_hat = _run_span((cfg, 0, 0))
+            assert not np.isnan(gamma_hat).any()
+            assert sum(evaluated) <= 3 * 512

@@ -368,13 +368,11 @@ class TestCutoffTable:
         table = self.make_table()
         row = table.cells[(1.5, 50)]
         assert table.cutoffs_for(1.5004, 50) == row
-        assert table.cutoff(1.4996, 50, 0.9) == row[0]
+        assert table.cutoffs_for(1.4996, 50) == row
         with pytest.raises(CutoffLookupError):
             table.cutoffs_for(1.4, 50)  # between grid points
         with pytest.raises(CutoffLookupError):
             table.cutoffs_for(1.5, 30)  # sample size not tabulated
-        with pytest.raises(CutoffLookupError):
-            table.cutoff(1.5, 50, 0.8)  # level not tabulated
 
     def test_failing_cell_names_coordinates(self):
         with pytest.raises(SimulationError, match=r"gamma=-30.0, n=3"):

@@ -46,7 +46,7 @@ def test_unbounded_label_round_trip(tmp_path):
     assert loaded == table
     assert loaded.support.k is None
     # first reference row of the unbounded grid: lookup returns the 0.9 cell
-    assert loaded.cutoff(1.25, 10, 0.9) == 0.2792
+    assert loaded.cutoffs_for(1.25, 10)[0] == 0.2792
 
 
 CUTOFFS = st.lists(
