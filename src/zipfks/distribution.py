@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,13 +41,18 @@ _HEAD_MAX = 4096
 # Steps a guided search takes from its start before it falls back to binary search.
 _SEARCH_STEPS = 4
 
-# Sort key of a tail draw: row * _ROW_KEY + value orders draws by row, then value.
-_ROW_KEY = UNBOUNDED_SAMPLE_LIMIT + 1
+# Sort key of a tail draw: row << _ROW_BITS | value orders draws by row, then
+# value, and a shift and a mask take the key apart again.
+_ROW_BITS = UNBOUNDED_SAMPLE_LIMIT.bit_length()
+_VALUE_MASK = (1 << _ROW_BITS) - 1
 
 # A sample whose largest value is at most this many times its size is
 # counted by one np.bincount pass, whose counts then take no more memory
 # than np.unique's sorted copy of the sample; any other by np.unique.
 _BINCOUNT_SPREAD = 2
+
+# Largest observation a Sample holds.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # An unbounded batch is drawn and handed on in blocks of rows that hold
 # about this many CHUNK_ELEMENTS of distinct values and tail draws each.
@@ -145,14 +150,15 @@ class Sample:
         if values.ndim != 1 or values.size == 0:
             raise ValueError("a sample must be a nonempty one-dimensional collection")
         if not np.issubdtype(values.dtype, np.integer):
+            if not np.isfinite(values).all():
+                raise ValueError("observations must be finite")
             if not np.all(values == np.floor(values)):
                 raise ValueError("observations must be integers")
-            values = values.astype(np.int64)
-        else:
-            values = values.astype(np.int64, copy=False)
         if values.min() < 1:
             raise ValueError("observations must be positive integers")
-        object.__setattr__(self, "observations", values)
+        if int(values.max()) > _INT64_MAX:  # checked before the cast, which would wrap
+            raise ValueError(f"observations must be at most {_INT64_MAX}")
+        object.__setattr__(self, "observations", values.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -397,53 +403,65 @@ def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> I
 
 def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengths: np.ndarray,
            head_logs: np.ndarray, tails: np.ndarray, n: int) -> ValueRows:
-    """ValueRows of some rows from their head counts, drawing their tails from the stream."""
+    """ValueRows of some rows from their head counts, drawing their tails from the stream.
+
+    Each row holds its head values, then its tail values: the head values
+    are placed, and the tail values, sorted by row and value, fill the rest.
+    """
     rows, head = heads.shape
-    row, cell = np.nonzero(heads)  # row-major: each row's values in increasing order
-    parts = [(head_lengths, cell + 1, heads[row, cell])]
+    cells = np.flatnonzero(heads)  # row-major: each row's values in increasing order
     log_sums = head_logs.copy()
+    lengths = head_lengths.copy()
     draws = int(tails.sum())
     if draws:
         tail_cdf, guide = _tail_table(model, head)
         keys = _guided_search(tail_cdf, guide, stream.uniforms(draws))
         keys += head + 1
         np.minimum(keys, UNBOUNDED_SAMPLE_LIMIT, out=keys)  # the value drawn
-        keys += np.repeat(np.arange(rows) * _ROW_KEY, tails)
+        key_type = np.min_scalar_type((rows - 1) << _ROW_BITS | _VALUE_MASK)  # sorts faster
+        keys = keys.astype(key_type)
+        keys |= np.repeat(np.arange(rows, dtype=key_type) << _ROW_BITS, tails)
         keys.sort()
-        first = np.flatnonzero(np.diff(keys, prepend=-1))  # first of its value in its row
-        row, value = np.divmod(keys[first], _ROW_KEY)
+        new = np.empty(draws, dtype=bool)  # first of its value in its row
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        keys = keys[first]
+        row, value = keys >> _ROW_BITS, keys & _VALUE_MASK
         seen = np.diff(first, append=draws)
         log_sums += np.bincount(row, seen * natural_logs(UNBOUNDED_SAMPLE_LIMIT)[value],
                                 minlength=rows)
-        parts.append((np.bincount(row, minlength=rows), value, seen))
-    # each row holds its head values, then its tail values
-    lengths = sum(part[0] for part in parts)
+        lengths += np.diff(np.searchsorted(row, np.arange(rows + 1, dtype=key_type)))  # row sorted
     starts = np.concatenate(([0], np.cumsum(lengths)))
+    at = np.repeat(starts[:-1] - (np.cumsum(head_lengths) - head_lengths), head_lengths)
+    at += np.arange(at.size)  # where each head value goes
     observations = np.empty(starts[-1], dtype=np.int64)
     counts = np.empty(starts[-1], dtype=np.int64)
-    offsets = starts[:-1].copy()  # where each row's values from the next part go
-    while parts:  # popped, so that each part is freed once placed
-        part, part_values, part_counts = parts.pop(0)
-        at = np.repeat(offsets - (np.cumsum(part) - part), part)
-        at += np.arange(at.size)
-        observations[at] = part_values
-        counts[at] = part_counts
-        offsets += part
+    observations[at] = cells % head + 1
+    counts[at] = heads.ravel()[cells]
+    if draws:
+        tail = np.ones(starts[-1], dtype=bool)
+        tail[at] = False
+        observations[tail] = value
+        counts[tail] = seen
     return ValueRows(observations, counts, starts, log_sums, n)
 
 
-def _concatenate(blocks: Iterator[ValueRows]) -> ValueRows:
-    """One ValueRows of consecutive blocks of rows."""
+def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | ValueRows:
+    """One batch of consecutive blocks of rows, all CountRows or all ValueRows of one n."""
     blocks = list(blocks)
     if len(blocks) == 1:
         return blocks[0]
+    n = blocks[0].n
+    if isinstance(blocks[0], CountRows):
+        return CountRows(np.concatenate([b.table for b in blocks]), n)
     lengths = np.concatenate([np.diff(b.starts) for b in blocks])
     return ValueRows(
         np.concatenate([b.observations for b in blocks]),
         np.concatenate([b.counts for b in blocks]),
         np.concatenate(([0], np.cumsum(lengths))),
         np.concatenate([b.log_sums for b in blocks]),
-        blocks[0].n,
+        n,
     )
 
 
@@ -488,7 +506,7 @@ def sample(
         raise ValueError(f"row count must be >= 1, got {rows}")
     k = model.support.k
     if k is None:
-        return _concatenate(value_blocks(model, n, stream, rows))
+        return concatenate_rows(value_blocks(model, n, stream, rows))
     if k <= n:
         return CountRows(stream.multinomial(n, model._sampling_pmf, rows), n)
     cells = _draw_values(model, rows * n, stream).reshape(rows, n) - 1

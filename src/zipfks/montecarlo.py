@@ -6,14 +6,16 @@ against the re-fitted model (never the generating one: cutoffs are only
 valid for parameters estimated from the data).
 
 Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
-that draw from one stream keyed on (base_seed, repetition, span_index).  A
-span is also the unit of pool work, so results do not depend on worker count
-or scheduling.  A span's replicates are drawn, fitted and scored as
-batches, a block of rows at a time, each block before the next is drawn.
-On a finite support a block is a matrix of count vectors.  On the unbounded
-support each replicate is reduced, as it is drawn, to its log sum and its
-distinct values with their counts, and a block holds a bounded number of
-values however heavy the tails.
+that draw from one stream keyed on (base_seed, repetition, span_index), so
+results do not depend on worker count or scheduling.  A pool task is one
+span; run in process, a task is a whole repetition.  A task's spans are
+drawn a block of rows at a time.  On a finite support a block is a matrix of
+count vectors.  On the unbounded support each replicate is reduced, as it
+is drawn, to its log sum and its distinct values with their counts, and a
+block holds a bounded number of values however heavy the tails.
+Consecutive blocks, within a span or across spans, are joined into batches
+of bounded size, and each batch is fitted and scored as one before the
+blocks after it are drawn.
 """
 from __future__ import annotations
 
@@ -30,18 +32,20 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .distribution import (
+    _BLOCK_CHUNKS,
     CountRows,
     RandomStream,
     Support,
     ValueRows,
     ZipfModel,
+    concatenate_rows,
     normalization,
     sample,
     value_blocks,
 )
 from .estimate import mle_gamma
 from .gof import ZipfRows, ks_statistic
-from .series import CHUNK_ELEMENTS
+from .series import CHUNK_ELEMENTS, HEAD_TERMS
 
 DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
 
@@ -130,28 +134,58 @@ def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterat
         yield from value_blocks(model, n, stream, rows)
 
 
-def _run_span(task: tuple[SimulationConfig, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """KS statistics and re-fitted exponents of one span, in replicate-index order.
+def _size(block: CountRows | ValueRows) -> int:
+    """A block's share of a batch: its count cells, or its distinct values and
+    HEAD_TERMS + 1 per row, the width of the table of head terms that the
+    unbounded fit and KS statistic build for every row, however few its values.
+    """
+    if isinstance(block, CountRows):
+        return block.table.size
+    return int(block.starts[-1]) + (HEAD_TERMS + 1) * block.log_sums.size
+
+
+def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """KS statistics and re-fitted exponents of spans first..stop-1 of one repetition.
+
+    Results come in replicate-index order.  Each span draws from its own
+    stream, a block at a time (_blocks).  Consecutive blocks, of one span or
+    of several, are collected while their _sizes add up to at most
+    CHUNK_ELEMENTS on a finite support, or _BLOCK_CHUNKS * CHUNK_ELEMENTS on
+    the unbounded one, and are then joined, fitted and scored as one batch; a
+    block past that budget on its own is scored alone.  A row's fit and
+    statistic do not depend on the rows batched with it, so results do not
+    depend on how spans are grouped into tasks.
 
     A replicate whose fit finds no root is redrawn once, alone, on an offset
     stream; a second failure aborts, since silently dropping replicates would
     bias quantiles.
     """
-    config, repetition, span = task
-    start = span * _SPAN
-    if not 0 <= start < config.replicates:
-        raise ValueError(f"span {span} outside the {config.replicates} replicates")
-    count = min(_SPAN, config.replicates - start)
+    config, repetition, first, stop = task
+    start = first * _SPAN
+    if not 0 <= start < stop * _SPAN or (stop - 1) * _SPAN >= config.replicates:
+        raise ValueError(f"spans {first}..{stop - 1} outside the {config.replicates} replicates")
     model = _generating_model(config.gamma, config.support.k)
-    stream = RandomStream.for_replicate(config.base_seed, repetition, span)
-    ks = np.empty(count)
-    gamma_hat = np.empty(count)
-    lo = 0
-    for drawn in _blocks(model, config.n, stream, count):  # each fitted before the next is drawn
-        block_ks, block_gamma = _score(drawn, config.support)
-        hi = lo + block_gamma.size
-        ks[lo:hi], gamma_hat[lo:hi] = block_ks, block_gamma
-        lo = hi
+    budget = CHUNK_ELEMENTS if config.support.is_finite else _BLOCK_CHUNKS * CHUNK_ELEMENTS
+    scored: list[tuple[np.ndarray, np.ndarray]] = []
+    batch: list[CountRows | ValueRows] = []
+    held = 0  # the batch's _size
+
+    def score_batch() -> None:
+        drawn = concatenate_rows(batch)
+        batch.clear()  # the joined copy is all that is kept
+        scored.append(_score(drawn, config.support))
+
+    for span in range(first, stop):
+        stream = RandomStream.for_replicate(config.base_seed, repetition, span)
+        for block in _blocks(model, config.n, stream, min(_SPAN, config.replicates - span * _SPAN)):
+            size = _size(block)
+            if batch and held + size > budget:
+                score_batch()
+                held = 0
+            batch.append(block)
+            held += size
+    score_batch()
+    ks, gamma_hat = (np.concatenate(part) for part in zip(*scored))
     for row in np.flatnonzero(np.isnan(gamma_hat)):
         index = start + int(row)
         retry = RandomStream.for_replicate(config.base_seed, repetition, _RETRY_OFFSET + index)
@@ -229,11 +263,20 @@ def _worker_pool(workers: int | None, seconds: float) -> Iterator[multiprocessin
 
 
 def _replicate_ks(config: SimulationConfig, pool: multiprocessing.pool.Pool | None) -> np.ndarray:
-    """KS statistic of every replicate, shape (repetitions, replicates)."""
-    spans = range(-(-config.replicates // _SPAN))
-    tasks = [(config, repetition, span) for repetition in range(config.repetitions) for span in spans]
-    results = map(_run_span, tasks) if pool is None else pool.imap(_run_span, tasks)
-    ks = np.concatenate([span_ks for span_ks, _ in results])
+    """KS statistic of every replicate, shape (repetitions, replicates).
+
+    In process, a task is a whole repetition, so that its batches can cross
+    spans; on a pool, a task is one span, which balances the workers' load.
+    """
+    spans = -(-config.replicates // _SPAN)
+    step = spans if pool is None else 1
+    tasks = [
+        (config, repetition, first, min(first + step, spans))
+        for repetition in range(config.repetitions)
+        for first in range(0, spans, step)
+    ]
+    results = map(_run_spans, tasks) if pool is None else pool.imap(_run_spans, tasks)
+    ks = np.concatenate([task_ks for task_ks, _ in results])
     return ks.reshape(config.repetitions, config.replicates)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from zipfks.distribution import CountRows, RandomStream, Support, ValueRows, ZipfModel, pmf, sample
 from zipfks.estimate import NoRootError, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
-from zipfks.montecarlo import SimulationConfig, _run_span
+from zipfks.montecarlo import SimulationConfig, _run_spans
 
 from oracles import expand_counts, scalar_score
 
@@ -94,7 +94,7 @@ class TestEdges:
         # the very counts it drew
         cfg = SimulationConfig(n=n, support=Support.finite(32766), gamma=1.0, base_seed=5,
                                replicates=100, repetitions=1)
-        ks, gamma_hat = _run_span((cfg, 0, 0))
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
         stream = RandomStream.for_replicate(5, 0, 0)
         counts = sample(ZipfModel(1.0, cfg.support), n, stream, rows=100)
         for row in range(100):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -173,6 +174,24 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample(np.array([1.5]))
         assert Sample(np.array([3, 1])).n == 2
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.inf, "finite"), (-np.inf, "finite"), (np.nan, "finite"),
+        (1e19, "at most 9223372036854775807"), (2.0**63, "at most"),
+        (-1e19, "positive integers"),
+    ])
+    def test_nonfinite_or_oversized_float_rejected_without_warning(self, bad, message):
+        # the cast to int64 warned "invalid value encountered in cast" and
+        # the wrapped value then failed as not positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Sample(np.array([1.0, bad]))
+
+    def test_unsigned_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            Sample(np.array([1, 2**63], dtype=np.uint64))
+        assert Sample(np.array([1.0, 2.0**62])).observations[1] == 2**62
 
     def test_accepts_lists(self):
         assert Sample([1, 2, 3]).observations.dtype == np.int64

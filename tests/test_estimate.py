@@ -24,7 +24,7 @@ from zipfks.estimate import (
     mle_gamma,
 )
 from zipfks.gof import ZipfRows, ks_statistic
-from zipfks.montecarlo import SimulationConfig, _run_span
+from zipfks.montecarlo import SimulationConfig, _run_spans
 from zipfks.series import finite_log_moments, zeta_moments
 
 from oracles import (
@@ -417,6 +417,6 @@ class TestStart:
             cfg = SimulationConfig(n=n, support=support, gamma=gamma,
                                    base_seed=11, replicates=512, repetitions=1)
             evaluated.clear()
-            _, gamma_hat = _run_span((cfg, 0, 0))
+            _, gamma_hat = _run_spans((cfg, 0, 0, 1))
             assert not np.isnan(gamma_hat).any()
             assert sum(evaluated) <= 3 * 512

@@ -1,4 +1,4 @@
-"""Memory guards: one-sample fits and unbounded spans hold bounded working memory.
+"""Memory guards: one-sample fits, unbounded spans and batches of spans hold bounded working memory.
 
 Peaks are taken with tracemalloc, which also sees numpy's array buffers.
 """
@@ -6,10 +6,11 @@ import tracemalloc
 
 import pytest
 
-from zipfks.distribution import RandomStream, Support, ZipfModel, sample
+from zipfks.distribution import _BLOCK_CHUNKS, RandomStream, Support, ZipfModel, sample
 from zipfks.estimate import mle_gamma
 from zipfks.gof import ks_statistic
-from zipfks.montecarlo import SimulationConfig, _run_span
+from zipfks.montecarlo import SimulationConfig, _run_spans
+from zipfks.series import CHUNK_ELEMENTS
 
 MB = 1 << 20
 
@@ -55,4 +56,19 @@ def test_heavy_span_is_scored_in_bounded_blocks(n, whole_span_mb):
                               replicates=512, repetitions=1)
     model = ZipfModel(config.gamma, config.support)
     mle_gamma(sample(model, n, RandomStream([0]), rows=1), config.support)  # builds the tables
-    assert traced_peak(lambda: _run_span((config, 0, 0))) < whole_span_mb / 3
+    assert traced_peak(lambda: _run_spans((config, 0, 0, 1))) < whole_span_mb / 3
+
+
+@pytest.mark.parametrize("k,gamma,n", [(None, 2.0, 100), (None, 2.0, 1), (20, 1.0, 1000)])
+def test_light_repetition_is_scored_in_budgeted_batches(k, gamma, n):
+    # one task runs all 64 spans of the repetition, but a batch holds at most
+    # the budget's elements, and fitting and scoring it takes a few arrays of
+    # that many floats: 2.5-4.1 MB here, where one batch of the whole
+    # repetition took 19-27 MB on the unbounded support and 20 MB at K=20
+    spans = 64
+    config = SimulationConfig(n=n, support=Support(k=k), gamma=gamma, base_seed=3,
+                              replicates=spans * 512, repetitions=1)
+    budget = CHUNK_ELEMENTS * (1 if config.support.is_finite else _BLOCK_CHUNKS)
+    results = 2 * 2 * 8 * config.replicates  # ks and gamma_hat, per batch and joined
+    _run_spans((config, 0, 0, 1))  # builds the tables
+    assert traced_peak(lambda: _run_spans((config, 0, 0, spans))) < (6 * 8 * budget + results) / MB

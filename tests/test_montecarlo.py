@@ -6,7 +6,7 @@ from decimal import ROUND_FLOOR, Decimal
 import numpy as np
 import pytest
 
-from zipfks import montecarlo
+from zipfks import distribution, montecarlo
 from zipfks.distribution import RandomStream, Support, ZipfModel, sample
 from zipfks.estimate import mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
@@ -18,7 +18,7 @@ from zipfks.montecarlo import (
     CutoffTable,
     SimulationConfig,
     SimulationError,
-    _run_span,
+    _run_spans,
     build_table,
     order_quantiles,
     resolve_workers,
@@ -131,14 +131,14 @@ class TestRunReplicate:
     def test_deterministic(self):
         cfg = config(replicates=1100)
         for span in range(3):
-            a = _run_span((cfg, 0, span))
-            b = _run_span((cfg, 0, span))
+            a = _run_spans((cfg, 0, span, span + 1))
+            b = _run_spans((cfg, 0, span, span + 1))
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
 
     def test_distinct_indices_differ(self):
         cfg = config(replicates=1100)
-        spans = [_run_span((cfg, 0, span))[0] for span in range(3)]
+        spans = [_run_spans((cfg, 0, span, span + 1))[0] for span in range(3)]
         assert [s.size for s in spans] == [_SPAN, _SPAN, 1100 - 2 * _SPAN]
         assert not np.array_equal(spans[0], spans[1])
         assert not np.array_equal(spans[0][: spans[2].size], spans[2])
@@ -146,7 +146,7 @@ class TestRunReplicate:
 
     def test_repetitions_use_distinct_streams(self):
         cfg = config()
-        assert not np.array_equal(_run_span((cfg, 0, 0))[0], _run_span((cfg, 1, 0))[0])
+        assert not np.array_equal(_run_spans((cfg, 0, 0, 1))[0], _run_spans((cfg, 1, 0, 1))[0])
 
     def test_matches_manual_pipeline(self):
         # a finite-support span is exactly: the span's count rows -> batched
@@ -154,7 +154,7 @@ class TestRunReplicate:
         # one-sample pipeline run on the same counts
         cfg = config(replicates=1100)
         support = cfg.support
-        ks, gamma_hat = _run_span((cfg, 1, 2))
+        ks, gamma_hat = _run_spans((cfg, 1, 2, 3))
         stream = RandomStream.for_replicate(cfg.base_seed, 1, 2)
         drawn = sample(ZipfModel(cfg.gamma, support), cfg.n, stream, rows=ks.size)
         want_gamma = mle_gamma(drawn, support)
@@ -170,7 +170,7 @@ class TestRunReplicate:
         # re-fit -> batched KS against the re-fit, and each row agrees with
         # the one-sample pipeline run on the sample that row holds
         cfg = config(support=Support.unbounded(), gamma=2.0, n=30, replicates=100)
-        ks, gamma_hat = _run_span((cfg, 0, 0))
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
         model = ZipfModel(cfg.gamma, cfg.support)
         drawn = sample(model, cfg.n, RandomStream.for_replicate(cfg.base_seed, 0, 0), rows=ks.size)
         want_gamma = mle_gamma(drawn, cfg.support)
@@ -184,9 +184,13 @@ class TestRunReplicate:
 
     def test_index_range_checked(self):
         with pytest.raises(ValueError):
-            _run_span((config(), 0, 1))  # 400 replicates make a single span
+            _run_spans((config(), 0, 1, 2))  # 400 replicates make a single span
         with pytest.raises(ValueError):
-            _run_span((config(), 0, -1))
+            _run_spans((config(), 0, 0, 2))
+        with pytest.raises(ValueError):
+            _run_spans((config(), 0, -1, 0))
+        with pytest.raises(ValueError):
+            _run_spans((config(), 0, 0, 0))  # no span at all
 
     def test_failed_fit_redrawn_once_on_offset_stream(self):
         # about 2% of these fits have no root; each such replicate is redrawn,
@@ -196,7 +200,7 @@ class TestRunReplicate:
         first = mle_gamma(sample(model, cfg.n, RandomStream.for_replicate(7, 0, 0), rows=400), cfg.support)
         failed = np.flatnonzero(np.isnan(first))
         assert failed.size > 0
-        ks, gamma_hat = _run_span((cfg, 0, 0))
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
         assert not np.isnan(ks).any()
         np.testing.assert_array_equal(np.delete(gamma_hat, failed), np.delete(first, failed))
         for index in failed:
@@ -213,7 +217,101 @@ class TestRunReplicate:
         # indices
         cfg = config(n=3, support=Support.finite(20), gamma=-30.0, replicates=100)
         with pytest.raises(SimulationError, match=r"replicate \d+ \(repetition 0, gamma=-30.0, n=3"):
-            _run_span((cfg, 0, 0))
+            _run_spans((cfg, 0, 0, 1))
+
+
+def span_by_span(cfg, repetition):
+    """(ks, gamma_hat) of a repetition whose every span is a task of its own."""
+    spans = -(-cfg.replicates // _SPAN)
+    parts = [_run_spans((cfg, repetition, span, span + 1)) for span in range(spans)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def batch_rows(monkeypatch):
+    """List that gets the row count of every batch the engine fits from now on."""
+    rows = []
+    fit = montecarlo.mle_gamma
+
+    def counting(drawn, support):
+        gamma_hat = fit(drawn, support)
+        rows.append(gamma_hat.size)
+        return gamma_hat
+
+    monkeypatch.setattr(montecarlo, "mle_gamma", counting)
+    return rows
+
+
+class TestBatches:
+    """A task that runs several spans fits and scores their blocks in
+    batches of bounded size, which may cross spans; every row must come out
+    as it does when each span is a task of its own."""
+
+    @pytest.mark.parametrize("k,gamma,n,chunks,batches", [
+        (2, 1.5, 50, None, [1100]),
+        (20, 1.5, 10, None, [1100]),  # K > n: drawn by inverse transform
+        (20, 1.5, 100, None, [1100]),  # K <= n: drawn as multinomial counts
+        (1000, 1.0, 100, None, [65] * 7 + [57] + [65] * 7 + [57] + [65, 11]),  # no span fits
+        (1000, 1.0, 100, (1 << 20, 1 << 20), [1024, 76]),  # two spans fit the budget
+        (None, 2.0, 1, None, [1100]),
+        (None, 2.0, 100, None, [1100]),
+        # one-row blocks, about six to a batch: batches end inside spans and cross them
+        (None, 1.25, 3000, (1 << 11, 1 << 8), None),
+    ])
+    def test_batched_repetition_equals_span_by_span(self, monkeypatch, k, gamma, n, chunks,
+                                                    batches):
+        if chunks is not None:
+            monkeypatch.setattr(montecarlo, "CHUNK_ELEMENTS", chunks[0])
+            monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", chunks[1])
+        cfg = config(n=n, support=Support(k=k), gamma=gamma, replicates=1100, repetitions=2)
+        want_ks, want_gamma = span_by_span(cfg, 1)
+        rows = batch_rows(monkeypatch)
+        ks, gamma_hat = _run_spans((cfg, 1, 0, 3))
+        np.testing.assert_array_equal(ks, want_ks)
+        np.testing.assert_array_equal(gamma_hat, want_gamma)
+        if batches is not None:
+            assert rows == batches
+        else:
+            ends = np.cumsum(rows)
+            assert len(rows) > 3 * 6 and max(rows) < 100
+            assert not {_SPAN, 2 * _SPAN} <= set(ends)  # a batch crosses a span's end
+
+    def test_serial_run_is_the_span_by_span_run(self):
+        # both repetitions, each of three spans, the last one partial
+        cfg = config(n=100, support=Support.unbounded(), gamma=2.0, replicates=1100,
+                     repetitions=2)
+        per_rep = [order_quantiles(span_by_span(cfg, rep)[0], cfg.quantiles) for rep in (0, 1)]
+        got = [cutoff for _, cutoff in run_simulation(cfg, workers=1)]
+        np.testing.assert_array_equal(got, np.mean(per_rep, axis=0))
+
+    def test_retried_rows_keep_their_replicate_index(self, monkeypatch):
+        # about 2% of these fits have no root, in every span; a batch of all
+        # three spans redraws each from the stream of its replicate index
+        cfg = config(n=5, gamma=-5.0, base_seed=7, replicates=1100, repetitions=1)
+        model = ZipfModel(cfg.gamma, cfg.support)
+        for span in (1, 2):
+            stream = RandomStream.for_replicate(7, 0, span)
+            rows = min(_SPAN, cfg.replicates - span * _SPAN)
+            assert np.isnan(mle_gamma(sample(model, cfg.n, stream, rows=rows), cfg.support)).any()
+        want_ks, want_gamma = span_by_span(cfg, 0)
+        rows = batch_rows(monkeypatch)
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 3))
+        assert rows[0] == 1100 and len(rows) > 3 and set(rows[1:]) == {1}  # then the retries
+        np.testing.assert_array_equal(ks, want_ks)
+        np.testing.assert_array_equal(gamma_hat, want_gamma)
+
+    def test_double_failure_names_the_replicate_index(self):
+        # test_double_estimator_failure_aborts_with_diagnostics's model: a
+        # multi-span batch that starts at span 1 reports the replicate that
+        # span 1 alone reports
+        cfg = config(n=3, support=Support.finite(20), gamma=-30.0, replicates=1100,
+                     repetitions=1)
+        messages = []
+        for task in [(cfg, 0, 1, 3), (cfg, 0, 1, 2)]:
+            with pytest.raises(SimulationError, match=r"replicate (\d+) ") as err:
+                _run_spans(task)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert int(messages[0].split()[1]) >= _SPAN
 
 
 class TestChunksAndWorkers:
@@ -288,7 +386,7 @@ class TestRunSimulation:
         got = run_simulation(cfg, workers=1)
         per_rep = []
         for repetition in range(3):
-            ks, _ = _run_span((cfg, repetition, 0))  # 400 replicates: one span
+            ks, _ = _run_spans((cfg, repetition, 0, 1))  # 400 replicates: one span
             per_rep.append(order_quantiles(ks, cfg.quantiles))
         want = np.mean(np.asarray(per_rep), axis=0)
         np.testing.assert_array_equal([c for _, c in got], want)

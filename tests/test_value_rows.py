@@ -18,7 +18,7 @@ from zipfks import distribution, gof, montecarlo, series
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
 from zipfks.estimate import ABSOLUTE_TOLERANCE, NoRootError, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
-from zipfks.montecarlo import _RETRY_OFFSET, SimulationConfig, _run_span, run_simulation
+from zipfks.montecarlo import _RETRY_OFFSET, SimulationConfig, _run_spans, run_simulation
 
 from oracles import (
     assert_draw_properties,
@@ -175,8 +175,8 @@ class TestChunks:
 
 class TestBlocks:
     """value_blocks hands a span on a block of rows at a time, each block
-    bounded by the values it stores; _run_span fits and scores each block
-    before the next is drawn."""
+    bounded by the values it stores; _run_spans fits and scores blocks in
+    batches of bounded size."""
 
     @pytest.mark.parametrize("gamma,n,replicates,span,chunk", [
         (1.25, 3000, 700, 0, 1 << 10),  # heavy tails, a few rows per block
@@ -191,7 +191,7 @@ class TestBlocks:
         monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", chunk)
         cfg = SimulationConfig(n=n, support=UNBOUNDED, gamma=gamma, base_seed=21,
                                replicates=replicates, repetitions=1)
-        ks, gamma_hat = _run_span((cfg, 0, span))
+        ks, gamma_hat = _run_spans((cfg, 0, span, span + 1))
         rows = min(montecarlo._SPAN, replicates - span * montecarlo._SPAN)
         assert ks.size == gamma_hat.size == rows
         stream = RandomStream.for_replicate(cfg.base_seed, 0, span)
@@ -199,6 +199,19 @@ class TestBlocks:
         want_gamma = mle_gamma(drawn, UNBOUNDED)
         np.testing.assert_array_equal(gamma_hat, want_gamma)
         np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, UNBOUNDED)))
+
+    def test_block_past_a_32_bit_sort_key(self, monkeypatch):
+        # a tail draw's sort key is its row above 16 bits of value: a block of
+        # more than 2^16 rows sorts 64-bit keys, a smaller one 32-bit keys
+        model = ZipfModel(1.05, UNBOUNDED)
+        blocks = list(distribution.value_blocks(model, 2, RandomStream([5]), 80000))
+        assert blocks[0].log_sums.size > 1 << 16
+        big = distribution.concatenate_rows(blocks)
+        monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", 1 << 12)
+        small = distribution.concatenate_rows(
+            distribution.value_blocks(model, 2, RandomStream([5]), 80000))
+        for field in ("observations", "counts", "starts", "log_sums"):
+            np.testing.assert_array_equal(getattr(big, field), getattr(small, field))
 
     @pytest.mark.parametrize("gamma,n,rows,chunk", [
         (1.25, 3000, 300, 1 << 10), (1.05, 20000, 7, 1 << 8), (2.0, 100, 512, 1 << 8),
@@ -217,8 +230,8 @@ class TestBlocks:
             assert block.n == n and block.starts[0] == 0
         joined = sample(model, n, RandomStream([4]), rows=rows)
         assert_draw_properties(joined, model, rows, n, fitted=False)
-        for got, want in ((joined, distribution._concatenate(whole)),
-                          (distribution._concatenate(blocks), joined)):
+        for got, want in ((joined, distribution.concatenate_rows(whole)),
+                          (distribution.concatenate_rows(blocks), joined)):
             for field in ("observations", "counts", "starts", "log_sums"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
@@ -332,7 +345,7 @@ class TestHeadTailDraw:
             return gamma_hat
 
         monkeypatch.setattr(montecarlo, "mle_gamma", fail_row_3_once)
-        ks, gamma_hat = _run_span((cfg, 0, 0))
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
         model = ZipfModel(cfg.gamma, UNBOUNDED)
         retry = RandomStream.for_replicate(cfg.base_seed, 0, _RETRY_OFFSET + 3)
         redrawn = sample(model, cfg.n, retry, rows=1)
