@@ -16,10 +16,11 @@ import numpy as np
 
 from .series import (
     CHUNK_ELEMENTS,
+    HEAD_TERMS,
     MAX_FINITE_SUPPORT,
     finite_moments,
     natural_logs,
-    row_dots,
+    power_rows,
     zeta_cdf,
     zeta_value,
 )
@@ -168,8 +169,8 @@ class Sample:
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only sorted distinct observations and how often each is seen.
 
-        The estimator, the KS statistic and the support check see a sample
-        only through these, so it is reduced once.
+        The estimator and the KS statistic see a sample only through these,
+        by its batch of one row (as_rows), so it is reduced once.
         """
         obs = self.observations
         if int(obs.max()) <= _BINCOUNT_SPREAD * obs.size:
@@ -201,9 +202,10 @@ class ValueRows:
 
     Row r's sorted distinct values are ``observations[starts[r]:starts[r + 1]]``,
     seen ``counts[starts[r]:starts[r + 1]]`` times; ``log_sums[r]`` is its sum
-    of ln x.  The estimator needs only the log sum and the KS statistic only
-    the distinct values and their counts, so a batch keeps no more of its
-    draws than that.
+    of ln x, taken by _log_sums once the rows are assembled, whether they were
+    drawn or observed.  The estimator needs only the log sum and the KS
+    statistic only the distinct values and their counts, so a batch keeps no
+    more of its draws than that.
     """
 
     observations: np.ndarray
@@ -211,6 +213,45 @@ class ValueRows:
     starts: np.ndarray
     log_sums: np.ndarray
     n: int
+
+    def sizes(self) -> np.ndarray:
+        """Entry r: the work of rows 0..r-1, their distinct values and HEAD_TERMS + 1 per
+        row, the head table that the fit and KS statistic build for every row."""
+        return self.starts + (HEAD_TERMS + 1) * np.arange(self.starts.size)
+
+
+def _log_sums(observations: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row's sum of count x ln value over its distinct values, by np.add.reduceat.
+
+    A row's sum does not depend on the rows beside it.  The shared log table
+    holds np.log's bits, so values above it, which only observed samples
+    hold, take np.log.
+    """
+    if observations.max() <= UNBOUNDED_SAMPLE_LIMIT:
+        terms = natural_logs(UNBOUNDED_SAMPLE_LIMIT)[observations]
+    else:
+        terms = np.log(observations.astype(np.float64))
+    terms *= counts
+    return np.add.reduceat(terms, starts[:-1])
+
+
+def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
+    """The sample as a batch of one row on the declared support.
+
+    Over 1..K it is its count vector (CountRows), over all positive integers
+    its distinct values and their counts (ValueRows), so that it is fitted and
+    scored by the arithmetic that fits and scores the replicates.  Values
+    outside the support are an error.
+    """
+    values, counts = sample.distinct
+    if not support.contains(values):
+        raise ValueError(f"observations exceed the declared support 1..{support}")
+    if support.is_finite:
+        table = np.zeros((1, support.k), dtype=np.int64)
+        table[0, values - 1] = counts
+        return CountRows(table, sample.n)
+    starts = np.array([0, values.size])
+    return ValueRows(values, counts, starts, _log_sums(values, counts, starts), sample.n)
 
 
 def _check_in_support(model: ZipfModel, k: int) -> int:
@@ -228,23 +269,26 @@ def pmf(model: ZipfModel, k: int) -> float:
     return math.exp(-model.gamma * math.log(k)) * (1.0 / model.norm)
 
 
-def finite_cdf(model: ZipfModel, k: int) -> np.ndarray:
-    """F(1..k) of a model over a finite support, as one running sum of its pmf.
+def finite_cdf(gammas: np.ndarray, k: int, last: int) -> np.ndarray:
+    """F(1..last) of the models over 1..k with these exponents, one row each.
 
-    Each term can only raise a running sum, so the cdf never falls as k grows;
-    the one-sample KS statistic reads the same sums.
+    A row is the running sum of its pmf, j^(-gamma) times the reciprocal of
+    normalization's sum, so it never falls as j grows, and depends on no other.
     """
-    logs = natural_logs(k)[1 : k + 1]
-    return np.cumsum(np.exp(-model.gamma * logs) * (1.0 / model.norm))
+    w = power_rows(gammas, k)
+    out = w[:, :last]
+    out *= (1.0 / w.sum(axis=1))[:, None]
+    return np.cumsum(out, axis=1, out=out)
 
 
 def cdf(model: ZipfModel, k: int) -> float:
     """Probability of observing a value <= k."""
     k = _check_in_support(model, k)
+    gamma = np.array([model.gamma])
     if model.support.is_finite:
-        return float(finite_cdf(model, k)[-1])
+        return float(finite_cdf(gamma, model.support.k, k)[0, -1])
     one = np.zeros(1, dtype=np.int64)
-    return float(zeta_cdf(np.array([model.gamma]), np.array([model.norm]), one, one + k)[1][0])
+    return float(zeta_cdf(gamma, np.array([model.norm]), one, one + k)[1][0])
 
 
 class RandomStream:
@@ -378,17 +422,14 @@ def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> I
     """
     head = _head_size(model, n)
     p = _head_pmf(model, head)
-    logs = natural_logs(UNBOUNDED_SAMPLE_LIMIT)
     heads = np.empty((rows, head), dtype=np.min_scalar_type(n))  # each row's counts of 1..head
     tails = np.empty(rows, dtype=np.int64)  # observations of each row above the head
-    head_logs = np.empty(rows)  # each row's sum of ln x over its head observations
     step = max(1, CHUNK_ELEMENTS // (head + 1))
     for lo in range(0, rows, step):
         table = stream.multinomial(n, p, min(step, rows - lo))
         hi = lo + len(table)
         tails[lo:hi] = table[:, head]
         heads[lo:hi] = table[:, :head]
-        head_logs[lo:hi] = row_dots(table[:, :head].astype(np.float64), logs[1 : head + 1])
     head_lengths = np.count_nonzero(heads, axis=1)  # distinct values of each row in the head
     stored = np.cumsum(head_lengths + tails)  # bounds the distinct values of rows 0..r
     budget = _BLOCK_CHUNKS * CHUNK_ELEMENTS
@@ -396,21 +437,20 @@ def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> I
     while lo < rows:
         done = stored[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(stored, done + budget, side="right")))
-        yield _block(model, stream, heads[lo:hi], head_lengths[lo:hi], head_logs[lo:hi],
-                     tails[lo:hi], n)
+        yield _block(model, stream, heads[lo:hi], head_lengths[lo:hi], tails[lo:hi], n)
         lo = hi
 
 
 def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengths: np.ndarray,
-           head_logs: np.ndarray, tails: np.ndarray, n: int) -> ValueRows:
+           tails: np.ndarray, n: int) -> ValueRows:
     """ValueRows of some rows from their head counts, drawing their tails from the stream.
 
     Each row holds its head values, then its tail values: the head values
     are placed, and the tail values, sorted by row and value, fill the rest.
+    The log sums are taken from the assembled rows (_log_sums).
     """
     rows, head = heads.shape
     cells = np.flatnonzero(heads)  # row-major: each row's values in increasing order
-    log_sums = head_logs.copy()
     lengths = head_lengths.copy()
     draws = int(tails.sum())
     if draws:
@@ -429,8 +469,6 @@ def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengt
         keys = keys[first]
         row, value = keys >> _ROW_BITS, keys & _VALUE_MASK
         seen = np.diff(first, append=draws)
-        log_sums += np.bincount(row, seen * natural_logs(UNBOUNDED_SAMPLE_LIMIT)[value],
-                                minlength=rows)
         lengths += np.diff(np.searchsorted(row, np.arange(rows + 1, dtype=key_type)))  # row sorted
     starts = np.concatenate(([0], np.cumsum(lengths)))
     at = np.repeat(starts[:-1] - (np.cumsum(head_lengths) - head_lengths), head_lengths)
@@ -444,7 +482,7 @@ def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengt
         tail[at] = False
         observations[tail] = value
         counts[tail] = seen
-    return ValueRows(observations, counts, starts, log_sums, n)
+    return ValueRows(observations, counts, starts, _log_sums(observations, counts, starts), n)
 
 
 def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | ValueRows:
@@ -487,11 +525,11 @@ def sample(
     - Unbounded support: ValueRows.  A head 1..H, H the largest k with
       n p(k) >= 1 clipped to [16, 4096], is drawn as a multinomial over
       1..H plus one tail category; its nonzero counts are the row's first
-      distinct values, and its log sum a dot product.  Only the row's tail
-      observations are drawn by inverse transform on the tail's own cdf over
-      H+1..UNBOUNDED_SAMPLE_LIMIT, clamped like a one-sample draw; that cdf
-      and its guide table are built once per model and H.  The
-      stream gives all rows' head counts first, then all tail uniforms.
+      distinct values.  Only the row's tail observations are drawn by
+      inverse transform on the tail's own cdf over H+1..UNBOUNDED_SAMPLE_LIMIT,
+      clamped like a one-sample draw; that cdf and its guide table are built
+      once per model and H.  The stream gives all rows' head counts first,
+      then all tail uniforms.
       The batch is value_blocks' blocks of rows, joined.
 
     Finite-support batches consume the stream row after row, so drawing

@@ -14,14 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support, ValueRows
-from .series import (
-    finite_log_moments,
-    finite_moments,
-    natural_logs,
-    zeta_log_moments,
-    zeta_moments,
-)
+from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support, ValueRows, as_rows
+from .series import finite_moments, natural_logs, zeta_moments
+
+# Not called here: perfbench/tracing.py wraps these two names in this module,
+# so they stay importable from it until the benchmark reads its counts elsewhere.
+from .series import finite_log_moments, zeta_log_moments  # noqa: F401
 
 # Newton stops once a step is within ABSOLUTE_TOLERANCE; a row still running
 # after MAX_ITERATIONS steps is NaN, like a row without a root.
@@ -46,41 +44,19 @@ class NoRootError(ValueError):
     """The estimating equation has no root inside the admissible range."""
 
 
-def log_mean(sample: Sample | CountRows | ValueRows) -> float | np.ndarray:
-    """(sum ln x_i) / n, with the all-ones degenerate case nudged by ln 2.
+def log_mean(rows: CountRows | ValueRows) -> np.ndarray:
+    """(sum ln x_i) / n per row, with the all-ones degenerate case nudged by ln 2.
 
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
-    A Sample's log sum is that of its distinct values, each times its count.
-    CountRows and ValueRows give one mean per row.
     """
-    if isinstance(sample, Sample):
-        values, counts = sample.distinct
-        raw = float((counts * np.log(values.astype(np.float64))).sum())
-        if raw <= 0.0:
-            raw += _LN2
-        return raw / sample.n
-    if isinstance(sample, CountRows):
-        k = sample.table.shape[1]
-        raw = (sample.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
+    if isinstance(rows, CountRows):
+        k = rows.table.shape[1]
+        raw = (rows.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
     else:
-        raw = sample.log_sums.copy()
+        raw = rows.log_sums.copy()
     raw[raw <= 0.0] += _LN2
-    return raw / sample.n
-
-
-@lru_cache(maxsize=1024)
-def _mean_log_and_slope(gamma: float, support: Support) -> tuple[float, float]:
-    """Model mean of ln X and the variance of ln X (its negative slope).
-
-    Cached: every fit tests its target against the search range's ends.
-    """
-    if support.is_finite:
-        s0, s1, s2 = finite_log_moments(gamma, support.k)
-    else:
-        s0, s1, s2 = zeta_log_moments(gamma)
-    mean = s1 / s0
-    return mean, s2 / s0 - mean * mean
+    return raw / rows.n
 
 
 def _search_range(support: Support) -> tuple[float, float]:
@@ -88,24 +64,20 @@ def _search_range(support: Support) -> tuple[float, float]:
 
 
 def _mean_log_rows(gamma: np.ndarray, support: Support) -> tuple[np.ndarray, np.ndarray]:
-    """_mean_log_and_slope at each exponent of the array, from the row-wise sums."""
+    """Model mean of ln X and the variance of ln X (its negative slope) at each exponent."""
     s0, s1, s2 = finite_moments(gamma, support.k) if support.is_finite else zeta_moments(gamma)
     mean = s1 / s0
     return mean, s2 / s0 - mean * mean
-
-
-def _bound_nudge(support: Support, n: int) -> float:
-    """Shift of the mean log that scores one of n observations all at K as K-1."""
-    return (math.log(support.k) - math.log(support.k - 1)) / n
 
 
 @lru_cache(maxsize=32)
 def _start_table(support: Support) -> tuple[np.ndarray, ...]:
     """(model mean logs, exponents, d gamma / d mean log) on a grid over the search range.
 
-    Ordered by increasing mean log.  Unbounded, the mean log grows without
-    bound as gamma falls towards 1, so the grid crowds cubically towards low;
-    finite, it takes as many points as keep the build near 2^21 power terms.
+    Ordered by increasing mean log; the grid ends at the range's ends.
+    Unbounded, the mean log grows without bound as gamma falls towards 1, so
+    the grid crowds cubically towards low; finite, it takes as many points as
+    keep the build near 2^21 power terms.
     """
     low, high = _search_range(support)
     if support.is_finite:
@@ -141,36 +113,30 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
 
     CountRows over a finite support, and ValueRows over the unbounded one,
     are fitted all at once and give one estimate per row; a row without a
-    root is NaN.  A Sample is fitted as a batch of one row, and raises
-    NoRootError when it has no root.
+    root is NaN.  A Sample is fitted as its batch of one row (as_rows), and
+    raises NoRootError when it has no root.
     """
+    if isinstance(sample, Sample):
+        row = as_rows(sample, support)
+        root = float(mle_gamma(row, support)[0])
+        if math.isnan(root):
+            low, high = _search_range(support)
+            raise NoRootError(
+                f"estimating equation has no root in [{low}, {high}] "
+                f"(mean log of data: {log_mean(row)[0]:.6g})"
+            )
+        return root
+    target = log_mean(sample)
     if isinstance(sample, CountRows):
         k = support.k
         if k is None or sample.table.shape[1] != k:
             raise ValueError(f"count rows do not match the finite support 1..{support}")
-        target = log_mean(sample)
-        target[sample.table[:, -1] == sample.n] -= _bound_nudge(support, sample.n)
-        return _mle_rows(target, support)
-    if isinstance(sample, ValueRows):
-        if support.is_finite:
-            raise ValueError("value rows need the unbounded support")
-        return _mle_rows(log_mean(sample), support)
-    values = sample.distinct[0]
-    if not support.contains(values):
-        raise ValueError(f"observations exceed the declared support 1..{support}")
-    target = log_mean(sample)
-    if support.is_finite and values[0] == support.k:
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1
-        target -= _bound_nudge(support, sample.n)
-    root = float(_mle_rows(np.array([target]), support)[0])
-    if math.isnan(root):
-        low, high = _search_range(support)
-        raise NoRootError(
-            f"estimating equation has no root in [{low}, {high}] "
-            f"(mean log of data: {target:.6g})"
-        )
-    return root
+        target[sample.table[:, -1] == sample.n] -= (math.log(k) - math.log(k - 1)) / sample.n
+    elif support.is_finite:
+        raise ValueError("value rows need the unbounded support")
+    return _mle_rows(target, support)
 
 
 def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:
@@ -186,8 +152,8 @@ def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:
     ABSOLUTE_TOLERANCE.
     """
     low, high = _search_range(support)
-    mean_low = _mean_log_and_slope(low, support)[0]
-    mean_high = _mean_log_and_slope(high, support)[0]
+    means = _start_table(support)[0]
+    mean_low, mean_high = means[-1], means[0]
     out = np.where(target == mean_low, low, np.where(target == mean_high, high, np.nan))
     active = np.flatnonzero((target < mean_low) & (target > mean_high))
     lo, hi = np.full(active.size, low), np.full(active.size, high)

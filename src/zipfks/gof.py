@@ -3,11 +3,10 @@
 The statistic is the largest absolute gap between the fitted cdf and the
 empirical cdf, taken over the integers 1..max(observations).  Beyond the
 largest observation both curves only get closer, so stopping there is
-exact.  On a finite support the one-sample statistic accumulates both curves
-term by term in the same order, which keeps it bit-identical to a naive per-k
-scan; the batched one accumulates the running sum of their difference, so it
-can differ from that scan in the last bits (it did in 77 of 200 random
-samples).  On the unbounded support the gap is extremal at the ends of each
+exact.  One sample is scored as a batch of one row, by the kernel that
+scores the replicates.  On a finite support that kernel accumulates both
+curves term by term, as a naive per-k scan does, and so gives the scan's
+bits.  On the unbounded support the gap is extremal at the ends of each
 stretch of constant empirical cdf: just below and at each observed value.
 """
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, finite_cdf
-from .series import CHUNK_ELEMENTS, power_rows, zeta_cdf, zeta_moments
+from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, as_rows, finite_cdf
+from .series import CHUNK_ELEMENTS, zeta_cdf, zeta_moments
 
 
 @dataclass(frozen=True)
@@ -59,52 +58,44 @@ def ks_statistic(
 ) -> KsResult | np.ndarray:
     """Largest |fitted cdf - empirical cdf| over 1..max(observations).
 
-    CountRows and ValueRows scored against ZipfRows give one statistic per row.
+    CountRows and ValueRows scored against ZipfRows give one statistic per
+    row.  A Sample is scored as its batch of one row (as_rows).
     """
     if isinstance(sample, CountRows):
-        return _ks_rows(sample, model)
+        return _finite_gaps(sample, model).max(axis=1)
     if isinstance(sample, ValueRows):
         return _ks_value_rows(sample, model)
-    values, counts = sample.distinct
-    if not model.support.contains(values):
-        raise ValueError(f"observations exceed the support 1..{model.support}")
-    if model.support.is_finite:
-        return _ks_dense(values, counts, sample.n, model)
-    below, at = _endpoint_gaps(values, counts, np.array([values.size]), sample.n,
-                               np.array([model.gamma]), np.array([model.norm]))
+    row = as_rows(sample, model.support)
+    gamma = np.array([model.gamma])
+    if isinstance(row, CountRows):
+        gaps = _finite_gaps(row, ZipfRows(gamma, model.support))[0]
+        best = int(np.argmax(gaps))  # the first of equal gaps
+        return KsResult(statistic=float(gaps[best]), argmax_k=best + 1)
+    values = row.observations
+    below, at = _endpoint_gaps(values, row.counts, np.diff(row.starts), row.n, gamma,
+                               np.array([model.norm]))
     best = max(below.max(), at.max())
     # the smallest point among equal gaps; the gap below a value sits at value - 1
     points = np.concatenate((values[at == best], values[below == best] - 1))
     return KsResult(statistic=float(best), argmax_k=int(points.min()))
 
 
-def _ks_dense(values: np.ndarray, counts: np.ndarray, n: int, model: ZipfModel) -> KsResult:
-    """One sample's statistic on a finite support, from its distinct values and their counts."""
-    kmax = int(values[-1])
-    dense = np.zeros(kmax, dtype=np.int64)
-    dense[values - 1] = counts
-    empirical = np.cumsum(dense / n)
-    gaps = np.abs(finite_cdf(model, kmax) - empirical)
-    best = int(np.argmax(gaps))
-    return KsResult(statistic=float(gaps[best]), argmax_k=best + 1)
+def _finite_gaps(counts: CountRows, models: ZipfRows) -> np.ndarray:
+    """|fitted cdf - empirical cdf| of each row at 1..last, last the largest value in any row.
 
-
-def _ks_rows(counts: CountRows, models: ZipfRows) -> np.ndarray:
-    """Row-wise max of |fitted cdf - empirical cdf|, as one running sum per row.
-
-    The gap at k is the running sum of (fitted pmf - counts / n) up to k.
-    Past a row's largest observation its empirical cdf is 1 and the gap only
-    shrinks, so the sums stop at the largest value observed in any row.
+    Each curve is its own running sum, as a per-k scan takes them: the fitted
+    one of the pmf (finite_cdf), the empirical one of counts / n.  Past a
+    row's largest observation its empirical cdf is 1 and the gap only
+    shrinks.  A row whose fitted exponent is NaN has NaN gaps.
     """
     k = models.support.k
     if k is None or counts.table.shape[1] != k:
         raise ValueError(f"count rows do not match the finite support 1..{models.support}")
-    w = power_rows(models.gamma, k)
     last = int(np.flatnonzero(counts.table.any(axis=0))[-1]) + 1
-    gaps = w[:, :last] * (1.0 / w.sum(axis=1))[:, None]
-    gaps -= counts.table[:, :last] * (1.0 / counts.n)
-    np.cumsum(gaps, axis=1, out=gaps)
-    return np.maximum(gaps.max(axis=1), -gaps.min(axis=1))
+    gaps = finite_cdf(models.gamma, k, last)
+    empirical = counts.table[:, :last] / counts.n
+    gaps -= np.cumsum(empirical, axis=1, out=empirical)
+    return np.abs(gaps, out=gaps)
 
 
 def _endpoint_gaps(
@@ -132,23 +123,25 @@ def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
 
     Each row gives what ks_statistic gives on its own sample: both take the
     largest of _endpoint_gaps, with normalizers from the row-wise zeta
-    series.  Rows are taken in blocks of about CHUNK_ELEMENTS distinct values.
+    series.  Rows are taken in chunks of about CHUNK_ELEMENTS of work
+    (ValueRows.sizes), which bounds the per-row head tables as well as the
+    values that a chunk holds.
     """
     if models.support.is_finite:
         raise ValueError("value rows need the unbounded support")
-    starts = drawn.starts
+    starts, sizes = drawn.starts, drawn.sizes()
     rows = starts.size - 1
-    scored = ~np.isnan(models.gamma)
-    norm = np.full(rows, np.nan)
-    norm[scored] = zeta_moments(models.gamma[scored], 1)[0]
     out = np.empty(rows)
     lo = 0
     while lo < rows:
-        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + CHUNK_ELEMENTS, "right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(sizes, sizes[lo] + CHUNK_ELEMENTS, "right")) - 1)
+        gamma = models.gamma[lo:hi]
+        scored = ~np.isnan(gamma)
+        norm = np.full(hi - lo, np.nan)
+        norm[scored] = zeta_moments(gamma[scored], 1)[0]
         entries = slice(starts[lo], starts[hi])
         below, at = _endpoint_gaps(drawn.observations[entries], drawn.counts[entries],
-                                   np.diff(starts[lo : hi + 1]), drawn.n, models.gamma[lo:hi],
-                                   norm[lo:hi])
+                                   np.diff(starts[lo : hi + 1]), drawn.n, gamma, norm)
         out[lo:hi] = np.maximum.reduceat(np.maximum(below, at, out=at), starts[lo:hi] - starts[lo])
         lo = hi
     return out

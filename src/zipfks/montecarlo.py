@@ -45,7 +45,7 @@ from .distribution import (
 )
 from .estimate import mle_gamma
 from .gof import ZipfRows, ks_statistic
-from .series import CHUNK_ELEMENTS, HEAD_TERMS
+from .series import CHUNK_ELEMENTS
 
 DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
 
@@ -135,13 +135,10 @@ def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterat
 
 
 def _size(block: CountRows | ValueRows) -> int:
-    """A block's share of a batch: its count cells, or its distinct values and
-    HEAD_TERMS + 1 per row, the width of the table of head terms that the
-    unbounded fit and KS statistic build for every row, however few its values.
-    """
+    """A block's share of a batch: its count cells, or its work size (ValueRows.sizes)."""
     if isinstance(block, CountRows):
         return block.table.size
-    return int(block.starts[-1]) + (HEAD_TERMS + 1) * block.log_sums.size
+    return int(block.sizes()[-1])
 
 
 def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray, np.ndarray]:

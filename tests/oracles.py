@@ -8,7 +8,7 @@ plain bisection where the estimator safeguards its steps, written one
 exponent at a time on one-exponent moment sums (scalar_mle), then the
 one-sample ks_statistic.  It is the reference for the batched engines (count
 vectors on finite supports, distinct values on the unbounded one), whose
-vectorized fit it shares only the start table with.
+vectorized fit it shares only the start table and the one-row log mean with.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 from scipy import stats
 
-from zipfks.distribution import Sample, Support, ValueRows, ZipfModel
+from zipfks.distribution import Sample, Support, ValueRows, ZipfModel, as_rows, concatenate_rows
 from zipfks.estimate import NoRootError, _start, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.observations import ObservationParseError
@@ -109,10 +109,10 @@ def nth_element(values, rank: int) -> float:
 def scalar_mle(drawn: Sample, support: Support) -> float:
     """The estimator's fit of one sample, one exponent at a time; may raise NoRootError.
 
-    The same target as mle_gamma (the ln 2 nudge for all ones, the K - 1
-    nudge for all at K), the same start (estimate._start) and the same
-    stopping rule: Newton steps on finite_log_moments / zeta_log_moments
-    until a step is within 1e-5.  Stopping where the estimator stops keeps
+    The same target as mle_gamma (the one-row log mean with its ln 2 nudge
+    for all ones, the K - 1 nudge for all at K), the same start
+    (estimate._start) and the same stopping rule: Newton steps on
+    finite_log_moments / zeta_log_moments until a step is within 1e-5.  Stopping where the estimator stops keeps
     the KS statistic at this exponent comparable to 1e-12 with the batch's.
     Where the estimator's safeguarded loop replaces an iterate leaving its
     bracket by the bracket's midpoint, this fit instead bisects [-20, 20]
@@ -120,7 +120,7 @@ def scalar_mle(drawn: Sample, support: Support) -> float:
     that have not converged after 200 steps.
     """
     k = support.k
-    target = log_mean(drawn)
+    target = float(log_mean(as_rows(drawn, support))[0])
     if k is not None and int(drawn.observations.min()) == k:
         target -= (math.log(k) - math.log(k - 1)) / drawn.n
     low, high = (-20.0, 20.0) if k is not None else (1.05, 20.0)
@@ -168,20 +168,12 @@ def expand_counts(counts) -> Sample:
 
 
 def value_rows(samples: list[Sample]) -> ValueRows:
-    """The ValueRows batch of these equal-size samples, built with np.unique.
+    """The ValueRows batch of these equal-size samples, each reduced as one observed sample is.
 
-    A row's log sum is that of its distinct values, each times its count, as
-    the batched draw and the one-sample estimator take it.
+    Each sample is its batch of one row on the unbounded support (as_rows),
+    and the rows are joined, so a row's log sum is the one-row reduction's.
     """
-    values, counts = zip(*(np.unique(s.observations, return_counts=True) for s in samples))
-    lengths = [v.size for v in values]
-    return ValueRows(
-        observations=np.concatenate(values),
-        counts=np.concatenate(counts),
-        starts=np.concatenate(([0], np.cumsum(lengths))),
-        log_sums=np.array([(c * np.log(v.astype(np.float64))).sum() for v, c in zip(values, counts)]),
-        n=samples[0].n,
-    )
+    return concatenate_rows(as_rows(s, Support.unbounded()) for s in samples)
 
 
 def expand_value_rows(drawn: ValueRows) -> list[Sample]:

@@ -5,13 +5,24 @@ On a finite support a replicate is its count vector: CountRows are drawn by
 ``ks_statistic`` a whole matrix at a time.  Each row must agree with the
 scalar pipeline run on the sample those counts describe.
 """
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipfks.distribution import CountRows, RandomStream, Support, ValueRows, ZipfModel, pmf, sample
+from zipfks.distribution import (
+    CountRows,
+    RandomStream,
+    Support,
+    ValueRows,
+    ZipfModel,
+    as_rows,
+    pmf,
+    sample,
+)
 from zipfks.estimate import NoRootError, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_spans
@@ -58,10 +69,14 @@ class TestAgainstScalarOracle:
     @settings(max_examples=50, deadline=None)
     @given(k=st.integers(2, 1000), gamma=st.floats(-1.0, 4.0), n=st.integers(1, 500))
     def test_log_mean_per_row(self, k, gamma, n):
-        counts = sample(ZipfModel(gamma, Support.finite(k)), n, RandomStream([k, n]), rows=3)
+        support = Support.finite(k)
+        counts = sample(ZipfModel(gamma, support), n, RandomStream([k, n]), rows=3)
         got = log_mean(counts)
         for row, table_row in enumerate(counts.table):
-            assert got[row] == pytest.approx(log_mean(expand_counts(table_row)), rel=1e-13, abs=1e-15)
+            one = expand_counts(table_row)
+            assert got[row] == log_mean(as_rows(one, support))[0]
+            want = math.fsum(math.log(v) for v in one.observations.tolist()) or math.log(2.0)
+            assert got[row] == pytest.approx(want / n, rel=1e-13, abs=1e-15)
 
 
 class TestEdges:

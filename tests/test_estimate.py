@@ -14,6 +14,7 @@ from zipfks.distribution import (
     Support,
     ValueRows,
     ZipfModel,
+    as_rows,
     sample,
 )
 from zipfks.estimate import (
@@ -41,16 +42,24 @@ def draw(gamma, support_k, n, seed):
     return sample(model, n, RandomStream.for_replicate(seed, 0, 0))
 
 
+def row_log_mean(values, support=Support.unbounded()):
+    """log_mean of the sample as its batch of one row on the support."""
+    return log_mean(as_rows(Sample(values), support))[0]
+
+
 class TestLogMean:
     def test_exact_small_case(self):
-        assert log_mean(Sample([1, 2, 4])) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert row_log_mean([1, 2, 4]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert row_log_mean([1, 2, 4], Support.finite(4)) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_all_ones_nudged_by_ln2(self):
-        assert log_mean(Sample([1] * 10)) == pytest.approx(math.log(2.0) / 10.0, abs=1e-15)
-        assert log_mean(Sample([1])) == pytest.approx(math.log(2.0), abs=1e-15)
+        for support in (Support.unbounded(), Support.finite(2)):
+            assert row_log_mean([1] * 10, support) == pytest.approx(math.log(2.0) / 10.0, abs=1e-15)
+            assert row_log_mean([1], support) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_nudge_not_applied_otherwise(self):
-        assert log_mean(Sample([2])) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert row_log_mean([2]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert row_log_mean([2], Support.finite(2)) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -59,12 +68,13 @@ class TestLogMean:
     def test_matches_compensated_summation(self):
         obs = draw(2.0, 1000, 1000, seed=3).observations
         expected = math.fsum(math.log(int(v)) for v in obs) / obs.size
-        assert log_mean(Sample(obs)) == pytest.approx(expected, rel=1e-12)
+        for support in (Support.finite(1000), Support.unbounded()):
+            assert row_log_mean(obs, support) == pytest.approx(expected, rel=1e-12)
 
     def test_huge_values_use_direct_logs(self):
         obs = np.array([3, 10**7, 10**9])
         expected = math.fsum(math.log(v) for v in [3, 10**7, 10**9]) / 3
-        assert log_mean(Sample(obs)) == pytest.approx(expected, rel=1e-12)
+        assert row_log_mean(obs) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMleGamma:
@@ -180,16 +190,14 @@ class TestMleGamma:
             assert checked >= 3
 
     def test_root_condition_holds(self):
-        from zipfks.estimate import _mean_log_and_slope
-
         rng = np.random.default_rng(9)
         for _ in range(20):
             k = int(rng.choice([20, 100, 1000]))
             gamma = float(rng.uniform(0.3, 3.5))
             obs = draw(gamma, k, int(rng.integers(10, 500)), seed=int(rng.integers(1 << 30)))
             got = mle_gamma(obs, Support.finite(k))
-            mean, _ = _mean_log_and_slope(got, Support.finite(k))
-            assert abs(mean - log_mean(obs)) < 1e-6
+            (mean,), _ = estimate._mean_log_rows(np.array([got]), Support.finite(k))
+            assert abs(mean - row_log_mean(obs.observations, Support.finite(k))) < 1e-6
 
     def test_observations_outside_support_rejected(self):
         with pytest.raises(ValueError):
@@ -300,6 +308,28 @@ class TestFitProperties:
             want = golden_section_mle(one.observations, support_k, low, got[row] + 0.5)
             assert abs(got[row] - want) < 1e-4
 
+    @settings(max_examples=60, deadline=None)
+    @given(support_k=st.sampled_from([2, 20, 1000, None]), data=st.data(),
+           n=st.one_of(st.integers(1, 12), st.integers(1, 2000)), rows=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_equal_one_sample_fit_and_ks_exactly(self, support_k, data, n, rows, seed):
+        # an observed sample is fitted and scored as its batch of one row, so
+        # each drawn row's estimate and statistic are those of its sample, bit
+        # for bit, and NaN exactly where the sample's fit finds no root
+        support = Support(k=support_k)
+        gamma = data.draw(st.floats(1.05, 6.0) if support_k is None else st.floats(-1.0, 4.0))
+        drawn = draw_rows(support_k, gamma, n, rows, seed)
+        got = mle_gamma(drawn, support)
+        ks = ks_statistic(drawn, ZipfRows(got, support))
+        for row, one in enumerate(row_samples(drawn)):
+            try:
+                want = mle_gamma(one, support)
+            except NoRootError:
+                assert np.isnan(got[row]) and np.isnan(ks[row])
+                continue
+            assert got[row] == want
+            assert ks[row] == ks_statistic(one, ZipfModel(want, support)).statistic
+
     @settings(max_examples=40, deadline=None)
     @given(cell=cells(), n=st.integers(1, 2000), rows=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_row_fit_alone_equals_row_fit_in_batch(self, cell, n, rows, seed):
@@ -337,6 +367,17 @@ class TestFitProperties:
 
 
 class TestStart:
+    @pytest.mark.parametrize("support_k", [None, 2, 20, 1000, 32766])
+    def test_table_ends_are_the_search_range_ends(self, support_k):
+        # _mle_rows takes the range's end means from the table's ends, so a
+        # target has a root exactly when it lies between them
+        support = Support(k=support_k)
+        mean, gamma, _ = estimate._start_table(support)
+        low, high = _search_range(support)
+        assert (gamma[-1], gamma[0]) == (low, high)
+        (mean_low, mean_high), _ = estimate._mean_log_rows(np.array([low, high]), support)
+        assert (mean[-1], mean[0]) == (mean_low, mean_high)
+
     def test_targets_beyond_the_table(self):
         # all ones at n = 2x10^6 sits below the mean log at gamma = 20, all
         # at K above the one at -20, and a mean log of ln 10^9 above the

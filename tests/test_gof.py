@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
 from zipfks.gof import ZipfRows, judge, ks_statistic
 
-from oracles import brute_force_ks, value_rows
+from oracles import brute_force_ks, expand_counts, value_rows
 
 # Values on both sides of each seam of the unbounded cdf (the running sum of
 # the first 32 terms, the old 4096-point scan, the 65535 sampling limit) and
@@ -45,6 +45,22 @@ class TestOracleEquality:
             want_stat, want_k = brute_force_ks(obs.observations, fitted)
             assert got.statistic == want_stat
             assert got.argmax_k == want_k
+
+    def test_batched_rows_match_brute_force_exactly(self):
+        # each row of a count batch, scored against its own exponent, gives the
+        # per-k scan's bits: both curves are running sums taken term by term
+        rng = np.random.default_rng(321)
+        for trial in range(60):
+            k = int(rng.choice([2, 5, 20, 50, 1000]))
+            support = Support.finite(k)
+            model_gen = ZipfModel(float(rng.uniform(0.3, 3.0)), support)
+            n = int(rng.integers(1, 301))
+            drawn = sample(model_gen, n, RandomStream.for_replicate(2000 + trial, 0, 0), rows=20)
+            gammas = rng.uniform(0.3, 3.0, 20)
+            got = ks_statistic(drawn, ZipfRows(gammas, support))
+            for row, counts in enumerate(drawn.table):
+                want, _ = brute_force_ks(expand_counts(counts).observations, ZipfModel(gammas[row], support))
+                assert got[row] == want
 
     def test_sparse_path_agrees_with_dense_scan(self):
         # unbounded fits take the endpoint route once observations are large;

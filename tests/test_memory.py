@@ -1,14 +1,15 @@
-"""Memory guards: one-sample fits, unbounded spans and batches of spans hold bounded working memory.
+"""Memory guards: one-sample fits, unbounded spans, batches of spans and KS chunks hold bounded working memory.
 
 Peaks are taken with tracemalloc, which also sees numpy's array buffers.
 """
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from zipfks.distribution import _BLOCK_CHUNKS, RandomStream, Support, ZipfModel, sample
 from zipfks.estimate import mle_gamma
-from zipfks.gof import ks_statistic
+from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_spans
 from zipfks.series import CHUNK_ELEMENTS
 
@@ -72,3 +73,18 @@ def test_light_repetition_is_scored_in_budgeted_batches(k, gamma, n):
     results = 2 * 2 * 8 * config.replicates  # ks and gamma_hat, per batch and joined
     _run_spans((config, 0, 0, 1))  # builds the tables
     assert traced_peak(lambda: _run_spans((config, 0, 0, spans))) < (6 * 8 * budget + results) / MB
+
+
+def test_unbounded_ks_chunks_bound_the_head_tables_of_many_short_rows():
+    # 10^5 one-value rows: chunked by distinct values alone, one chunk held a
+    # 10^5 x 33 table of head terms and the normalizers' Euler-Maclaurin
+    # factors of every row (53 MB); by work size, a chunk takes a few arrays
+    # of CHUNK_ELEMENTS floats, beside the per-row sizes and results
+    rows = 10**5
+    model = ZipfModel(2.0, Support.unbounded())
+    drawn = sample(model, 1, RandomStream([5]), rows=rows)
+    models = ZipfRows(np.full(rows, model.gamma), model.support)
+    warm = ZipfRows(np.full(10, model.gamma), model.support)
+    ks_statistic(sample(model, 1, RandomStream([4]), rows=10), warm)  # builds the tables
+    per_row = 2 * 8 * rows
+    assert traced_peak(lambda: ks_statistic(drawn, models)) < (6 * 8 * CHUNK_ELEMENTS + per_row) / MB

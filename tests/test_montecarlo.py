@@ -9,7 +9,7 @@ import pytest
 from zipfks import distribution, montecarlo
 from zipfks.distribution import RandomStream, Support, ZipfModel, sample
 from zipfks.estimate import mle_gamma
-from zipfks.gof import ZipfRows, ks_statistic
+from zipfks.gof import ZipfRows, judge, ks_statistic
 from zipfks.montecarlo import (
     _RETRY_OFFSET,
     _SPAN,
@@ -218,6 +218,30 @@ class TestRunReplicate:
         cfg = config(n=3, support=Support.finite(20), gamma=-30.0, replicates=100)
         with pytest.raises(SimulationError, match=r"replicate \d+ \(repetition 0, gamma=-30.0, n=3"):
             _run_spans((cfg, 0, 0, 1))
+
+
+class TestObservedSample:
+    """An observed sample is scored as the replicate with the same counts is."""
+
+    def test_sample_tying_a_cutoff_is_not_rejected(self):
+        # the 0.9 cutoff of this cell is one replicate's statistic; its counts,
+        # read back as an observed sample, must score exactly that, so a verdict
+        # never rejects data that only ties the cutoff
+        cfg = SimulationConfig(n=5, support=Support(20), gamma=2.0, base_seed=7,
+                               replicates=2048, repetitions=1)
+        cutoff = dict(run_simulation(cfg, 1))[0.9]
+        ks, _ = _run_spans((cfg, 0, 0, 4))
+        tied = np.flatnonzero(ks == cutoff)
+        assert 1951 in tied
+        model = ZipfModel(cfg.gamma, cfg.support)
+        for index in tied:
+            span, row = divmod(int(index), _SPAN)
+            stream = RandomStream.for_replicate(cfg.base_seed, 0, span)
+            observed = expand_counts(sample(model, cfg.n, stream, rows=_SPAN).table[row])
+            fitted = ZipfModel(mle_gamma(observed, cfg.support), cfg.support)
+            statistic = ks_statistic(observed, fitted).statistic
+            assert statistic == cutoff
+            assert not judge(statistic, cutoff, 0.9).rejected
 
 
 def span_by_span(cfg, repetition):
