@@ -288,7 +288,7 @@ def cdf(model: ZipfModel, k: int) -> float:
     if model.support.is_finite:
         return float(finite_cdf(gamma, model.support.k, k)[0, -1])
     one = np.zeros(1, dtype=np.int64)
-    return float(zeta_cdf(gamma, np.array([model.norm]), one, one + k)[1][0])
+    return float(zeta_cdf(gamma, one, one + k)[1][0])
 
 
 class RandomStream:

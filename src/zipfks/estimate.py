@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support, ValueRows, as_rows
-from .series import finite_moments, natural_logs, zeta_moments
+from .series import CHUNK_ELEMENTS, HEAD_TERMS, finite_moments, natural_logs, zeta_moments
 
 # Not called here: perfbench/tracing.py wraps these two names in this module,
 # so they stay importable from it until the benchmark reads its counts elsewhere.
@@ -111,10 +111,10 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
     Newton-Raphson from the start table (_start), kept inside a shrinking
     bracket of the root (see _mle_rows).
 
-    CountRows over a finite support, and ValueRows over the unbounded one,
-    are fitted all at once and give one estimate per row; a row without a
-    root is NaN.  A Sample is fitted as its batch of one row (as_rows), and
-    raises NoRootError when it has no root.
+    CountRows over a finite support are fitted all at once, and ValueRows
+    over the unbounded one in chunks of rows; either gives one estimate per
+    row, and a row without a root is NaN.  A Sample is fitted as its batch
+    of one row (as_rows), and raises NoRootError when it has no root.
     """
     if isinstance(sample, Sample):
         row = as_rows(sample, support)
@@ -134,9 +134,16 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1
         target[sample.table[:, -1] == sample.n] -= (math.log(k) - math.log(k - 1)) / sample.n
-    elif support.is_finite:
+        return _mle_rows(target, support)
+    if support.is_finite:
         raise ValueError("value rows need the unbounded support")
-    return _mle_rows(target, support)
+    # A fit holds some floats per row and none per value: at most as many
+    # rows at once as CHUNK_ELEMENTS of work would hold (ValueRows.sizes).
+    step = CHUNK_ELEMENTS // (HEAD_TERMS + 1)
+    out = np.empty(target.size)
+    for lo in range(0, target.size, step):
+        out[lo : lo + step] = _mle_rows(target[lo : lo + step], support)
+    return out
 
 
 def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, as_rows, finite_cdf
-from .series import CHUNK_ELEMENTS, zeta_cdf, zeta_moments
+from .series import CHUNK_ELEMENTS, zeta_cdf
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def ks_statistic(
         best = int(np.argmax(gaps))  # the first of equal gaps
         return KsResult(statistic=float(gaps[best]), argmax_k=best + 1)
     values = row.observations
-    below, at = _endpoint_gaps(values, row.counts, np.diff(row.starts), row.n, gamma,
-                               np.array([model.norm]))
+    below, at = _endpoint_gaps(values, row.counts, np.diff(row.starts), row.n, gamma)
     best = max(below.max(), at.max())
     # the smallest point among equal gaps; the gap below a value sits at value - 1
     points = np.concatenate((values[at == best], values[below == best] - 1))
@@ -99,19 +98,18 @@ def _finite_gaps(counts: CountRows, models: ZipfRows) -> np.ndarray:
 
 
 def _endpoint_gaps(
-    values: np.ndarray, counts: np.ndarray, lengths: np.ndarray, n: int,
-    gamma: np.ndarray, norm: np.ndarray,
+    values: np.ndarray, counts: np.ndarray, lengths: np.ndarray, n: int, gamma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """|fitted cdf - empirical cdf| just below and at each distinct value of some samples.
 
     Sample r holds the next lengths[r] sorted values, seen ``counts`` times out of n,
-    fitted by gamma[r] with zeta sum norm[r].  Its empirical cdf is an integer
-    running count, restarted at the sample, so no sample depends on the others.
+    fitted by gamma[r].  Its empirical cdf is an integer running count,
+    restarted at the sample, so no sample depends on the others.
     """
     offsets = np.cumsum(lengths) - lengths
     seen = np.cumsum(counts)
     seen -= np.repeat(seen[offsets] - counts[offsets], lengths)  # observations <= value
-    below, at = zeta_cdf(gamma, norm, np.repeat(np.arange(lengths.size), lengths), values)
+    below, at = zeta_cdf(gamma, np.repeat(np.arange(lengths.size), lengths), values)
     at -= seen / n
     seen -= counts
     below -= seen / n
@@ -122,10 +120,9 @@ def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
     """Row-wise KS statistic of unbounded samples, NaN where the fitted exponent is NaN.
 
     Each row gives what ks_statistic gives on its own sample: both take the
-    largest of _endpoint_gaps, with normalizers from the row-wise zeta
-    series.  Rows are taken in chunks of about CHUNK_ELEMENTS of work
-    (ValueRows.sizes), which bounds the per-row head tables as well as the
-    values that a chunk holds.
+    largest of _endpoint_gaps.  Rows are taken in chunks of about
+    CHUNK_ELEMENTS of work (ValueRows.sizes), which bounds the per-row head
+    tables as well as the values that a chunk holds.
     """
     if models.support.is_finite:
         raise ValueError("value rows need the unbounded support")
@@ -135,13 +132,9 @@ def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
     lo = 0
     while lo < rows:
         hi = max(lo + 1, int(np.searchsorted(sizes, sizes[lo] + CHUNK_ELEMENTS, "right")) - 1)
-        gamma = models.gamma[lo:hi]
-        scored = ~np.isnan(gamma)
-        norm = np.full(hi - lo, np.nan)
-        norm[scored] = zeta_moments(gamma[scored], 1)[0]
         entries = slice(starts[lo], starts[hi])
         below, at = _endpoint_gaps(drawn.observations[entries], drawn.counts[entries],
-                                   np.diff(starts[lo : hi + 1]), drawn.n, gamma, norm)
+                                   np.diff(starts[lo : hi + 1]), drawn.n, models.gamma[lo:hi])
         out[lo:hi] = np.maximum.reduceat(np.maximum(below, at, out=at), starts[lo:hi] - starts[lo])
         lo = hi
     return out

@@ -7,8 +7,9 @@ valid for parameters estimated from the data).
 
 Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
 that draw from one stream keyed on (base_seed, repetition, span_index), so
-results do not depend on worker count or scheduling.  A pool task is one
-span; run in process, a task is a whole repetition.  A task's spans are
+results do not depend on worker count or scheduling.  A task is a run of
+contiguous spans of one repetition: run in process, the whole repetition;
+on a pool, about a quarter of one worker's share of it.  A task's spans are
 drawn a block of rows at a time.  On a finite support a block is a matrix of
 count vectors.  On the unbounded support each replicate is reduced, as it
 is drawn, to its log sum and its distinct values with their counts, and a
@@ -149,9 +150,10 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     of several, are collected while their _sizes add up to at most
     CHUNK_ELEMENTS on a finite support, or _BLOCK_CHUNKS * CHUNK_ELEMENTS on
     the unbounded one, and are then joined, fitted and scored as one batch; a
-    block past that budget on its own is scored alone.  A row's fit and
-    statistic do not depend on the rows batched with it, so results do not
-    depend on how spans are grouped into tasks.
+    block past that budget on its own is scored alone.  A task is a whole
+    repetition in process and a run of its spans on a pool (_replicate_ks);
+    a row's fit and statistic do not depend on the rows batched with it, so
+    results do not depend on how spans are grouped into tasks.
 
     A replicate whose fit finds no root is redrawn once, alone, on an offset
     stream; a second failure aborts, since silently dropping replicates would
@@ -249,24 +251,30 @@ def _estimated_seconds(config: SimulationConfig) -> float:
 
 
 @contextlib.contextmanager
-def _worker_pool(workers: int | None, seconds: float) -> Iterator[multiprocessing.pool.Pool | None]:
-    """A process pool for more than one worker and enough work, else None."""
+def _worker_pool(
+    workers: int | None, seconds: float
+) -> Iterator[tuple[multiprocessing.pool.Pool | None, int]]:
+    """A pool and its worker count for more than one worker and enough work, else (None, 1)."""
     workers = resolve_workers(workers)
     if workers == 1 or seconds < _POOL_MIN_SECONDS:
-        yield None
+        yield None, 1
         return
     with multiprocessing.get_context().Pool(workers) as pool:
-        yield pool
+        yield pool, workers
 
 
-def _replicate_ks(config: SimulationConfig, pool: multiprocessing.pool.Pool | None) -> np.ndarray:
+def _replicate_ks(
+    config: SimulationConfig, pool: multiprocessing.pool.Pool | None, workers: int
+) -> np.ndarray:
     """KS statistic of every replicate, shape (repetitions, replicates).
 
-    In process, a task is a whole repetition, so that its batches can cross
-    spans; on a pool, a task is one span, which balances the workers' load.
+    A task is a run of contiguous spans of one repetition, so that its
+    batches can cross spans.  In process it is the whole repetition; on a
+    pool of ``workers`` it is ceil(spans / (4 workers)) spans, about four
+    tasks per worker and repetition, which balances the workers' load.
     """
     spans = -(-config.replicates // _SPAN)
-    step = spans if pool is None else 1
+    step = spans if pool is None else -(-spans // (4 * workers))
     tasks = [
         (config, repetition, first, min(first + step, spans))
         for repetition in range(config.repetitions)
@@ -278,20 +286,22 @@ def _replicate_ks(config: SimulationConfig, pool: multiprocessing.pool.Pool | No
 
 
 def run_simulation(
-    config: SimulationConfig, workers: int | multiprocessing.pool.Pool | None = None
+    config: SimulationConfig,
+    workers: int | tuple[multiprocessing.pool.Pool | None, int] | None = None,
 ) -> list[tuple[float, float]]:
     """(level, cutoff) pairs: per-repetition order quantiles averaged over repetitions.
 
-    ``workers`` is a worker count (None: every CPU this process may use) or a
-    running pool to share, as build_table does across its cells.  A count is
-    an upper bound: a call estimated to take under _POOL_MIN_SECONDS of
-    serial work runs in process.  Results never depend on it.
+    ``workers`` is a worker count (None: every CPU this process may use) or
+    what _worker_pool gives, a pool (None: in process) and its worker count,
+    to share, as build_table does across its cells.  A count is an upper
+    bound: a call estimated to take under _POOL_MIN_SECONDS of serial work
+    runs in process.  Results never depend on it.
     """
-    if isinstance(workers, multiprocessing.pool.Pool):
-        ks = _replicate_ks(config, workers)
+    if isinstance(workers, tuple):
+        ks = _replicate_ks(config, *workers)
     else:
-        with _worker_pool(workers, _estimated_seconds(config)) as pool:
-            ks = _replicate_ks(config, pool)
+        with _worker_pool(workers, _estimated_seconds(config)) as shared:
+            ks = _replicate_ks(config, *shared)
     per_level = np.mean([order_quantiles(row, config.quantiles) for row in ks], axis=0)
     return list(zip(config.quantiles, (float(c) for c in per_level)))
 
@@ -389,11 +399,11 @@ def build_table(
             progress(gamma, n, time.perf_counter() - started, cells[(gamma, n)])
         started = time.perf_counter()
 
-    with _worker_pool(workers, sum(map(_estimated_seconds, configs))) as pool:
+    with _worker_pool(workers, sum(map(_estimated_seconds, configs))) as shared:
         for config in configs:
             gamma, n = config.gamma, config.n
             try:
-                pairs = run_simulation(config, pool or 1)
+                pairs = run_simulation(config, shared)
             except Exception as err:
                 raise SimulationError(f"table cell (gamma={gamma}, n={n}) failed: {err}") from err
             cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)

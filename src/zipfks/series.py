@@ -11,9 +11,6 @@ Euler-Maclaurin tail whose error bound is checked explicitly.
 """
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
 # Largest admissible finite support; dense log tables never exceed it by much.
@@ -32,6 +29,11 @@ _EM_WEIGHTS = np.repeat([[[1 / 12]], [[-1 / 720]], [[1 / 30240]], [[-1 / 1209600
 
 # A column of 0, 1, 2, ...: shifts of the exponent and powers of ln k.
 _SHIFTS = np.arange(10.0)[:, None]
+
+# Where the tail of a zeta sum starts, and its remainder bound's scale
+# (9 + 9 ln a)^p |B_8| / (8! a^7), p = 0, 1, 2 (see zeta_moments).
+_TAIL_START = np.full(1, HEAD_TERMS + 1.0)
+_BOUND_SCALE = (9.0 + 9.0 * np.log(_TAIL_START)) ** _SHIFTS[:3] / (1209600.0 * _TAIL_START**7)
 
 # Batched evaluations take their rows in blocks of about this many elements.
 # No result depends on it: a row's values do not depend on its block.
@@ -146,52 +148,29 @@ def _tail_factors(
     return np.exp(gammas * -L), b, rising[6]
 
 
-@lru_cache(maxsize=None)
-def _head_constants(m: int, moments: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tail start a = m + 1 and bound scale (9 + 9 ln a)^p |B_8| / (8! a^7)."""
-    scale = (9.0 + 9.0 * math.log(m + 1)) ** _SHIFTS[:moments] / (1209600.0 * (m + 1.0) ** 7)
-    out = (np.full(1, m + 1.0), scale)
-    for shared in out:
-        shared.flags.writeable = False
-    return out
-
-
 def zeta_moments(gammas: np.ndarray, moments: int = 3) -> np.ndarray:
     """(moments x rows) array of s_p = sum_{k>=1} k^(-gamma) (ln k)^p, p < moments, gamma > 1.
 
-    Terms 1..m plus the tail from a = m + 1, whose remainder is below |B_8| / 8!
-    times the integral of |f^(8)|: each differentiation of x^(-gamma) (ln x)^p
-    scales its polynomial in ln x >= 1 by at most gamma + p + j, so that is below
-    (gamma + p)_8 a^(-gamma-7) (1 + ln a)^p / (gamma + 7), and the first factor
-    over the last is below 9^p (gamma)_7.  Each exponent doubles its own m from
-    HEAD_TERMS until this bound is below SERIES_RTOL of every requested sum, so
-    no row depends on the others.  From gamma = 1 + 1e-6 to 200 all close at
-    m = 32; the bound comes closest, 0.8 SERIES_RTOL, for s_2 at gamma = 2.5.
+    Terms 1..HEAD_TERMS plus the tail from a = HEAD_TERMS + 1, whose remainder
+    is below |B_8| / 8! times the integral of |f^(8)|: each differentiation of
+    x^(-gamma) (ln x)^p scales its polynomial in ln x >= 1 by at most
+    gamma + p + j, so that is below (gamma + p)_8 a^(-gamma-7) (1 + ln a)^p /
+    (gamma + 7), and the first factor over the last is below 9^p (gamma)_7.
+    A row whose bound is not below SERIES_RTOL of each requested sum raises
+    RuntimeError.  No exponent from 1 + 1e-6 to 1e3 does; the bound comes
+    closest, 0.8 SERIES_RTOL, for s_2 at gamma = 2.5.  Every row is summed on
+    its own, so no row depends on the others.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if not (gammas > 1.0).all():
         raise ValueError(f"series diverges for gamma <= 1, got {gammas[~(gammas > 1.0)][0]}")
-    g, m, todo = gammas, HEAD_TERMS, None  # todo: the rows still open, None while all are
-    while True:
-        if m > 1 << 22:
-            raise RuntimeError(f"tail bound not converging at gamma={g[0]}")
-        start, scale = _head_constants(m, moments)
-        power, sums, rising = _tail_factors(g, start, moments)
-        sums *= power
-        step = max(1, CHUNK_ELEMENTS // m)
-        for lo in range(0, g.size, step):
-            sums[:, lo : lo + step] += finite_moments(g[lo : lo + step], m, moments)
-        done = rising * power * scale <= SERIES_RTOL * sums
-        if todo is None:
-            if done.all():
-                return sums
-            todo, out = np.arange(gammas.size), np.empty((moments, gammas.size))
-        done = done.all(axis=0)
-        out[:, todo[done]] = sums[:, done]
-        todo = todo[~done]
-        if not todo.size:
-            return out
-        g, m = gammas[todo], 2 * m
+    power, sums, rising = _tail_factors(gammas, _TAIL_START, moments)
+    sums *= power
+    sums += finite_moments(gammas, HEAD_TERMS, moments)
+    open_rows = (rising * power * _BOUND_SCALE[:moments] > SERIES_RTOL * sums).any(axis=0)
+    if open_rows.any():
+        raise RuntimeError(f"tail bound above SERIES_RTOL at gamma={gammas[open_rows][0]}")
+    return sums
 
 
 def zeta_log_moments(gamma: float) -> tuple[float, float, float]:
@@ -206,25 +185,30 @@ def zeta_value(gamma: float) -> float:
 
 
 def zeta_cdf(
-    gammas: np.ndarray, norms: np.ndarray, rows: np.ndarray, values: np.ndarray
+    gammas: np.ndarray, rows: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F(v - 1), F(v)) at each value v >= 1 under the unbounded model of row rows[i].
 
-    Row r's exponent is gammas[r] and its zeta sum norms[r].  Up to HEAD_TERMS, F is
-    a running sum of the pmf; above, with t = sum_{k>=v} k^(-gamma) = v^(-gamma) b,
-    F(v - 1) = 1 - t / zeta and F(v) = 1 - v^(-gamma) (b - 1) / zeta.
+    Row r's exponent is gammas[r].  Its zeta sum is that of zeta_moments, but
+    with the terms 1..HEAD_TERMS taken as the running sum S that its cdf is
+    read from: up to HEAD_TERMS, F = S / zeta; above, with t = sum_{k>=v}
+    k^(-gamma) = v^(-gamma) b, F(v - 1) = 1 - t / zeta and F(v) = 1 -
+    v^(-gamma) (b - 1) / zeta.  A NaN exponent gives NaN.
     """
-    head = np.zeros((gammas.size, HEAD_TERMS + 1))  # head[r, k] = F(k) for k <= HEAD_TERMS
-    np.cumsum(power_rows(gammas, HEAD_TERMS) * (1.0 / norms)[:, None], axis=1, out=head[:, 1:])
+    count = gammas.size
+    big = values > HEAD_TERMS
+    starts = np.concatenate((np.full(count, HEAD_TERMS + 1.0), values[big]))
+    power, b, _ = _tail_factors(gammas, starts, 1, np.concatenate((np.arange(count), rows[big])))
+    b = b[0]
+    head = np.zeros((count, HEAD_TERMS + 1))  # head[r, k] = S(k), then F(k), for k <= HEAD_TERMS
+    np.cumsum(power_rows(gammas, HEAD_TERMS), axis=1, out=head[:, 1:])
+    scale = 1.0 / (head[:, -1] + power[:count] * b[:count])  # 1 / zeta
+    head *= scale[:, None]
     below, at = np.empty(values.size), np.empty(values.size)
-    small = values <= HEAD_TERMS
+    small = ~big
     row, value = rows[small], values[small]
     below[small], at[small] = head[row, value - 1], head[row, value]
-    big = ~small
-    if big.any():
-        row = rows[big]
-        power, b, _ = _tail_factors(gammas, values[big].astype(np.float64), 1, row)
-        power *= (1.0 / norms)[row]
-        below[big] = 1.0 - power * b[0]
-        at[big] = 1.0 - power * (b[0] - 1.0)
+    power, b = power[count:] * scale[rows[big]], b[count:]
+    below[big] = 1.0 - power * b
+    at[big] = 1.0 - power * (b - 1.0)
     return below, at

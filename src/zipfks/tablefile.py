@@ -28,17 +28,13 @@ class TableFormatError(ValueError):
     """The file does not parse back into a cutoff table."""
 
 
-def _support_label(support: Support) -> str:
-    return "inf" if support.k is None else str(support.k)
-
-
 def write_table(table: CutoffTable, path: str | os.PathLike) -> None:
     """Serialize; only tables at the standard four quantile levels fit the schema."""
     if table.levels != DEFAULT_LEVELS:
         raise TableFormatError(
             f"the table file schema holds levels {DEFAULT_LEVELS}, got {table.levels}"
         )
-    label = _support_label(table.support)
+    label = str(table.support)
     lines = [
         f"# replicates={table.replicates}",
         f"# repetitions={table.repetitions}",

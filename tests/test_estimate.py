@@ -33,6 +33,7 @@ from oracles import (
     expand_value_rows,
     golden_section_mle,
     log_likelihood,
+    scalar_mle,
     scalar_score,
 )
 
@@ -364,6 +365,31 @@ class TestFitProperties:
                 return
             i = data.draw(st.sampled_from(lower))
             obs[i] = data.draw(st.integers(obs[i] + 1, top))
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("support_k", [None, 20])
+    def test_bisected_fit_stops_on_a_newton_step_only(self, monkeypatch, support_k):
+        # a zero slope more than 1e-8 from the root makes every such Newton
+        # step infinite, so the fit bisects from the range's low end until
+        # its bracket is far under 2e-5 wide; a fit that also stopped on a
+        # midpoint within ABSOLUTE_TOLERANCE would stop up to 1e-5 off
+        support = Support(k=support_k)
+        one = draw(2.0, support_k, 100, seed=3)
+        root = scalar_mle(one, support)  # also builds the start table
+        mean_log_rows = estimate._mean_log_rows
+        evaluated = []
+
+        def flat_far_from_root(gamma, support):
+            evaluated.append(gamma.size)
+            mean, slope = mean_log_rows(gamma, support)
+            return mean, np.where(np.abs(gamma - root) > 1e-8, 0.0, slope)
+
+        low, high = _search_range(support)
+        force_start(monkeypatch, low)
+        monkeypatch.setattr(estimate, "_mean_log_rows", flat_far_from_root)
+        assert abs(mle_gamma(one, support) - root) <= 1e-9
+        assert len(evaluated) > math.log2((high - low) / 2e-5)
 
 
 class TestStart:

@@ -1,4 +1,4 @@
-"""Memory guards: one-sample fits, unbounded spans, batches of spans and KS chunks hold bounded working memory.
+"""Memory guards: one-sample fits, unbounded spans, batches of spans and fit and KS chunks hold bounded working memory.
 
 Peaks are taken with tracemalloc, which also sees numpy's array buffers.
 """
@@ -88,3 +88,15 @@ def test_unbounded_ks_chunks_bound_the_head_tables_of_many_short_rows():
     ks_statistic(sample(model, 1, RandomStream([4]), rows=10), warm)  # builds the tables
     per_row = 2 * 8 * rows
     assert traced_peak(lambda: ks_statistic(drawn, models)) < (6 * 8 * CHUNK_ELEMENTS + per_row) / MB
+
+
+def test_unbounded_fit_chunks_bound_the_newton_state_of_many_short_rows():
+    # 10^5 one-value rows fitted at once held every row's Newton state and
+    # zeta sum factors (35 MB traced); in chunks of rows, under the KS bound
+    rows = 10**5
+    model = ZipfModel(2.0, Support.unbounded())
+    drawn = sample(model, 1, RandomStream([5]), rows=rows)
+    mle_gamma(sample(model, 1, RandomStream([4]), rows=10), model.support)  # builds the tables
+    per_row = 2 * 8 * rows
+    bound = (6 * 8 * CHUNK_ELEMENTS + per_row) / MB
+    assert traced_peak(lambda: mle_gamma(drawn, model.support)) < bound

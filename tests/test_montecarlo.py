@@ -357,6 +357,24 @@ class TestChunksAndWorkers:
         cfg = config(n=200, support=Support.unbounded(), gamma=1.25, replicates=1100, repetitions=2)
         assert run_simulation(cfg, workers=1) == run_simulation(cfg, workers=2)
 
+    def test_pool_tasks_tile_each_repetition_in_runs_of_spans(self):
+        # a pool task is a run of ceil(spans / (4 workers)) contiguous spans,
+        # so a worker can batch across spans; the runs tile each repetition
+        class RecordingPool:
+            def __init__(self):
+                self.tasks = []
+
+            def imap(self, fn, tasks):
+                self.tasks.extend(tasks)
+                return map(fn, tasks)
+
+        cfg = config(replicates=20 * _SPAN + 1, repetitions=2)  # 21 spans
+        pool = RecordingPool()
+        assert run_simulation(cfg, (pool, 2)) == run_simulation(cfg, workers=1)
+        runs = [(repetition, first, stop) for _, repetition, first, stop in pool.tasks]
+        assert runs == [(repetition, first, min(first + 3, 21))
+                        for repetition in range(2) for first in range(0, 21, 3)]
+
     def test_cheap_calls_run_in_process(self, monkeypatch):
         pools = count_pools(monkeypatch)
         cfg = config()  # 800 K=20 replicates: a few milliseconds of work

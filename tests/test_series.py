@@ -17,7 +17,7 @@ from zipfks.series import (
     zeta_value,
 )
 
-from oracles import mp_zeta
+from oracles import log_moments, mp_finite_norm, mp_zeta
 
 
 def tail_sum(gamma, start):
@@ -77,6 +77,14 @@ class TestInfiniteSums:
         assert s1 == pytest.approx(float(-mp_zeta(gamma, 1)), rel=1e-12)
         assert s2 == pytest.approx(float(mp_zeta(gamma, 2)), rel=1e-12)
 
+    @pytest.mark.parametrize("gamma", [1.05, 1.25, 2.5, 7.0, 20.0])
+    def test_oracle_moments_match_zeta_derivatives(self, gamma):
+        # the test oracle's own sums, which the scalar fit oracle runs on
+        want = [float((-1) ** p * mp_zeta(gamma, p)) for p in range(3)]
+        assert log_moments(gamma, None) == pytest.approx(want, rel=1e-14)
+        finite = float(mp_finite_norm(gamma, 1000))
+        assert log_moments(gamma, 1000)[0] == pytest.approx(finite, rel=1e-14)
+
     def test_known_zeta_values(self):
         assert zeta_value(2.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-9)
         assert zeta_value(4.0) == pytest.approx(math.pi**4 / 90.0, abs=1e-9)
@@ -123,19 +131,31 @@ class TestSeriesProperties:
             want = float((-1) ** p * mp_zeta(gamma, p))
             assert got[p] == pytest.approx(want, rel=1e-12)
 
-    @settings(max_examples=40, deadline=None)
-    @given(gammas=st.lists(GAMMAS, min_size=1, max_size=12), moments=st.integers(1, 3))
-    def test_rows_bit_identical_alone_and_among_longer_series(self, gammas, moments):
-        # a tighter target makes exponents near 2.5 double their series
-        # length while others close at 32 terms; no row may notice the others
-        batch = np.array(gammas + [2.5])
+    def test_row_whose_tail_bound_misses_the_target_raises(self):
+        # at a target no 32-term series meets, the row raises, naming its exponent
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(series, "SERIES_RTOL", 1e-16)
-            together = zeta_moments(batch, moments)
-            for row, gamma in enumerate(batch):
-                alone = zeta_moments(np.array([gamma]), moments)[:, 0]
-                assert together[:, row].tolist() == alone.tolist()
-        assert zeta_moments(np.array([2.5]), moments)[:, 0].tolist() != together[:, -1].tolist()
+            with pytest.raises(RuntimeError, match="gamma=2.5"):
+                zeta_moments(np.array([20.0, 2.5]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(gammas=st.lists(GAMMAS, min_size=1, max_size=12), moments=st.integers(1, 3))
+    def test_rows_bit_identical_alone_and_in_a_batch(self, gammas, moments):
+        together = zeta_moments(np.array(gammas), moments)
+        for row, gamma in enumerate(gammas):
+            alone = zeta_moments(np.array([gamma]), moments)[:, 0]
+            assert together[:, row].tolist() == alone.tolist()
+
+    def test_every_exponent_closes_at_the_head_terms(self):
+        # no exponent from 1 + 1e-6 to 1e3 raises; the remainder bound comes
+        # closest to SERIES_RTOL, at 0.78 of it, for s_2 near gamma = 2.5
+        gammas = np.concatenate((np.linspace(1.05, 20.0, 20001), [1 + 1e-6, 50.0, 200.0, 1e3]))
+        sums = zeta_moments(gammas)
+        power, _, rising = series._tail_factors(gammas, series._TAIL_START, 3)
+        ratio = rising * power * series._BOUND_SCALE / (series.SERIES_RTOL * sums)
+        p, row = np.unravel_index(np.argmax(ratio), ratio.shape)
+        assert ratio.max() == pytest.approx(0.78, abs=0.01)
+        assert p == 2 and gammas[row] == pytest.approx(2.5, abs=0.05)
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=GAMMAS, start=st.sampled_from(TAIL_STARTS), p=st.integers(0, 2))
