@@ -9,6 +9,8 @@ from .distribution import Support, ZipfModel, MIN_UNBOUNDED_GAMMA
 from .estimate import NoRootError, mle_gamma
 from .gof import judge, ks_statistic
 from .montecarlo import (
+    DEFAULT_REPETITIONS,
+    DEFAULT_REPLICATES,
     CutoffLookupError,
     SimulationConfig,
     SimulationError,
@@ -38,18 +40,16 @@ def _parse_support(text: str) -> Support:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {err}") from None
+def _list_of(cast: type, what: str):
+    """An argparse type: comma-separated values, each read by ``cast``."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(tok) for tok in text.split(",") if tok.strip())
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}: {err}") from None
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {err}") from None
+    return parse
 
 
 def _parse_workers(text: str) -> int | None:
@@ -98,47 +98,40 @@ def build_parser() -> argparse.ArgumentParser:
             "test the fit with simulation-calibrated Kolmogorov-Smirnov cutoffs."
         ),
     )
+    # the flags every subcommand takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--k", type=_parse_support, required=True, metavar="INT|inf",
+                        help="support bound, or 'inf' for the unbounded model")
+    common.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
+    common.add_argument("--reps", type=int, default=DEFAULT_REPETITIONS,
+                        help="independent repetitions averaged per cell")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--workers", type=_parse_workers, default=None, metavar="INT|auto")
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser(
-        "simulate", help="compute cutoff tables over an (n, gamma) grid and write a CSV"
+        "simulate", parents=[common],
+        help="compute cutoff tables over an (n, gamma) grid and write a CSV",
     )
-    simulate.add_argument("--n", type=_parse_int_list, required=True, metavar="LIST",
+    simulate.add_argument("--n", type=_list_of(int, "integers"), required=True, metavar="LIST",
                           help="comma-separated sample sizes")
-    simulate.add_argument("--gamma", type=_parse_float_list, required=True, metavar="LIST",
-                          help="comma-separated exponents")
-    simulate.add_argument("--k", type=_parse_support, required=True, metavar="INT|inf",
-                          help="support bound, or 'inf' for the unbounded model")
-    simulate.add_argument("--replicates", type=int, default=50000)
-    simulate.add_argument("--reps", type=int, default=10,
-                          help="independent repetitions averaged per cell")
-    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--gamma", type=_list_of(float, "numbers"), required=True,
+                          metavar="LIST", help="comma-separated exponents")
     simulate.add_argument("--out", required=True, help="output CSV path")
-    simulate.add_argument("--workers", type=_parse_workers, default=None, metavar="INT|auto")
 
-    fit = sub.add_parser("fit", help="fit one observation file and judge the fit")
+    fit = sub.add_parser("fit", parents=[common], help="fit one observation file and judge the fit")
     fit.add_argument("--input", required=True, help="observation file (positive integers)")
-    fit.add_argument("--k", type=_parse_support, required=True, metavar="INT|inf")
     source = fit.add_mutually_exclusive_group(required=True)
     source.add_argument("--table", help="cutoff CSV; requires an exact (n, gamma) grid match")
     source.add_argument("--bespoke", action="store_true",
                         help="simulate cutoffs at the estimated exponent and exact n")
-    fit.add_argument("--replicates", type=int, default=50000)
-    fit.add_argument("--reps", type=int, default=10)
-    fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--workers", type=_parse_workers, default=None, metavar="INT|auto")
     fit.add_argument("--machine", action="store_true",
                      help="emit a key=value block instead of the human report")
 
     tables = sub.add_parser(
-        "tables", help="compute the full reference grid for one support"
+        "tables", parents=[common], help="compute the full reference grid for one support"
     )
-    tables.add_argument("--k", type=_parse_support, required=True, metavar="INT|inf")
-    tables.add_argument("--replicates", type=int, default=50000)
-    tables.add_argument("--reps", type=int, default=10)
-    tables.add_argument("--seed", type=int, default=None)
     tables.add_argument("--out", required=True)
-    tables.add_argument("--workers", type=_parse_workers, default=None, metavar="INT|auto")
     return parser
 
 
@@ -193,9 +186,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     support = args.k
     try:
         sample = parse_observations(args.input)
-    except FileNotFoundError as err:
-        raise UsageError(str(err)) from None
-    except ObservationParseError as err:
+    except (FileNotFoundError, ObservationParseError) as err:
         raise UsageError(str(err)) from None
     if not support.contains(sample.distinct[0]):
         raise UsageError(
@@ -266,10 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_tables(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (SimulationError, ValueError) as err:
+    except (UsageError, SimulationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -133,11 +133,29 @@ class ZipfModel:
         weights = np.exp(-self.gamma * logs)
         return weights * (1.0 / weights.sum())
 
-    @cached_property
-    def _sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative probabilities over 1..limit, then inf, and their guide (see _guide)."""
-        cdf = np.append(np.cumsum(self._sampling_pmf), np.inf)
-        return cdf, _guide(cdf)
+    def _draw_table(self, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only tables of a draw whose values 1..head are counted by multinomial.
+
+        They are the multinomial's probabilities of 1..head and of the rest;
+        the cdf of head+1..limit given the rest, then inf; and that cdf's
+        guide (_guide).  Head 0 is a whole-support draw, whose cdf is not
+        renormalized.  Built on first use, they are kept for the last head
+        asked for only: a draw uses one head, and an unbounded tail table
+        takes about 0.8 MB.
+        """
+        held = self.__dict__.get("_held_draw_table")
+        if held is None or held[0] != head:
+            pmf = self._sampling_pmf
+            p = np.append(pmf[:head], pmf[head:].sum())
+            cdf = np.empty(pmf.size - head + 1)
+            np.cumsum(pmf[head:], out=cdf[:-1])
+            if head:
+                cdf[:-1] *= 1.0 / cdf[-2]
+            cdf[-1] = np.inf  # past the table's end: the draw's clamp takes it back
+            guide = _guide(cdf)
+            p.flags.writeable = cdf.flags.writeable = guide.flags.writeable = False
+            held = self.__dict__["_held_draw_table"] = (head, p, cdf, guide)
+        return held[1:]
 
 
 @dataclass(frozen=True)
@@ -201,38 +219,20 @@ class ValueRows:
     """Equal-size samples over the unbounded support, each reduced to its distinct values.
 
     Row r's sorted distinct values are ``observations[starts[r]:starts[r + 1]]``,
-    seen ``counts[starts[r]:starts[r + 1]]`` times; ``log_sums[r]`` is its sum
-    of ln x, taken by _log_sums once the rows are assembled, whether they were
-    drawn or observed.  The estimator needs only the log sum and the KS
-    statistic only the distinct values and their counts, so a batch keeps no
-    more of its draws than that.
+    seen ``counts[starts[r]:starts[r + 1]]`` times.  The estimator and the KS
+    statistic need no more of a sample than that, so a batch keeps no more
+    of its draws; the estimator takes each row's log sum from them.
     """
 
     observations: np.ndarray
     counts: np.ndarray
     starts: np.ndarray
-    log_sums: np.ndarray
     n: int
 
     def sizes(self) -> np.ndarray:
         """Entry r: the work of rows 0..r-1, their distinct values and HEAD_TERMS + 1 per
         row, the head table that the fit and KS statistic build for every row."""
         return self.starts + (HEAD_TERMS + 1) * np.arange(self.starts.size)
-
-
-def _log_sums(observations: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each row's sum of count x ln value over its distinct values, by np.add.reduceat.
-
-    A row's sum does not depend on the rows beside it.  The shared log table
-    holds np.log's bits, so values above it, which only observed samples
-    hold, take np.log.
-    """
-    if observations.max() <= UNBOUNDED_SAMPLE_LIMIT:
-        terms = natural_logs(UNBOUNDED_SAMPLE_LIMIT)[observations]
-    else:
-        terms = np.log(observations.astype(np.float64))
-    terms *= counts
-    return np.add.reduceat(terms, starts[:-1])
 
 
 def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
@@ -250,8 +250,7 @@ def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
         table = np.zeros((1, support.k), dtype=np.int64)
         table[0, values - 1] = counts
         return CountRows(table, sample.n)
-    starts = np.array([0, values.size])
-    return ValueRows(values, counts, starts, _log_sums(values, counts, starts), sample.n)
+    return ValueRows(values, counts, np.array([0, values.size]), sample.n)
 
 
 def _check_in_support(model: ZipfModel, k: int) -> int:
@@ -353,19 +352,22 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
     return i
 
 
-def _draw_values(model: ZipfModel, count: int, stream: RandomStream) -> np.ndarray:
-    """count values by inverse transform, clamped to the table's end against rounding.
+def _draw_values(model: ZipfModel, count: int, stream: RandomStream, head: int = 0) -> np.ndarray:
+    """count values above head by inverse transform (_draw_table's cdf given head).
 
-    The uniforms are searched CHUNK_ELEMENTS at a time, each block's indices
-    written over its own uniforms, so that a large draw holds one array.
+    Head 0 draws from the whole sampling pmf, one-sample draws and K > n
+    batches alike; a head above 0 draws an unbounded batch's tail values.
+    Each value is clamped to the table's end against rounding.  The uniforms
+    are searched CHUNK_ELEMENTS at a time, each block's indices written over
+    its own uniforms, so that a large draw holds one array.
     """
-    cdf, guide = model._sampling_table
+    _, cdf, guide = model._draw_table(head)
     u = stream.uniforms(count)
     values = u.view(np.int64)
     for lo in range(0, count, CHUNK_ELEMENTS):
         values[lo : lo + CHUNK_ELEMENTS] = _guided_search(cdf, guide, u[lo : lo + CHUNK_ELEMENTS])
-    values += 1
-    return np.minimum(values, cdf.size - 1, out=values)
+    values += head + 1
+    return np.minimum(values, head + cdf.size - 1, out=values)
 
 
 def _head_size(model: ZipfModel, n: int) -> int:
@@ -377,31 +379,6 @@ def _head_size(model: ZipfModel, n: int) -> int:
     """
     expected = n * model._sampling_pmf[:_HEAD_MAX]
     return min(max(int(np.count_nonzero(expected >= 1.0)), _HEAD_MIN), _HEAD_MAX)
-
-
-# The tables of an unbounded batch draw, built once per model and head.  A
-# calibration call uses one pair, and each tail table takes about 0.8 MB, so
-# only two are kept.
-@lru_cache(maxsize=2)
-def _head_pmf(model: ZipfModel, head: int) -> np.ndarray:
-    """Read-only probabilities of 1..head, then of the tail head+1..: a row's multinomial."""
-    pmf = model._sampling_pmf
-    p = np.append(pmf[:head], pmf[head:].sum())
-    p.flags.writeable = False
-    return p
-
-
-@lru_cache(maxsize=2)
-def _tail_table(model: ZipfModel, head: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cdf of head+1..UNBOUNDED_SAMPLE_LIMIT given the tail, then inf, and its guide."""
-    pmf = model._sampling_pmf
-    cdf = np.empty(UNBOUNDED_SAMPLE_LIMIT - head + 1)
-    np.cumsum(pmf[head:], out=cdf[:-1])
-    cdf[:-1] *= 1.0 / cdf[-2]
-    cdf[-1] = np.inf  # past the table's end: the draw's clamp takes it back
-    guide = _guide(cdf)
-    cdf.flags.writeable = guide.flags.writeable = False
-    return cdf, guide
 
 
 def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterator[ValueRows]:
@@ -416,12 +393,12 @@ def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> I
     CHUNK_ELEMENTS, which bounds the distinct values it stores.  Besides
     the block being handed on, only every row's head counts are kept, in
     the smallest integer type that holds n; _block frees its temporaries
-    before it returns.  Each tail value is a guided search of the tail's
-    cdf; that cdf, its guide and the multinomial's probabilities are built
-    once per model and head.
+    before it returns.  Each tail value is drawn by _draw_values; the
+    multinomial's probabilities and the tail's cdf and guide are the
+    model's _draw_table for the head.
     """
     head = _head_size(model, n)
-    p = _head_pmf(model, head)
+    p, _, _ = model._draw_table(head)
     heads = np.empty((rows, head), dtype=np.min_scalar_type(n))  # each row's counts of 1..head
     tails = np.empty(rows, dtype=np.int64)  # observations of each row above the head
     step = max(1, CHUNK_ELEMENTS // (head + 1))
@@ -446,18 +423,15 @@ def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengt
     """ValueRows of some rows from their head counts, drawing their tails from the stream.
 
     Each row holds its head values, then its tail values: the head values
-    are placed, and the tail values, sorted by row and value, fill the rest.
-    The log sums are taken from the assembled rows (_log_sums).
+    are placed, and the tail values, drawn by _draw_values above the head
+    and sorted by row and value, fill the rest.
     """
     rows, head = heads.shape
     cells = np.flatnonzero(heads)  # row-major: each row's values in increasing order
     lengths = head_lengths.copy()
     draws = int(tails.sum())
     if draws:
-        tail_cdf, guide = _tail_table(model, head)
-        keys = _guided_search(tail_cdf, guide, stream.uniforms(draws))
-        keys += head + 1
-        np.minimum(keys, UNBOUNDED_SAMPLE_LIMIT, out=keys)  # the value drawn
+        keys = _draw_values(model, draws, stream, head)
         key_type = np.min_scalar_type((rows - 1) << _ROW_BITS | _VALUE_MASK)  # sorts faster
         keys = keys.astype(key_type)
         keys |= np.repeat(np.arange(rows, dtype=key_type) << _ROW_BITS, tails)
@@ -482,7 +456,7 @@ def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengt
         tail[at] = False
         observations[tail] = value
         counts[tail] = seen
-    return ValueRows(observations, counts, starts, _log_sums(observations, counts, starts), n)
+    return ValueRows(observations, counts, starts, n)
 
 
 def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | ValueRows:
@@ -498,7 +472,6 @@ def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | Val
         np.concatenate([b.observations for b in blocks]),
         np.concatenate([b.counts for b in blocks]),
         np.concatenate(([0], np.cumsum(lengths))),
-        np.concatenate([b.log_sums for b in blocks]),
         n,
     )
 
@@ -527,9 +500,9 @@ def sample(
       1..H plus one tail category; its nonzero counts are the row's first
       distinct values.  Only the row's tail observations are drawn by
       inverse transform on the tail's own cdf over H+1..UNBOUNDED_SAMPLE_LIMIT,
-      clamped like a one-sample draw; that cdf and its guide table are built
-      once per model and H.  The stream gives all rows' head counts first,
-      then all tail uniforms.
+      clamped like a one-sample draw.  The model keeps the tables of the
+      last H it drew with (ZipfModel._draw_table).  The stream gives all
+      rows' head counts first, then all tail uniforms.
       The batch is value_blocks' blocks of rows, joined.
 
     Finite-support batches consume the stream row after row, so drawing

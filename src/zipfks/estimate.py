@@ -14,7 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distribution import MIN_UNBOUNDED_GAMMA, CountRows, Sample, Support, ValueRows, as_rows
+from .distribution import (
+    MIN_UNBOUNDED_GAMMA,
+    UNBOUNDED_SAMPLE_LIMIT,
+    CountRows,
+    Sample,
+    Support,
+    ValueRows,
+    as_rows,
+)
 from .series import CHUNK_ELEMENTS, HEAD_TERMS, finite_moments, natural_logs, zeta_moments
 
 # Not called here: perfbench/tracing.py wraps these two names in this module,
@@ -44,9 +52,26 @@ class NoRootError(ValueError):
     """The estimating equation has no root inside the admissible range."""
 
 
+def _log_sums(observations: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row's sum of count x ln value over its distinct values, by np.add.reduceat.
+
+    A row's sum does not depend on the rows beside it.  The shared log table
+    holds np.log's bits, so values above it, which only observed samples
+    hold, take np.log.
+    """
+    if observations.max() <= UNBOUNDED_SAMPLE_LIMIT:
+        terms = natural_logs(UNBOUNDED_SAMPLE_LIMIT)[observations]
+    else:
+        terms = np.log(observations.astype(np.float64))
+    terms *= counts
+    return np.add.reduceat(terms, starts[:-1])
+
+
 def log_mean(rows: CountRows | ValueRows) -> np.ndarray:
     """(sum ln x_i) / n per row, with the all-ones degenerate case nudged by ln 2.
 
+    A row's log sum is taken from its counts of 1..K (CountRows) or from its
+    distinct values and their counts (_log_sums), drawn or observed alike.
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
     """
@@ -54,7 +79,7 @@ def log_mean(rows: CountRows | ValueRows) -> np.ndarray:
         k = rows.table.shape[1]
         raw = (rows.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
     else:
-        raw = rows.log_sums.copy()
+        raw = _log_sums(rows.observations, rows.counts, rows.starts)
     raw[raw <= 0.0] += _LN2
     return raw / rows.n
 

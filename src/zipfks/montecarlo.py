@@ -12,8 +12,8 @@ contiguous spans of one repetition: run in process, the whole repetition;
 on a pool, about a quarter of one worker's share of it.  A task's spans are
 drawn a block of rows at a time.  On a finite support a block is a matrix of
 count vectors.  On the unbounded support each replicate is reduced, as it
-is drawn, to its log sum and its distinct values with their counts, and a
-block holds a bounded number of values however heavy the tails.
+is drawn, to its distinct values with their counts, and a block holds a
+bounded number of values however heavy the tails.
 Consecutive blocks, within a span or across spans, are joined into batches
 of bounded size, and each batch is fitted and scored as one before the
 blocks after it are drawn.
@@ -49,6 +49,10 @@ from .gof import ZipfRows, ks_statistic
 from .series import CHUNK_ELEMENTS
 
 DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
+
+# The default protocol: replicates per repetition, and repetitions averaged per cell.
+DEFAULT_REPLICATES = 50000
+DEFAULT_REPETITIONS = 10
 
 # Stream key offset for the single retry of a replicate whose fit found no
 # root.  Span indices stay below it, so a retry key never repeats a span key.
@@ -88,8 +92,8 @@ class SimulationConfig:
     support: Support
     gamma: float
     base_seed: int
-    replicates: int = 50000
-    repetitions: int = 10
+    replicates: int = DEFAULT_REPLICATES
+    repetitions: int = DEFAULT_REPETITIONS
     quantiles: tuple[float, ...] = DEFAULT_LEVELS
 
     def __post_init__(self) -> None:
@@ -327,8 +331,8 @@ class CutoffTable:
     gammas: tuple[float, ...]
     ns: tuple[int, ...]
     cells: dict[tuple[float, int], tuple[float, ...]] = field(compare=True)
-    replicates: int = 50000
-    repetitions: int = 10
+    replicates: int = DEFAULT_REPLICATES
+    repetitions: int = DEFAULT_REPETITIONS
     base_seed: int = 0
 
     def cutoffs_for(self, gamma: float, n: int) -> tuple[float, ...]:
@@ -352,13 +356,12 @@ def build_table(
     gammas: Iterable[float],
     support: Support,
     base_seed: int,
-    replicates: int = 50000,
-    repetitions: int = 10,
-    quantiles: Sequence[float] = DEFAULT_LEVELS,
+    replicates: int = DEFAULT_REPLICATES,
+    repetitions: int = DEFAULT_REPETITIONS,
     workers: int | None = None,
     progress: Callable[[float, int, float, tuple[float, ...]], None] | None = None,
 ) -> CutoffTable:
-    """Fill the (gamma, n) grid cell by cell, all cells sharing one worker pool.
+    """Fill the (gamma, n) grid at DEFAULT_LEVELS cell by cell, all cells sharing one worker pool.
 
     Every cell reuses the same base_seed, so any single cell is reproducible
     with a standalone run_simulation call on that cell's configuration.  The
@@ -375,18 +378,10 @@ def build_table(
         repeated = [value for i, value in enumerate(grid) if value in grid[:i]]
         if repeated:
             raise ValueError(f"{name} grid repeats the value {repeated[0]!r}")
-    levels = _validate_levels(quantiles)
     started = time.perf_counter()
     configs = [
-        SimulationConfig(
-            n=n,
-            support=support,
-            gamma=gamma,
-            base_seed=base_seed,
-            replicates=replicates,
-            repetitions=repetitions,
-            quantiles=levels,
-        )
+        SimulationConfig(n=n, support=support, gamma=gamma, base_seed=base_seed,
+                         replicates=replicates, repetitions=repetitions)
         for gamma in gammas
         for n in ns
     ]
@@ -410,13 +405,5 @@ def build_table(
             if (gamma, n) != grid[-1]:
                 report(gamma, n)
     report(*grid[-1])  # the last cell also pays for the pool's shutdown
-    return CutoffTable(
-        support=support,
-        levels=levels,
-        gammas=gammas,
-        ns=ns,
-        cells=cells,
-        replicates=replicates,
-        repetitions=repetitions,
-        base_seed=base_seed,
-    )
+    return CutoffTable(support=support, levels=DEFAULT_LEVELS, gammas=gammas, ns=ns, cells=cells,
+                       replicates=replicates, repetitions=repetitions, base_seed=base_seed)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from zipfks.distribution import Sample, Support, ValueRows, ZipfModel, as_rows, concatenate_rows
-from zipfks.estimate import NoRootError, _start, log_mean, mle_gamma
+from zipfks.estimate import NoRootError, _log_sums, _start, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.observations import ObservationParseError
 from zipfks.series import natural_logs
@@ -205,7 +205,7 @@ def value_rows(samples: list[Sample]) -> ValueRows:
     """The ValueRows batch of these equal-size samples, each reduced as one observed sample is.
 
     Each sample is its batch of one row on the unbounded support (as_rows),
-    and the rows are joined, so a row's log sum is the one-row reduction's.
+    and the rows are joined.
     """
     return concatenate_rows(as_rows(s, Support.unbounded()) for s in samples)
 
@@ -214,6 +214,41 @@ def expand_value_rows(drawn: ValueRows) -> list[Sample]:
     """The samples, each in sorted order, that a ValueRows batch holds."""
     bounds = zip(drawn.starts[:-1], drawn.starts[1:])
     return [Sample(np.repeat(drawn.observations[a:b], drawn.counts[a:b])) for a, b in bounds]
+
+
+def limit_ks(gamma: float, k: int, draws: int, seed: int, refit: bool = True) -> np.ndarray:
+    """Draws of the Gaussian limit of sqrt(n) D_n for Zipf over 1..k, the exponent re-fitted.
+
+    With gamma re-fitted by maximum likelihood, sqrt(n) times the KS statistic
+    converges to max_j |Z_j| for a Gaussian vector Z (Durbin, Ann. Statist. 1
+    (1973) 279-290; for discrete models Henze, Canad. J. Statist. 24 (1996)
+    81-93).  With p the pmf and eps ~ N(0, I_k), Y = sqrt(p) eps - p (sqrt(p) . eps)
+    has the multinomial covariance diag(p) - p p^T of sqrt(n) (p_hat - p); the
+    fit moves gamma by -(sum_i ln i Y_i) / Var(ln X) / sqrt(n), and the fitted
+    cdf with it by dF(j)/dgamma = sum_{i<=j} p_i (E ln X - ln i), so
+
+        Z_j = sum_{i<=j} Y_i + dF(j)/dgamma (sum_i ln i Y_i) / Var(ln X).
+
+    Without ``refit``, Z_j = sum_{i<=j} Y_i: the limit of the statistic scored
+    against the generating exponent.  A draw costs O(k) whatever n is.
+    """
+    logs = np.log(np.arange(1, k + 1))
+    p = np.exp(-gamma * logs)
+    p /= p.sum()
+    mean = p @ logs
+    slope = np.cumsum(p * (mean - logs)) / (p @ (logs - mean) ** 2)
+    root = np.sqrt(p)
+    rng = np.random.default_rng(seed)
+    out = np.empty(draws)
+    step = max(1, (1 << 18) // k)
+    for lo in range(0, draws, step):
+        eps = rng.standard_normal((min(step, draws - lo), k))
+        y = eps * root - np.outer(eps @ root, p)
+        z = np.cumsum(y, axis=1)
+        if refit:
+            z += np.outer(y @ logs, slope)
+        out[lo : lo + step] = np.abs(z).max(axis=1)
+    return out
 
 
 def chi_square_p(values: np.ndarray, pmf: np.ndarray, edges=None) -> float:
@@ -262,7 +297,8 @@ def assert_draw_properties(drawn: ValueRows, model: ZipfModel, rows: int, n: int
         assert (np.diff(values) > 0).all() and values[0] >= 1 and values[-1] <= 65535
         assert (counts > 0).all() and counts.sum() == n
     want = np.array([np.log(one.observations.astype(np.float64)).sum() for one in samples])
-    np.testing.assert_allclose(drawn.log_sums, want, rtol=1e-12, atol=0)
+    got = _log_sums(drawn.observations, drawn.counts, drawn.starts)  # the fit's reduction
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     if not fitted:
         return samples
     gamma_hat = mle_gamma(drawn, model.support)

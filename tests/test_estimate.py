@@ -242,17 +242,12 @@ def one_row(drawn, r):
         return CountRows(table=drawn.table[r : r + 1], n=drawn.n)
     a, b = drawn.starts[r], drawn.starts[r + 1]
     return ValueRows(observations=drawn.observations[a:b], counts=drawn.counts[a:b],
-                     starts=np.array([0, b - a]), log_sums=drawn.log_sums[r : r + 1], n=drawn.n)
+                     starts=np.array([0, b - a]), n=drawn.n)
 
 
-def fit_mean_logs(targets, n=1):
-    """Unbounded fits of the given mean logs: a value row's fit reads only its log sum."""
-    targets = np.asarray(targets, dtype=np.float64)
-    return mle_gamma(
-        ValueRows(observations=np.full(targets.size, 2), counts=np.full(targets.size, n),
-                  starts=np.arange(targets.size + 1), log_sums=targets * n, n=n),
-        Support.unbounded(),
-    )
+def fit_mean_logs(targets):
+    """Unbounded fits of the given mean logs."""
+    return estimate._mle_rows(np.asarray(targets, dtype=np.float64), Support.unbounded())
 
 
 def force_start(monkeypatch, gamma):

@@ -1,7 +1,7 @@
 """The batched unbounded-support kernel against the one-sample pipeline.
 
 On the unbounded support a batch of replicates is ValueRows: each sample
-reduced to its log sum and its distinct values with their counts.  They are
+reduced to its distinct values with their counts.  They are
 drawn by ``sample(..., rows=...)``, fitted by ``mle_gamma`` and scored by
 ``ks_statistic`` a whole batch at a time.  Each row must agree with the
 scalar pipeline run on the very sample it holds.  A batch draws its rows'
@@ -9,6 +9,8 @@ counts of 1..H as multinomials and only the rest one value at a time, so
 its rows are not the samples one-sample draws would give; they must follow
 the same distribution.
 """
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -205,12 +207,12 @@ class TestBlocks:
         # more than 2^16 rows sorts 64-bit keys, a smaller one 32-bit keys
         model = ZipfModel(1.05, UNBOUNDED)
         blocks = list(distribution.value_blocks(model, 2, RandomStream([5]), 80000))
-        assert blocks[0].log_sums.size > 1 << 16
+        assert blocks[0].starts.size - 1 > 1 << 16
         big = distribution.concatenate_rows(blocks)
         monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", 1 << 12)
         small = distribution.concatenate_rows(
             distribution.value_blocks(model, 2, RandomStream([5]), 80000))
-        for field in ("observations", "counts", "starts", "log_sums"):
+        for field in ("observations", "counts", "starts"):
             np.testing.assert_array_equal(getattr(big, field), getattr(small, field))
 
     @pytest.mark.parametrize("gamma,n,rows,chunk", [
@@ -224,15 +226,15 @@ class TestBlocks:
         budget = distribution._BLOCK_CHUNKS * chunk
         blocks = list(distribution.value_blocks(model, n, RandomStream([4]), rows))
         assert len(blocks) > len(whole)
-        assert sum(b.log_sums.size for b in blocks) == rows
+        assert sum(b.starts.size - 1 for b in blocks) == rows
         for block in blocks:
-            assert block.starts[-1] <= budget or block.log_sums.size == 1
+            assert block.starts[-1] <= budget or block.starts.size == 2
             assert block.n == n and block.starts[0] == 0
         joined = sample(model, n, RandomStream([4]), rows=rows)
         assert_draw_properties(joined, model, rows, n, fitted=False)
         for got, want in ((joined, distribution.concatenate_rows(whole)),
                           (distribution.concatenate_rows(blocks), joined)):
-            for field in ("observations", "counts", "starts", "log_sums"):
+            for field in ("observations", "counts", "starts"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
@@ -382,7 +384,7 @@ class TestGuidedSearch:
     @pytest.mark.parametrize("gamma,n", [(1.05, 1), (1.05, 200_000), (1.25, 1000), (20.0, 1000)])
     def test_tail_tables(self, gamma, n):
         model = ZipfModel(gamma, UNBOUNDED)
-        cdf, guide = distribution._tail_table(model, distribution._head_size(model, n))
+        _, cdf, guide = model._draw_table(distribution._head_size(model, n))
         u = search_points(cdf, guide, int(gamma * 100) + n)
         got = distribution._guided_search(cdf, guide, u)
         np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
@@ -392,7 +394,7 @@ class TestGuidedSearch:
     def test_sampling_tables(self, gamma, k):
         # the whole-support table of one-sample draws and of K > n batches
         model = ZipfModel(gamma, Support(k=k))
-        cdf, guide = model._sampling_table
+        _, cdf, guide = model._draw_table(0)
         u = search_points(cdf, guide, 31)
         got = distribution._guided_search(cdf, guide, u)
         np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="left"))
@@ -400,9 +402,9 @@ class TestGuidedSearch:
     @pytest.mark.parametrize("gamma,k", [(1.0, 20), (20.0, None), (1.05, None), (1.5, 32766)])
     def test_guide_is_the_first_entry_at_each_bucket_edge(self, gamma, k):
         model = ZipfModel(gamma, Support(k=k))
-        tables = [model._sampling_table]
+        tables = [model._draw_table(0)[1:]]
         if k is None:
-            tables.append(distribution._tail_table(model, 16))
+            tables.append(model._draw_table(16)[1:])
         for cdf, guide in tables:
             m = guide.size - 1
             assert guide.dtype == np.int32 and m & (m - 1) == 0 and cdf.size - 1 <= m < 2 * cdf.size
@@ -430,8 +432,49 @@ class TestGuidedSearch:
         # a uniform of 1 above a finite table's last entry lands on its sentinel,
         # then on K
         model = ZipfModel(2.0, Support.finite(20))
-        cdf, _ = model._sampling_table
+        _, cdf, _ = model._draw_table(0)
         drawn = distribution._draw_values(model, 50, TopStream([1]))
         want = np.minimum(np.searchsorted(cdf[:-1], np.ones(50)) + 1, 20)
         np.testing.assert_array_equal(drawn, want)
         assert (drawn == 20).all()
+
+
+class TestDrawTables:
+    """The generating model builds a draw's tables once and keeps those of one head only."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list[int]:
+        """The list to which each later table build appends its cdf's size."""
+        built = []
+        guide = distribution._guide
+
+        def counting(cdf):
+            built.append(cdf.size)
+            return guide(cdf)
+
+        monkeypatch.setattr(distribution, "_guide", counting)
+        return built
+
+    def test_cells_run_in_turn_build_each_model_once(self, monkeypatch):
+        # the unbounded benchmark's three cells, run twice in turn in one process
+        montecarlo._generating_model.cache_clear()
+        built = self.count_builds(monkeypatch)
+        for _ in range(2):
+            for gamma, n in ((1.25, 1000), (4.0, 1000), (2.0, 100)):
+                cfg = SimulationConfig(n=n, support=UNBOUNDED, gamma=gamma, base_seed=1,
+                                       replicates=512, repetitions=1)
+                run_simulation(cfg, workers=1)
+        assert len(built) == 3
+
+    def test_a_model_holds_the_tables_of_one_head(self, monkeypatch):
+        model = ZipfModel(2.0, UNBOUNDED)
+        built = self.count_builds(monkeypatch)
+        small, large = (distribution._head_size(model, n) for n in (100, 10_000))
+        assert small < large
+        sample(model, 100, RandomStream([1]), rows=4)
+        first = weakref.ref(model._draw_table(small)[1])
+        sample(model, 10_000, RandomStream([2]), rows=4)
+        assert first() is None  # the small head's tail cdf went with the next draw
+        sample(model, 10_000, RandomStream([3]), rows=4)
+        sample(model, 100, RandomStream([4]), rows=4)
+        assert built == [65536 - small, 65536 - large, 65536 - small]
