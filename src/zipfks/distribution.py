@@ -1,4 +1,4 @@
-"""Discrete power-law (Zipf) models: support, normalization, pmf/cdf, sampling.
+"""Discrete power-law (Zipf) models: support, normalization, finite cdf, sampling.
 
 Two flavours share one type: a truncated model over 1..K (any real
 exponent) and an unbounded model over all positive integers (exponent
@@ -8,7 +8,7 @@ enough to evaluate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -21,7 +21,6 @@ from .series import (
     finite_moments,
     natural_logs,
     power_rows,
-    zeta_cdf,
     zeta_value,
 )
 
@@ -116,14 +115,13 @@ def normalization(gamma: float, support: Support) -> float:
 
 @dataclass(frozen=True)
 class ZipfModel:
-    """p(k) = k^(-gamma) / norm over the declared support."""
+    """p(k) = k^(-gamma) / normalization(gamma, support) over the declared support."""
 
     gamma: float
     support: Support
-    norm: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "norm", normalization(self.gamma, self.support))
+        normalization(self.gamma, self.support)  # rejects an exponent the support cannot normalize
 
     @cached_property
     def _sampling_pmf(self) -> np.ndarray:
@@ -253,21 +251,6 @@ def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
     return ValueRows(values, counts, np.array([0, values.size]), sample.n)
 
 
-def _check_in_support(model: ZipfModel, k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"support point must be an integer, got {k!r}")
-    k = int(k)
-    if k < 1 or (model.support.is_finite and k > model.support.k):
-        raise ValueError(f"value {k} lies outside the support 1..{model.support}")
-    return k
-
-
-def pmf(model: ZipfModel, k: int) -> float:
-    """Probability of observing k; values outside the support are an error."""
-    k = _check_in_support(model, k)
-    return math.exp(-model.gamma * math.log(k)) * (1.0 / model.norm)
-
-
 def finite_cdf(gammas: np.ndarray, k: int, last: int) -> np.ndarray:
     """F(1..last) of the models over 1..k with these exponents, one row each.
 
@@ -278,16 +261,6 @@ def finite_cdf(gammas: np.ndarray, k: int, last: int) -> np.ndarray:
     out = w[:, :last]
     out *= (1.0 / w.sum(axis=1))[:, None]
     return np.cumsum(out, axis=1, out=out)
-
-
-def cdf(model: ZipfModel, k: int) -> float:
-    """Probability of observing a value <= k."""
-    k = _check_in_support(model, k)
-    gamma = np.array([model.gamma])
-    if model.support.is_finite:
-        return float(finite_cdf(gamma, model.support.k, k)[0, -1])
-    one = np.zeros(1, dtype=np.int64)
-    return float(zeta_cdf(gamma, one, one + k)[1][0])
 
 
 class RandomStream:

@@ -66,29 +66,21 @@ def power_rows(gammas: np.ndarray, k: int) -> np.ndarray:
     return np.exp(w, out=w)
 
 
-def row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Dot product of each row with the vector.
-
-    Each row is its own BLAS call: BLAS blocks a many-row product
-    differently for different row counts, and a row's result must not depend
-    on how many rows share the call.
-    """
-    return (rows[:, None, :] @ vector)[:, 0]
-
-
 def finite_moments(gammas: np.ndarray, k: int, moments: int = 3) -> np.ndarray:
     """(moments x rows) array of s_p = sum_{j=1..k} j^(-gamma) (ln j)^p, p < moments.
 
-    One (rows x k) array of powers; each row's sums are its own (see row_dots).
+    Each s_p is numpy's pairwise sum along a row of one (rows x k) array: the
+    powers, then the same array times ln j once more per moment, in place.
+    No BLAS call: a row's sums depend neither on the rows beside it nor on
+    the BLAS library or its thread count.
     """
     logs = natural_logs(k)[1 : k + 1]
     w = power_rows(gammas, k)
     sums = np.empty((moments, w.shape[0]))
     sums[0] = w.sum(axis=1)
-    weights = logs
     for p in range(1, moments):
-        sums[p] = row_dots(w, weights)
-        weights = weights * logs
+        w *= logs
+        sums[p] = w.sum(axis=1)
     return sums
 
 

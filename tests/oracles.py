@@ -114,12 +114,19 @@ def brute_force_ks(obs: np.ndarray, model: ZipfModel) -> tuple[float, int]:
 
     Model terms are taken from the same table production uses (they are
     verified against mpmath elsewhere); everything downstream of the terms
-    is re-derived here.
+    is re-derived here, the normalizer too: the sum of the terms over 1..K,
+    or mpmath's zeta on the unbounded support.
     """
     obs = np.asarray(obs)
     n = obs.size
     kmax = int(obs.max())
-    terms = np.exp(-model.gamma * natural_logs(kmax)[1 : kmax + 1]) * (1.0 / model.norm)
+    if model.support.is_finite:
+        terms = np.exp(-model.gamma * natural_logs(model.support.k)[1:])
+        norm = float(terms.sum())
+    else:
+        terms = np.exp(-model.gamma * natural_logs(kmax)[1:])
+        norm = float(mp_zeta(model.gamma))
+    terms = terms[:kmax] * (1.0 / norm)
     fitted = 0.0
     empirical = 0.0
     best = -1.0

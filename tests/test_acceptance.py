@@ -21,9 +21,8 @@ from zipfks.distribution import (
     Sample,
     Support,
     ZipfModel,
-    cdf,
+    finite_cdf,
     normalization,
-    pmf,
     sample,
 )
 from zipfks.estimate import mle_gamma
@@ -51,11 +50,10 @@ class TestCriterion1Analytic:
         assert abs(normalization(2.0, Support.unbounded()) - math.pi**2 / 6.0) < 1e-9
 
         two_point = ZipfModel(1.0, Support.finite(2))
-        assert abs(pmf(two_point, 1) - 2.0 / 3.0) < 1e-12
-        assert abs(cdf(two_point, 1) - 2.0 / 3.0) < 1e-12
-        assert abs(cdf(two_point, 2) - 1.0) < 1e-12
-        unbounded = ZipfModel(2.0, Support.unbounded())
-        assert abs(pmf(unbounded, 1) - 6.0 / math.pi**2) < 1e-9
+        first, second = finite_cdf(np.array([1.0]), 2, 2)[0]
+        assert abs(first - 2.0 / 3.0) < 1e-12
+        assert abs(second - 1.0) < 1e-12
+        assert abs(1.0 / normalization(2.0, Support.unbounded()) - 6.0 / math.pi**2) < 1e-9
 
         assert mle_gamma(Sample([1, 1, 2]), Support.finite(2)) == pytest.approx(1.0, abs=1e-5)
 

@@ -16,11 +16,11 @@ from zipfks.distribution import (
     Sample,
     Support,
     ZipfModel,
-    cdf,
+    finite_cdf,
     normalization,
-    pmf,
     sample,
 )
+from zipfks.series import zeta_cdf
 
 from oracles import mp_finite_norm, mp_zeta
 
@@ -85,77 +85,76 @@ class TestNormalization:
             normalization(float("nan"), Support.finite(10))
 
 
+def finite_cdf_of(gamma, k):
+    """F(1..k) of the model over 1..k with this exponent."""
+    return finite_cdf(np.array([gamma]), k, k)[0]
+
+
+def zeta_cdf_at(gamma, values):
+    """F(v) at each value v of the unbounded model with this exponent."""
+    values = np.asarray(values, dtype=np.int64)
+    return zeta_cdf(np.array([gamma]), np.zeros(values.size, dtype=np.int64), values)[1]
+
+
 class TestPmfCdf:
     def test_two_point_values(self):
-        model = ZipfModel(1.0, Support.finite(2))
-        assert pmf(model, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert cdf(model, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert cdf(model, 2) == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 / normalization(1.0, Support.finite(2)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        first, second = finite_cdf_of(1.0, 2)
+        assert first == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert second == pytest.approx(1.0, abs=1e-12)
 
     def test_unbounded_first_cell(self):
-        model = ZipfModel(2.0, Support.unbounded())
-        assert pmf(model, 1) == pytest.approx(6.0 / math.pi**2, abs=1e-9)
+        assert 1.0 / normalization(2.0, Support.unbounded()) == pytest.approx(6.0 / math.pi**2, abs=1e-9)
+        assert zeta_cdf_at(2.0, [1])[0] == pytest.approx(6.0 / math.pi**2, abs=1e-9)
 
     def test_pmf_against_direct_sum_oracle(self):
-        model = ZipfModel(3.5, Support.finite(100))
         expected = float(mpmath.power(5, -3.5) / mp_finite_norm(3.5, 100))
-        assert pmf(model, 5) == pytest.approx(expected, rel=1e-12)
+        got = math.exp(-3.5 * math.log(5)) / normalization(3.5, Support.finite(100))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_cdf_partial_sum_oracle(self):
-        model = ZipfModel(2.5, Support.finite(50))
         norm = float(mp_finite_norm(2.5, 50))
         partial = float(mp_finite_norm(2.5, 7))
-        assert cdf(model, 7) == pytest.approx(partial / norm, rel=1e-11)
-
-    def test_queries_outside_support_are_errors(self):
-        model = ZipfModel(1.0, Support.finite(20))
-        for bad in (0, -1, 21, 2.5):
-            with pytest.raises(ValueError):
-                pmf(model, bad)
-            with pytest.raises(ValueError):
-                cdf(model, bad)
+        assert finite_cdf(np.array([2.5]), 50, 7)[0, -1] == pytest.approx(partial / norm, rel=1e-11)
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("k", [20, 50, 100, 500, 1000])
     def test_pmf_sums_to_one(self, gamma, k):
-        model = ZipfModel(gamma, Support.finite(k))
-        total = float(np.exp(-gamma * np.log(np.arange(1.0, k + 1))).sum() / model.norm)
+        norm = normalization(gamma, Support.finite(k))
+        total = float(np.exp(-gamma * np.log(np.arange(1.0, k + 1))).sum() / norm)
         assert abs(total - 1.0) < 1e-9
-        assert cdf(model, k) == pytest.approx(1.0, abs=1e-9)
+        assert finite_cdf_of(gamma, k)[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_cdf_monotone(self):
-        model = ZipfModel(1.5, Support.finite(60))
-        values = [cdf(model, k) for k in range(1, 61)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert (np.diff(finite_cdf_of(1.5, 60)) >= 0.0).all()
 
     @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(2, 32766), gamma=st.floats(-20.0, 20.0), data=st.data())
-    def test_finite_cdf_monotone_and_reaching_one(self, k, gamma, data):
-        # rounding must not make the cdf fall anywhere, not even between neighbours
-        model = ZipfModel(gamma, Support.finite(k))
-        first = data.draw(st.integers(1, k))
-        values = [cdf(model, p) for p in range(first, min(first + 32, k) + 1)] + [cdf(model, k)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+    @given(k=st.integers(2, 32766), gamma=st.floats(-20.0, 20.0), last=st.integers(1, 32766))
+    def test_finite_cdf_monotone_and_reaching_one(self, k, gamma, last):
+        # rounding must not make the cdf fall anywhere, not even between neighbours,
+        # and a shorter row is the start of the whole one
+        values = finite_cdf_of(gamma, k)
+        assert (np.diff(values) >= 0.0).all()
         assert abs(values[-1] - 1.0) <= 1e-12
+        last = min(last, k)
+        assert finite_cdf(np.array([gamma]), k, last)[0].tolist() == values[:last].tolist()
 
     def test_unbounded_cdf_consistent_across_seam(self):
         # the dense-table and tail-sum representations must agree and stay monotone
-        model = ZipfModel(1.25, Support.unbounded())
-        around_seam = [cdf(model, k) for k in range(4090, 4105)]
-        assert all(b >= a for a, b in zip(around_seam, around_seam[1:]))
-        direct = float(mp_finite_norm(1.25, 5000)) / model.norm
-        assert cdf(model, 5000) == pytest.approx(direct, rel=1e-10)
+        around_seam = zeta_cdf_at(1.25, np.arange(4090, 4105))
+        assert (np.diff(around_seam) >= 0.0).all()
+        direct = float(mp_finite_norm(1.25, 5000)) / normalization(1.25, Support.unbounded())
+        assert zeta_cdf_at(1.25, [5000])[0] == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("gamma", [1.05, 1.25, 2.0, 6.0])
     def test_unbounded_cdf_across_head_seam(self, gamma):
         # running sums up to 32, normalized tails above: monotone across the
         # seam and equal to direct partial sums on both sides
-        model = ZipfModel(gamma, Support.unbounded())
-        values = [cdf(model, k) for k in range(1, 41)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        values = zeta_cdf_at(gamma, np.arange(1, 41))
+        assert (np.diff(values) >= 0.0).all()
         for k in (31, 32, 33, 34, 40):
             want = float(mp_finite_norm(gamma, k) / mp_zeta(gamma))
-            assert cdf(model, k) == pytest.approx(want, abs=1e-15)
+            assert values[k - 1] == pytest.approx(want, abs=1e-15)
 
     def test_term_identity_exp_log_vs_power(self):
         ks = np.arange(1, 1001, dtype=np.float64)
@@ -262,7 +261,7 @@ class TestSampling:
 
     def test_first_cell_draw(self):
         model = ZipfModel(1.7, Support.finite(30))
-        u = pmf(model, 1) * 0.5
+        u = 0.5 / normalization(1.7, Support.finite(30))
         drawn = sample(model, 1, FixedStream([u]))
         assert drawn.observations.tolist() == [1]
 
@@ -314,6 +313,7 @@ class TestSampling:
         model = ZipfModel(2.0, Support.finite(20))
         drawn = sample(model, 100000, RandomStream.for_replicate(5, 0, 0)).observations
         counts = np.bincount(drawn, minlength=21)[1:]
-        expected = np.array([pmf(model, k) for k in range(1, 21)]) * 100000
+        weights = np.arange(1.0, 21.0) ** -2.0
+        expected = weights / weights.sum() * 100000
         _, p_value = scipy.stats.chisquare(counts, expected)
         assert p_value > 0.001

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -190,14 +194,43 @@ class TestFiniteMoments:
     @settings(max_examples=40, deadline=None)
     @given(
         gammas=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
-        k=st.integers(2, MAX_FINITE_SUPPORT),
+        k=st.integers(2, 64) | st.integers(2, MAX_FINITE_SUPPORT),
         moments=st.integers(1, 3),
+        more=st.integers(0, 2040),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_rows_bit_identical_alone_and_in_a_batch(self, gammas, k, moments):
-        # the one-sample fit and the normalizer are one-row calls of the batch
+    def test_rows_bit_identical_alone_and_in_a_batch(self, gammas, k, moments, more, seed):
+        # the one-sample fit and the normalizer are one-row calls of the batch;
+        # at K <= 64 a batch has up to 2048 rows, as a calibration batch at K = 20 does
+        if k <= 64:
+            gammas = gammas + np.random.default_rng(seed).uniform(-20.0, 20.0, more).tolist()
         together = finite_moments(np.array(gammas), k, moments)
         assert together.tolist() == finite_moments(np.array(gammas), k)[:moments].tolist()
         for row, gamma in enumerate(gammas):
             alone = finite_moments(np.array([gamma]), k, moments)[:, 0]
             assert together[:, row].tolist() == alone.tolist()
         assert list(finite_log_moments(gammas[0], k))[:moments] == together[:, 0].tolist()
+
+    def test_independent_of_the_blas_thread_count(self):
+        # sums taken by a BLAS product are blocked by thread: at K = 32766 they,
+        # and the cutoffs calibrated from them, moved in their last bits
+        script = (
+            "import numpy as np\n"
+            "from zipfks.distribution import Support\n"
+            "from zipfks.montecarlo import SimulationConfig, run_simulation\n"
+            "from zipfks.series import finite_moments\n"
+            "print(finite_moments(np.linspace(-3, 5, 64), 32766).tobytes().hex())\n"
+            "config = SimulationConfig(n=10, support=Support.finite(32766), gamma=1.0,\n"
+            "                          base_seed=7, replicates=512, repetitions=1)\n"
+            "print(run_simulation(config, workers=1))\n"
+        )
+        src = str(Path(series.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
