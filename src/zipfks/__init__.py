@@ -1,14 +1,13 @@
 """Discrete power-law (Zipf) fitting with simulation-calibrated KS cutoffs."""
 
 from .distribution import RandomStream, Sample, Support, ZipfModel, sample
-from .estimate import NoRootError, mle_gamma
+from .estimate import mle_gamma
 from .gof import judge, ks_statistic
 from .montecarlo import SimulationConfig, run_simulation
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "NoRootError",
     "RandomStream",
     "Sample",
     "SimulationConfig",

@@ -6,7 +6,7 @@ import sys
 import time
 
 from .distribution import Support, ZipfModel, MIN_UNBOUNDED_GAMMA
-from .estimate import NoRootError, mle_gamma
+from .estimate import _search_range, mle_gamma
 from .gof import judge, ks_statistic
 from .montecarlo import (
     DEFAULT_REPETITIONS,
@@ -192,10 +192,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise UsageError(
             f"{args.input}: observations exceed the declared support 1..{support}"
         )
-    try:
-        gamma_hat = mle_gamma(sample, support)
-    except NoRootError as err:
-        raise UsageError(f"cannot estimate an exponent for this data: {err}") from None
+    gamma_hat = mle_gamma(sample, support)
     fitted = ZipfModel(gamma=gamma_hat, support=support)
     ks = ks_statistic(sample, fitted)
 
@@ -239,6 +236,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         n=sample.n,
         support=support,
         gamma_hat=gamma_hat,
+        gamma_hat_at_bound=gamma_hat in _search_range(support),
         ks=ks.statistic,
         ks_argmax=ks.argmax_k,
         cutoff_source=source,

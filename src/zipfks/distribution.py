@@ -275,7 +275,7 @@ class RandomStream:
     def for_replicate(cls, base_seed: int, repetition: int, index: int) -> "RandomStream":
         """Independent stream keyed by (seed, repetition, index); worker-count free.
 
-        The index is a span of replicates, or a replicate's retry offset.
+        The index is a span of replicates.
         """
         return cls([int(base_seed), int(repetition), int(index)])
 

@@ -5,7 +5,9 @@ s_p(gamma) = sum k^(-gamma) (ln k)^p over the declared support, by
 Newton-Raphson from a tabulated inverse of the model mean log, kept inside
 a bracket of the root that shrinks at every step.  The left side is the
 sample mean of ln x; the right side is the model mean of ln X, strictly
-decreasing in gamma, so the root is unique whenever it exists.
+decreasing in gamma, so the root is unique whenever it exists; where it
+does not, the estimate is the nearer end of the search range, where the
+likelihood is largest on it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .series import CHUNK_ELEMENTS, HEAD_TERMS, finite_moments, natural_logs, ze
 from .series import finite_log_moments, zeta_log_moments  # noqa: F401
 
 # Newton stops once a step is within ABSOLUTE_TOLERANCE; a row still running
-# after MAX_ITERATIONS steps is NaN, like a row without a root.
+# after MAX_ITERATIONS steps is NaN.
 ABSOLUTE_TOLERANCE = 1e-5
 MAX_ITERATIONS = 200
 
@@ -42,14 +44,10 @@ MAX_ITERATIONS = 200
 BRACKET = (-20.0, 20.0)
 
 # Hard ceiling of the unbounded search range; estimates above it are reported
-# as no-root rather than extrapolated.
+# as the ceiling rather than extrapolated.
 MAX_UNBOUNDED_GAMMA = 20.0
 
 _LN2 = math.log(2.0)
-
-
-class NoRootError(ValueError):
-    """The estimating equation has no root inside the admissible range."""
 
 
 def _log_sums(observations: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -138,18 +136,14 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
 
     CountRows over a finite support are fitted all at once, and ValueRows
     over the unbounded one in chunks of rows; either gives one estimate per
-    row, and a row without a root is NaN.  A Sample is fitted as its batch
-    of one row (as_rows), and raises NoRootError when it has no root.
+    row, the likelihood's maximizer on the search range (_mle_rows).  A
+    Sample is fitted as its batch of one row (as_rows), and raises
+    ValueError if its fit does not converge.
     """
     if isinstance(sample, Sample):
-        row = as_rows(sample, support)
-        root = float(mle_gamma(row, support)[0])
+        root = float(mle_gamma(as_rows(sample, support), support)[0])
         if math.isnan(root):
-            low, high = _search_range(support)
-            raise NoRootError(
-                f"estimating equation has no root in [{low}, {high}] "
-                f"(mean log of data: {log_mean(row)[0]:.6g})"
-            )
+            raise ValueError(f"the fit did not converge in {MAX_ITERATIONS} iterations")
         return root
     target = log_mean(sample)
     if isinstance(sample, CountRows):
@@ -157,7 +151,8 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
         if k is None or sample.table.shape[1] != k:
             raise ValueError(f"count rows do not match the finite support 1..{support}")
         # every observation at the support bound: the root sits at -infinity,
-        # so mirror the all-ones nudge and score one observation as K-1
+        # so mirror the all-ones nudge and score one observation as K-1 (for
+        # K >= 20 and n >= 2 its root still lies below the search range)
         target[sample.table[:, -1] == sample.n] -= (math.log(k) - math.log(k - 1)) / sample.n
         return _mle_rows(target, support)
     if support.is_finite:
@@ -174,19 +169,23 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
 def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:
     """mle_gamma for every target mean log at once: safeguarded Newton, vectorized over rows.
 
-    A target outside the model's range of mean logs has no root and is NaN.
+    The log-likelihood -gamma sum(ln x) - n ln s0(gamma) is concave, with
+    slope n (mean_log(gamma) - target), so its maximizer on the search range
+    is the root where there is one, and otherwise the nearer end: a target
+    at or above the model's mean log at the lower end takes that end, and
+    one at or below the mean log at the upper end takes the upper end.
     Every other row keeps a bracket [lo, hi] around its root, narrowed by the
     sign of mean_log - target at each iterate (the mean log falls as gamma
     rises).  A Newton iterate outside the bracket, NaN included, is replaced
     by its midpoint (Press et al., Numerical Recipes, 3rd ed., section 9.4,
     rtsafe).  Each iteration evaluates the model's log moments for all rows
     still running at once, and a row stops once its Newton step is within
-    ABSOLUTE_TOLERANCE.
+    ABSOLUTE_TOLERANCE; one still running after MAX_ITERATIONS is NaN.
     """
     low, high = _search_range(support)
     means = _start_table(support)[0]
     mean_low, mean_high = means[-1], means[0]
-    out = np.where(target == mean_low, low, np.where(target == mean_high, high, np.nan))
+    out = np.where(target >= mean_low, low, np.where(target <= mean_high, high, np.nan))
     active = np.flatnonzero((target < mean_low) & (target > mean_high))
     lo, hi = np.full(active.size, low), np.full(active.size, high)
     x = _start(target[active], support)

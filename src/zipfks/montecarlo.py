@@ -54,10 +54,6 @@ DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
 DEFAULT_REPLICATES = 50000
 DEFAULT_REPETITIONS = 10
 
-# Stream key offset for the single retry of a replicate whose fit found no
-# root.  Span indices stay below it, so a retry key never repeats a span key.
-_RETRY_OFFSET = 1 << 32
-
 # Replicates per span; fixed so that the split into pool tasks never affects results.
 _SPAN = 512
 
@@ -70,7 +66,7 @@ _POOL_MIN_SECONDS = 0.25
 
 
 class SimulationError(RuntimeError):
-    """A replicate failed twice, or a table cell could not be computed."""
+    """A replicate's fit did not converge, or a table cell could not be computed."""
 
 
 def _validate_levels(levels: Sequence[float]) -> tuple[float, ...]:
@@ -114,15 +110,6 @@ def _generating_model(gamma: float, support_k: int | None) -> ZipfModel:
     return ZipfModel(gamma=gamma, support=Support(k=support_k))
 
 
-def _score(drawn: CountRows | ValueRows, support: Support) -> tuple[np.ndarray, np.ndarray]:
-    """KS statistics and re-fitted exponents of a batch of replicates.
-
-    Both are NaN for a replicate whose estimating equation has no root.
-    """
-    gamma_hat = mle_gamma(drawn, support)
-    return ks_statistic(drawn, ZipfRows(gamma_hat, support)), gamma_hat
-
-
 def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterator[CountRows | ValueRows]:
     """The next ``rows`` replicates of the stream, drawn a block of rows at a time.
 
@@ -159,9 +146,8 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     a row's fit and statistic do not depend on the rows batched with it, so
     results do not depend on how spans are grouped into tasks.
 
-    A replicate whose fit finds no root is redrawn once, alone, on an offset
-    stream; a second failure aborts, since silently dropping replicates would
-    bias quantiles.
+    A replicate whose fit did not converge (NaN) aborts the task, since
+    scoring or dropping it would bias the quantiles.
     """
     config, repetition, first, stop = task
     start = first * _SPAN
@@ -176,7 +162,8 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     def score_batch() -> None:
         drawn = concatenate_rows(batch)
         batch.clear()  # the joined copy is all that is kept
-        scored.append(_score(drawn, config.support))
+        gamma_hat = mle_gamma(drawn, config.support)
+        scored.append((ks_statistic(drawn, ZipfRows(gamma_hat, config.support)), gamma_hat))
 
     for span in range(first, stop):
         stream = RandomStream.for_replicate(config.base_seed, repetition, span)
@@ -189,16 +176,12 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
             held += size
     score_batch()
     ks, gamma_hat = (np.concatenate(part) for part in zip(*scored))
-    for row in np.flatnonzero(np.isnan(gamma_hat)):
-        index = start + int(row)
-        retry = RandomStream.for_replicate(config.base_seed, repetition, _RETRY_OFFSET + index)
-        (ks[row],), (gamma_hat[row],) = _score(sample(model, config.n, retry, 1), config.support)
-        if np.isnan(gamma_hat[row]):
-            raise SimulationError(
-                f"replicate {index} (repetition {repetition}, gamma={config.gamma}, "
-                f"n={config.n}, support={config.support}) failed twice: the estimating "
-                f"equation has no root in the admissible range"
-            )
+    failed = np.flatnonzero(np.isnan(gamma_hat))
+    if failed.size:
+        raise SimulationError(
+            f"replicate {start + int(failed[0])} (repetition {repetition}, gamma={config.gamma}, "
+            f"n={config.n}, support={config.support}): the fit did not converge"
+        )
     return ks, gamma_hat
 
 

@@ -12,6 +12,7 @@ class FitReport:
     n: int
     support: Support
     gamma_hat: float
+    gamma_hat_at_bound: bool  # the fit took an end of its search range
     ks: float
     ks_argmax: int
     cutoff_source: str
@@ -30,6 +31,8 @@ def format_human(report: FitReport) -> str:
         f"observations:  {report.n}",
         f"support:       {support}",
         f"gamma_hat:     {report.gamma_hat:.4f}",
+        *(["note:          gamma_hat is an end of the search range; the likelihood "
+           "still rises beyond it"] if report.gamma_hat_at_bound else []),
         f"ks_statistic:  {report.ks:.4f} (attained at k={report.ks_argmax})",
         f"cutoffs from:  {report.cutoff_source}",
     ]
@@ -59,4 +62,5 @@ def format_machine(report: FitReport) -> str:
         tag = _level_tag(verdict.level)
         lines.append(f"cutoff_q{tag}={verdict.cutoff!r}")
         lines.append(f"rejected_q{tag}={str(verdict.rejected).lower()}")
+    lines.append(f"gamma_hat_at_bound={str(report.gamma_hat_at_bound).lower()}")
     return "\n".join(lines)

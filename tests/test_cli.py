@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from zipfks import cli
 from zipfks.distribution import RandomStream, Support, ZipfModel, sample
 from zipfks.observations import write_observations
 from zipfks.tablefile import load_table
@@ -137,6 +138,37 @@ class TestFit:
         assert float(lines["ks"]) < 1e-12
         assert lines["rejected_q90"] == "false"
         assert "cutoff_q999" in lines
+        assert list(lines)[-2:] == ["rejected_q999", "gamma_hat_at_bound"]
+        assert lines["gamma_hat_at_bound"] == "false"
+
+    def test_data_piled_near_k_calibrates(self, tmp_path, capsys):
+        # gamma_hat = -16.1: some replicates pile onto K and fit -20, the
+        # search range's end; before they did, replicate 12 aborted the run
+        path = tmp_path / "obs.txt"
+        path.write_text("20 20 19 20 18 20 17 20 20 19\n")
+        args = ["fit", "--input", str(path), "--k", "20", "--bespoke", "--seed", "3",
+                "--replicates", "2000", "--reps", "1"]
+        assert cli.main(args) in (0, 1)
+        assert "note:" not in capsys.readouterr().out
+        assert cli.main(args + ["--machine"]) in (0, 1)
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert -20.0 < float(lines["gamma_hat"]) < -16.0
+        assert lines["gamma_hat_at_bound"] == "false"
+
+    def test_estimate_at_the_search_range_end_is_reported(self, tmp_path, capsys):
+        # the all-at-K nudge cannot bring the root of 20 20 20 into [-20, 20]
+        path = tmp_path / "obs.txt"
+        path.write_text("20 20 20\n")
+        args = ["fit", "--input", str(path), "--k", "20", "--bespoke", "--seed", "3",
+                "--replicates", "200", "--reps", "1"]
+        assert cli.main(args + ["--machine"]) in (0, 1)
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["gamma_hat"] == "-20.0"
+        assert lines["gamma_hat_at_bound"] == "true"
+        assert cli.main(args) in (0, 1)
+        human = capsys.readouterr().out.splitlines()
+        assert human[2] == "gamma_hat:     -20.0000"
+        assert human[3].startswith("note:          gamma_hat is an end of the search range")
 
     def test_table_lookup_flow(self, tmp_path):
         from zipfks.estimate import mle_gamma

@@ -19,7 +19,6 @@ from zipfks.distribution import (
 )
 from zipfks.estimate import (
     ABSOLUTE_TOLERANCE,
-    NoRootError,
     _search_range,
     log_mean,
     mle_gamma,
@@ -212,13 +211,12 @@ class TestMleGamma:
 
     def test_no_root_when_bound_adjustment_is_too_weak(self):
         # at K=20 the one-observation nudge cannot pull the mean log inside
-        # the reachable range, so the bracket still fails to straddle
-        with pytest.raises(NoRootError):
-            mle_gamma(Sample([20, 20, 20]), Support.finite(20))
+        # the reachable range: the likelihood still rises below -20, so the
+        # fit takes the range's lower end
+        assert mle_gamma(Sample([20, 20, 20]), Support.finite(20)) == -20.0
 
     def test_no_root_unbounded_when_mean_log_too_large(self):
-        with pytest.raises(NoRootError):
-            mle_gamma(Sample([10**9, 10**9]), Support.unbounded())
+        assert mle_gamma(Sample([10**9, 10**9]), Support.unbounded()) == MIN_UNBOUNDED_GAMMA
 
     def test_unbounded_estimate_stays_in_admissible_range(self):
         got = mle_gamma(Sample([1] * 50), Support.unbounded())
@@ -290,18 +288,16 @@ class TestFitProperties:
         drawn = draw_rows(support_k, gamma, n, rows, seed)
         got = mle_gamma(drawn, support)
         ks = ks_statistic(drawn, ZipfRows(got, support))
+        low, high = _search_range(support)
         for row, one in enumerate(row_samples(drawn)):
-            if np.isnan(got[row]):
-                with pytest.raises(NoRootError):
-                    scalar_score(one, support)
-                continue
             want_ks, want_g = scalar_score(one, support)
             assert abs(got[row] - want_g) < 1e-9
             assert abs(ks[row] - want_ks) < 1e-12
             if support_k is not None and int(one.observations.min()) == support_k:
                 continue  # the all-at-K nudge is the estimator's, not the likelihood's
-            low = got[row] - 0.5 if support_k is not None else max(got[row] - 0.5, 1.001)
-            want = golden_section_mle(one.observations, support_k, low, got[row] + 0.5)
+            # the likelihood's maximizer on the search range, an end included
+            want = golden_section_mle(one.observations, support_k, max(got[row] - 0.5, low),
+                                      min(got[row] + 0.5, high))
             assert abs(got[row] - want) < 1e-4
 
     @settings(max_examples=60, deadline=None)
@@ -311,18 +307,14 @@ class TestFitProperties:
     def test_batch_rows_equal_one_sample_fit_and_ks_exactly(self, support_k, data, n, rows, seed):
         # an observed sample is fitted and scored as its batch of one row, so
         # each drawn row's estimate and statistic are those of its sample, bit
-        # for bit, and NaN exactly where the sample's fit finds no root
+        # for bit, a range end included
         support = Support(k=support_k)
         gamma = data.draw(st.floats(1.05, 6.0) if support_k is None else st.floats(-1.0, 4.0))
         drawn = draw_rows(support_k, gamma, n, rows, seed)
         got = mle_gamma(drawn, support)
         ks = ks_statistic(drawn, ZipfRows(got, support))
         for row, one in enumerate(row_samples(drawn)):
-            try:
-                want = mle_gamma(one, support)
-            except NoRootError:
-                assert np.isnan(got[row]) and np.isnan(ks[row])
-                continue
+            want = mle_gamma(one, support)
             assert got[row] == want
             assert ks[row] == ks_statistic(one, ZipfModel(want, support)).statistic
 
@@ -343,16 +335,13 @@ class TestFitProperties:
     )
     def test_estimate_falls_as_mean_log_rises(self, support_k, data):
         # raise one observation at a time: the mean log rises, the estimate
-        # falls (to within Newton's precision), until no root is left
+        # falls (to within Newton's precision), down to the range's lower end
         top = support_k or 10**6
         obs = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=30))
         support = Support(k=support_k)
         previous = math.inf
         for _ in range(data.draw(st.integers(1, 10))):
-            try:
-                got = mle_gamma(Sample(obs), support)
-            except NoRootError:
-                return
+            got = mle_gamma(Sample(obs), support)
             assert got <= previous + 1e-9
             previous = got
             lower = [i for i, v in enumerate(obs) if v < top]
@@ -402,32 +391,31 @@ class TestStart:
     def test_targets_beyond_the_table(self):
         # all ones at n = 2x10^6 sits below the mean log at gamma = 20, all
         # at K above the one at -20, and a mean log of ln 10^9 above the
-        # unbounded one at 1.05: each starts at its table's end, leaves the
-        # bracket and has no root, batched (NaN) and alone (NoRootError)
+        # unbounded one at 1.05: none has a root, and each takes the nearer
+        # end of the search range, batched and alone
         ones = CountRows(table=np.array([[2_000_000] + [0] * 19]), n=2_000_000)
         at_k = CountRows(table=np.array([[0] * 19 + [3]]), n=3)
-        for rows, values in ((ones, [1] * 2_000_000), (at_k, [20, 20, 20])):
-            assert np.isnan(mle_gamma(rows, Support.finite(20))).all()
-            with pytest.raises(NoRootError):
-                mle_gamma(Sample(values), Support.finite(20))
-        assert np.isnan(fit_mean_logs([math.log(1e9)])).all()
-        with pytest.raises(NoRootError):
-            mle_gamma(Sample([10**9, 10**9]), Support.unbounded())
+        for rows, values, end in ((ones, [1] * 2_000_000, 20.0), (at_k, [20, 20, 20], -20.0)):
+            assert mle_gamma(rows, Support.finite(20)).tolist() == [end]
+            assert mle_gamma(Sample(values), Support.finite(20)) == end
+        assert fit_mean_logs([math.log(1e9)]).tolist() == [MIN_UNBOUNDED_GAMMA]
+        assert mle_gamma(Sample([10**9, 10**9]), Support.unbounded()) == MIN_UNBOUNDED_GAMMA
 
     def test_rows_without_root_are_exactly_those_beyond_the_model_range(self, monkeypatch):
         # gamma = -5 at n = 5 piles samples onto K = 20; some mean logs lie
-        # above the model's at -20, and only those rows fail (and get redrawn
-        # by the calibration loop, see test_montecarlo), found before any
-        # moment evaluation
+        # above the model's at -20, and only those rows take the range's end,
+        # found before any moment evaluation; every other row fits inside
         drawn = draw_rows(20, -5.0, 5, 400, seed=7)
         mle_gamma(one_row(drawn, 0), Support.finite(20))  # builds the start table
         evaluated = count_evaluations(monkeypatch)
         got = mle_gamma(drawn, Support.finite(20))
         target = log_mean(drawn)
         target[drawn.table[:, -1] == 5] -= (math.log(20) - math.log(19)) / 5
-        beyond = (target > model_mean_log(-20.0, 20)) | (target < model_mean_log(20.0, 20))
+        above = target > model_mean_log(-20.0, 20)
+        beyond = above | (target < model_mean_log(20.0, 20))
         assert beyond.any()
-        np.testing.assert_array_equal(np.isnan(got), beyond)
+        np.testing.assert_array_equal(got[beyond], np.where(above[beyond], -20.0, 20.0))
+        assert ((-20.0 < got[~beyond]) & (got[~beyond] < 20.0)).all()
         assert evaluated[0] == np.count_nonzero(~beyond)
 
     def test_unbounded_roots_at_and_near_the_lower_end(self):
@@ -437,10 +425,9 @@ class TestStart:
         np.testing.assert_allclose(fit_mean_logs(s1 / s0), edge, rtol=0, atol=1e-9)
         drawn = draw_rows(None, 1.05, 50, 64, seed=3)
         got = mle_gamma(drawn, Support.unbounded())
-        assert np.nanmin(got) >= low
+        assert got.min() >= low
         for row, one in enumerate(row_samples(drawn)):
-            if not np.isnan(got[row]):
-                assert abs(got[row] - mle_gamma(one, Support.unbounded())) < 1e-9
+            assert abs(got[row] - mle_gamma(one, Support.unbounded())) < 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_two_point_support_closed_form(self, n):
@@ -449,8 +436,8 @@ class TestStart:
         support = Support.finite(2)
         table = np.array([[a, n - a] for a in range(n + 1)])
         got = mle_gamma(CountRows(table=table, n=n), support)
-        if n == 1:  # scored as 0 ones and one two, or the reverse: no finite root
-            assert np.isnan(got).all()
+        if n == 1:  # scored as 0 ones and one two, or the reverse: the range's ends
+            assert got.tolist() == [20.0, -20.0]
             return
         for (a, b), g in zip(table, got):
             a, b = (n - 1, 1) if b == 0 else (1, n - 1) if a == 0 else (a, b)

@@ -11,7 +11,6 @@ from zipfks.distribution import RandomStream, Support, ZipfModel, sample
 from zipfks.estimate import mle_gamma
 from zipfks.gof import ZipfRows, judge, ks_statistic
 from zipfks.montecarlo import (
-    _RETRY_OFFSET,
     _SPAN,
     DEFAULT_LEVELS,
     CutoffLookupError,
@@ -192,32 +191,18 @@ class TestRunReplicate:
         with pytest.raises(ValueError):
             _run_spans((config(), 0, 0, 0))  # no span at all
 
-    def test_failed_fit_redrawn_once_on_offset_stream(self):
-        # about 2% of these fits have no root; each such replicate is redrawn,
-        # alone, from the stream keyed (seed, repetition, 2^32 + index)
-        cfg = config(n=5, gamma=-5.0, base_seed=7)
-        model = ZipfModel(cfg.gamma, cfg.support)
-        first = mle_gamma(sample(model, cfg.n, RandomStream.for_replicate(7, 0, 0), rows=400), cfg.support)
-        failed = np.flatnonzero(np.isnan(first))
-        assert failed.size > 0
-        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
-        assert not np.isnan(ks).any()
-        np.testing.assert_array_equal(np.delete(gamma_hat, failed), np.delete(first, failed))
-        for index in failed:
-            stream = RandomStream.for_replicate(7, 0, _RETRY_OFFSET + int(index))
-            redrawn = sample(model, cfg.n, stream, rows=1)
-            want_g = mle_gamma(redrawn, cfg.support)
-            assert gamma_hat[index] == want_g[0]
-            assert ks[index] == ks_statistic(redrawn, ZipfRows(want_g, cfg.support))[0]
-
-    def test_double_estimator_failure_aborts_with_diagnostics(self):
-        # most draws from this model pile onto the top of the support, where
-        # the estimating equation has no root inside the bracket; the
-        # offset-stream retry hits the same wall almost surely within a few
-        # indices
-        cfg = config(n=3, support=Support.finite(20), gamma=-30.0, replicates=100)
-        with pytest.raises(SimulationError, match=r"replicate \d+ \(repetition 0, gamma=-30.0, n=3"):
-            _run_spans((cfg, 0, 0, 1))
+    def test_rows_piled_at_k_calibrate(self):
+        # draws from this cell sometimes pile onto the top of the support,
+        # where the likelihood still rises below -20: those replicates fit
+        # the range's lower end.  When such fits had no estimate, replicate
+        # 15574 of repetition 1 aborted this run.
+        cfg = config(n=4, gamma=-2.0, base_seed=1, replicates=16000, repetitions=2)
+        spans = -(-cfg.replicates // _SPAN)
+        ks, gamma_hat = _run_spans((cfg, 1, 0, spans))
+        assert gamma_hat[15574] == -20.0
+        assert not np.isnan(ks).any() and -20.0 <= gamma_hat.min()
+        cutoffs = [cutoff for _, cutoff in run_simulation(cfg, workers=1)]
+        assert np.isfinite(cutoffs).all()
 
 
 class TestObservedSample:
@@ -307,35 +292,22 @@ class TestBatches:
         got = [cutoff for _, cutoff in run_simulation(cfg, workers=1)]
         np.testing.assert_array_equal(got, np.mean(per_rep, axis=0))
 
-    def test_retried_rows_keep_their_replicate_index(self, monkeypatch):
-        # about 2% of these fits have no root, in every span; a batch of all
-        # three spans redraws each from the stream of its replicate index
-        cfg = config(n=5, gamma=-5.0, base_seed=7, replicates=1100, repetitions=1)
-        model = ZipfModel(cfg.gamma, cfg.support)
-        for span in (1, 2):
-            stream = RandomStream.for_replicate(7, 0, span)
-            rows = min(_SPAN, cfg.replicates - span * _SPAN)
-            assert np.isnan(mle_gamma(sample(model, cfg.n, stream, rows=rows), cfg.support)).any()
-        want_ks, want_gamma = span_by_span(cfg, 0)
-        rows = batch_rows(monkeypatch)
-        ks, gamma_hat = _run_spans((cfg, 0, 0, 3))
-        assert rows[0] == 1100 and len(rows) > 3 and set(rows[1:]) == {1}  # then the retries
-        np.testing.assert_array_equal(ks, want_ks)
-        np.testing.assert_array_equal(gamma_hat, want_gamma)
+    def test_unconverged_fit_names_the_replicate_index(self, monkeypatch):
+        # batch rows 88 and 300 come back NaN, as a fit still running at
+        # MAX_ITERATIONS does; a task starting at span 1 aborts on replicate
+        # 512 + 88 whether its batch holds one span or two
+        cfg = config(n=3, gamma=1.5, replicates=1100, repetitions=1)
+        fit = montecarlo.mle_gamma
 
-    def test_double_failure_names_the_replicate_index(self):
-        # test_double_estimator_failure_aborts_with_diagnostics's model: a
-        # multi-span batch that starts at span 1 reports the replicate that
-        # span 1 alone reports
-        cfg = config(n=3, support=Support.finite(20), gamma=-30.0, replicates=1100,
-                     repetitions=1)
-        messages = []
+        def unconverged(drawn, support):
+            gamma_hat = fit(drawn, support)
+            gamma_hat[[88, 300]] = np.nan
+            return gamma_hat
+
+        monkeypatch.setattr(montecarlo, "mle_gamma", unconverged)
         for task in [(cfg, 0, 1, 3), (cfg, 0, 1, 2)]:
-            with pytest.raises(SimulationError, match=r"replicate (\d+) ") as err:
+            with pytest.raises(SimulationError, match=r"^replicate 600 \(repetition 0, "):
                 _run_spans(task)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert int(messages[0].split()[1]) >= _SPAN
 
 
 class TestChunksAndWorkers:
@@ -514,11 +486,15 @@ class TestCutoffTable:
         with pytest.raises(CutoffLookupError):
             table.cutoffs_for(1.5, 30)  # sample size not tabulated
 
-    def test_failing_cell_names_coordinates(self):
-        with pytest.raises(SimulationError, match=r"gamma=-30.0, n=3"):
+    def test_failing_cell_names_coordinates(self, monkeypatch):
+        def fail(config, workers):
+            raise ValueError("no cutoffs")
+
+        monkeypatch.setattr(montecarlo, "run_simulation", fail)
+        with pytest.raises(SimulationError, match=r"cell \(gamma=1.5, n=3\) failed: no cutoffs"):
             build_table(
                 ns=(3,),
-                gammas=(-30.0,),
+                gammas=(1.5,),
                 support=Support.finite(20),
                 base_seed=5,
                 replicates=100,
