@@ -6,7 +6,7 @@ import sys
 import time
 
 from .distribution import Support, ZipfModel, MIN_UNBOUNDED_GAMMA
-from .estimate import _search_range, mle_gamma
+from .estimate import _search_range, mle_gamma, standard_error
 from .gof import judge, ks_statistic
 from .montecarlo import (
     DEFAULT_REPETITIONS,
@@ -237,6 +237,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         support=support,
         gamma_hat=gamma_hat,
         gamma_hat_at_bound=gamma_hat in _search_range(support),
+        gamma_hat_se=standard_error(gamma_hat, sample.n, support),
         ks=ks.statistic,
         ks_argmax=ks.argmax_k,
         cutoff_source=source,

@@ -54,8 +54,8 @@ _BINCOUNT_SPREAD = 2
 # Largest observation a Sample holds.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# An unbounded batch is drawn and handed on in blocks of rows that hold
-# about this many CHUNK_ELEMENTS of distinct values and tail draws each.
+# An unbounded batch is drawn and handed on in blocks of rows of about this
+# many CHUNK_ELEMENTS of work each (ValueRows.sizes, counting tail draws).
 _BLOCK_CHUNKS = 2
 
 
@@ -214,32 +214,55 @@ class CountRows:
 
 @dataclass(frozen=True, eq=False)
 class ValueRows:
-    """Equal-size samples over the unbounded support, each reduced to its distinct values.
+    """Equal-size samples over the unbounded support: dense counts of 1..H, then distinct values.
 
-    Row r's sorted distinct values are ``observations[starts[r]:starts[r + 1]]``,
+    ``head[r, k - 1]`` is how often sample r holds the value k <= H, H =
+    ``head.shape[1]``, in the smallest unsigned type that holds n.  Row r's
+    sorted distinct values above H are ``observations[starts[r]:starts[r + 1]]``,
     seen ``counts[starts[r]:starts[r + 1]]`` times.  The estimator and the KS
     statistic need no more of a sample than that, so a batch keeps no more
-    of its draws; the estimator takes each row's log sum from them.
+    of its draws.  Drawn batches take H from the draw (_head_size) and store
+    their values in the smallest type that holds UNBOUNDED_SAMPLE_LIMIT, their
+    counts in the head's; an observed sample is a row with H = 0 (as_rows).
     """
 
+    head: np.ndarray
     observations: np.ndarray
     counts: np.ndarray
     starts: np.ndarray
     n: int
 
     def sizes(self) -> np.ndarray:
-        """Entry r: the work of rows 0..r-1, their distinct values and HEAD_TERMS + 1 per
-        row, the head table that the fit and KS statistic build for every row."""
-        return self.starts + (HEAD_TERMS + 1) * np.arange(self.starts.size)
+        """Entry r: the work of rows 0..r-1, their values above H and H + HEAD_TERMS + 1
+        per row: its head counts and the head table that the fit and KS statistic
+        build for every row."""
+        return self.starts + (self.head.shape[1] + HEAD_TERMS + 1) * np.arange(self.starts.size)
+
+    def chunks(self) -> Iterator[tuple[int, int]]:
+        """(lo, hi) of consecutive runs of rows, at least one row each, of at most
+        CHUNK_ELEMENTS of work (sizes) where more than one row fits."""
+        sizes = self.sizes()
+        rows = sizes.size - 1
+        lo = 0
+        while lo < rows:
+            hi = max(lo + 1, int(np.searchsorted(sizes, sizes[lo] + CHUNK_ELEMENTS, "right")) - 1)
+            yield lo, hi
+            lo = hi
+
+    def part(self, lo: int, hi: int) -> "ValueRows":
+        """Rows lo..hi-1 as a batch of their own, on views of this batch's arrays."""
+        a, b = self.starts[lo], self.starts[hi]
+        return ValueRows(self.head[lo:hi], self.observations[a:b], self.counts[a:b],
+                         self.starts[lo : hi + 1] - a, self.n)
 
 
 def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
     """The sample as a batch of one row on the declared support.
 
     Over 1..K it is its count vector (CountRows), over all positive integers
-    its distinct values and their counts (ValueRows), so that it is fitted and
-    scored by the arithmetic that fits and scores the replicates.  Values
-    outside the support are an error.
+    its distinct values and their counts (ValueRows with H = 0), so that it is
+    fitted and scored by the arithmetic that fits and scores the replicates.
+    Values outside the support are an error.
     """
     values, counts = sample.distinct
     if not support.contains(values):
@@ -248,7 +271,8 @@ def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
         table = np.zeros((1, support.k), dtype=np.int64)
         table[0, values - 1] = counts
         return CountRows(table, sample.n)
-    return ValueRows(values, counts, np.array([0, values.size]), sample.n)
+    head = np.zeros((1, 0), dtype=np.min_scalar_type(sample.n))
+    return ValueRows(head, values, counts, np.array([0, values.size]), sample.n)
 
 
 def finite_cdf(gammas: np.ndarray, k: int, last: int) -> np.ndarray:
@@ -362,13 +386,13 @@ def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> I
     CHUNK_ELEMENTS counts at a time, and then each block's tail draws in
     row order, so the samples depend neither on the blocks nor on
     CHUNK_ELEMENTS.  A block is the longest run of rows, at least one, whose
-    head values seen and tail draws come to at most _BLOCK_CHUNKS *
-    CHUNK_ELEMENTS, which bounds the distinct values it stores.  Besides
+    work (ValueRows.sizes, with tail draws in place of the distinct values
+    they give) comes to at most _BLOCK_CHUNKS * CHUNK_ELEMENTS.  Besides
     the block being handed on, only every row's head counts are kept, in
-    the smallest integer type that holds n; _block frees its temporaries
-    before it returns.  Each tail value is drawn by _draw_values; the
-    multinomial's probabilities and the tail's cdf and guide are the
-    model's _draw_table for the head.
+    the smallest integer type that holds n; a block's head is a slice of
+    them.  Each tail value is drawn by _draw_values; the multinomial's
+    probabilities and the tail's cdf and guide are the model's _draw_table
+    for the head.
     """
     head = _head_size(model, n)
     p, _, _ = model._draw_table(head)
@@ -380,60 +404,43 @@ def value_blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> I
         hi = lo + len(table)
         tails[lo:hi] = table[:, head]
         heads[lo:hi] = table[:, :head]
-    head_lengths = np.count_nonzero(heads, axis=1)  # distinct values of each row in the head
-    stored = np.cumsum(head_lengths + tails)  # bounds the distinct values of rows 0..r
+    stored = np.cumsum(tails + (head + HEAD_TERMS + 1))  # bounds the work of rows 0..r
     budget = _BLOCK_CHUNKS * CHUNK_ELEMENTS
     lo = 0
     while lo < rows:
         done = stored[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(stored, done + budget, side="right")))
-        yield _block(model, stream, heads[lo:hi], head_lengths[lo:hi], tails[lo:hi], n)
+        yield _block(model, stream, heads[lo:hi], tails[lo:hi], n)
         lo = hi
 
 
-def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, head_lengths: np.ndarray,
-           tails: np.ndarray, n: int) -> ValueRows:
+def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, tails: np.ndarray,
+           n: int) -> ValueRows:
     """ValueRows of some rows from their head counts, drawing their tails from the stream.
 
-    Each row holds its head values, then its tail values: the head values
-    are placed, and the tail values, drawn by _draw_values above the head
-    and sorted by row and value, fill the rest.
+    The tail values, drawn by _draw_values above the head, are sorted by row
+    and value as keys and counted; the head counts are kept as they are.
+    Values are kept in the smallest type that holds UNBOUNDED_SAMPLE_LIMIT,
+    counts in the head's.
     """
     rows, head = heads.shape
-    cells = np.flatnonzero(heads)  # row-major: each row's values in increasing order
-    lengths = head_lengths.copy()
     draws = int(tails.sum())
-    if draws:
-        keys = _draw_values(model, draws, stream, head)
-        key_type = np.min_scalar_type((rows - 1) << _ROW_BITS | _VALUE_MASK)  # sorts faster
-        keys = keys.astype(key_type)
-        keys |= np.repeat(np.arange(rows, dtype=key_type) << _ROW_BITS, tails)
-        keys.sort()
-        new = np.empty(draws, dtype=bool)  # first of its value in its row
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        keys = keys[first]
-        row, value = keys >> _ROW_BITS, keys & _VALUE_MASK
-        seen = np.diff(first, append=draws)
-        lengths += np.diff(np.searchsorted(row, np.arange(rows + 1, dtype=key_type)))  # row sorted
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    at = np.repeat(starts[:-1] - (np.cumsum(head_lengths) - head_lengths), head_lengths)
-    at += np.arange(at.size)  # where each head value goes
-    observations = np.empty(starts[-1], dtype=np.int64)
-    counts = np.empty(starts[-1], dtype=np.int64)
-    observations[at] = cells % head + 1
-    counts[at] = heads.ravel()[cells]
-    if draws:
-        tail = np.ones(starts[-1], dtype=bool)
-        tail[at] = False
-        observations[tail] = value
-        counts[tail] = seen
-    return ValueRows(observations, counts, starts, n)
+    key_type = np.min_scalar_type((rows - 1) << _ROW_BITS | _VALUE_MASK)  # sorts faster
+    keys = _draw_values(model, draws, stream, head).astype(key_type)
+    keys |= np.repeat(np.arange(rows, dtype=key_type) << _ROW_BITS, tails)
+    keys.sort()
+    new = np.ones(draws, dtype=bool)  # first of its value in its row
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    keys = keys[first]
+    starts = np.searchsorted(keys >> _ROW_BITS, np.arange(rows + 1, dtype=key_type))  # row sorted
+    seen = np.diff(first, append=draws).astype(heads.dtype)
+    return ValueRows(heads, (keys & _VALUE_MASK).astype(np.min_scalar_type(_VALUE_MASK)), seen,
+                     starts, n)
 
 
 def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | ValueRows:
-    """One batch of consecutive blocks of rows, all CountRows or all ValueRows of one n."""
+    """One batch of consecutive blocks of rows, all CountRows or all ValueRows of one n and H."""
     blocks = list(blocks)
     if len(blocks) == 1:
         return blocks[0]
@@ -442,6 +449,7 @@ def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | Val
         return CountRows(np.concatenate([b.table for b in blocks]), n)
     lengths = np.concatenate([np.diff(b.starts) for b in blocks])
     return ValueRows(
+        np.concatenate([b.head for b in blocks]),
         np.concatenate([b.observations for b in blocks]),
         np.concatenate([b.counts for b in blocks]),
         np.concatenate(([0], np.cumsum(lengths))),
@@ -470,8 +478,8 @@ def sample(
       bincount, O(n) per row.
     - Unbounded support: ValueRows.  A head 1..H, H the largest k with
       n p(k) >= 1 clipped to [16, 4096], is drawn as a multinomial over
-      1..H plus one tail category; its nonzero counts are the row's first
-      distinct values.  Only the row's tail observations are drawn by
+      1..H plus one tail category; its counts of 1..H are the row of the
+      batch's head matrix.  Only the row's tail observations are drawn by
       inverse transform on the tail's own cdf over H+1..UNBOUNDED_SAMPLE_LIMIT,
       clamped like a one-sample draw.  The model keeps the tables of the
       last H it drew with (ZipfModel._draw_table).  The stream gives all

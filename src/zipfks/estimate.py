@@ -50,26 +50,38 @@ MAX_UNBOUNDED_GAMMA = 20.0
 _LN2 = math.log(2.0)
 
 
-def _log_sums(observations: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each row's sum of count x ln value over its distinct values, by np.add.reduceat.
+def _log_sums(rows: ValueRows) -> np.ndarray:
+    """Each row's sum of count x ln value over the values it holds, by np.add.reduceat.
 
-    A row's sum does not depend on the rows beside it.  The shared log table
-    holds np.log's bits, so values above it, which only observed samples
-    hold, take np.log.
+    A row's terms are ln k x count for each k <= H that it holds, then count
+    x ln value for each of its values above H, in increasing order, laid out
+    in one array; so a row's sum depends neither on the rows beside it nor
+    on H.  The shared log table holds np.log's bits, so values above it,
+    which only observed samples hold, take np.log.
     """
-    if observations.max() <= UNBOUNDED_SAMPLE_LIMIT:
-        terms = natural_logs(UNBOUNDED_SAMPLE_LIMIT)[observations]
+    values = rows.observations
+    if values.size == 0 or values.max() <= UNBOUNDED_SAMPLE_LIMIT:
+        tail = natural_logs(UNBOUNDED_SAMPLE_LIMIT)[values]
     else:
-        terms = np.log(observations.astype(np.float64))
-    terms *= counts
-    return np.add.reduceat(terms, starts[:-1])
+        tail = np.log(values.astype(np.float64))
+    tail *= rows.counts
+    head = rows.head
+    head_lengths = np.count_nonzero(head, axis=1)
+    lengths = np.stack((head_lengths, np.diff(rows.starts)), axis=1).ravel()
+    in_tail = np.repeat(np.tile([False, True], head_lengths.size), lengths)  # each row's layout
+    terms = np.empty(in_tail.size)
+    terms[in_tail] = tail
+    head_terms = head * natural_logs(UNBOUNDED_SAMPLE_LIMIT)[1 : head.shape[1] + 1]
+    terms[~in_tail] = np.compress(head.ravel() != 0, head_terms.ravel())
+    return np.add.reduceat(terms, rows.starts[:-1] + np.cumsum(head_lengths) - head_lengths)
 
 
 def log_mean(rows: CountRows | ValueRows) -> np.ndarray:
     """(sum ln x_i) / n per row, with the all-ones degenerate case nudged by ln 2.
 
     A row's log sum is taken from its counts of 1..K (CountRows) or from its
-    distinct values and their counts (_log_sums), drawn or observed alike.
+    head counts and distinct values above them (_log_sums, a chunk of rows at a
+    time), drawn or observed alike.
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
     """
@@ -77,7 +89,7 @@ def log_mean(rows: CountRows | ValueRows) -> np.ndarray:
         k = rows.table.shape[1]
         raw = (rows.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
     else:
-        raw = _log_sums(rows.observations, rows.counts, rows.starts)
+        raw = np.concatenate([_log_sums(rows.part(lo, hi)) for lo, hi in rows.chunks()])
     raw[raw <= 0.0] += _LN2
     return raw / rows.n
 
@@ -164,6 +176,16 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
     for lo in range(0, target.size, step):
         out[lo : lo + step] = _mle_rows(target[lo : lo + step], support)
     return out
+
+
+def standard_error(gamma: float, n: int, support: Support) -> float:
+    """Fisher-information standard error of an exponent fitted to n observations.
+
+    The information per observation is Var(ln X) under the model at gamma
+    (_mean_log_rows' slope), so the error is 1 / sqrt(n Var(ln X)).
+    """
+    variance = float(_mean_log_rows(np.array([gamma]), support)[1][0])
+    return 1.0 / math.sqrt(n * variance)
 
 
 def _mle_rows(target: np.ndarray, support: Support) -> np.ndarray:

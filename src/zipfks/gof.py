@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import CountRows, Sample, Support, ValueRows, ZipfModel, as_rows, finite_cdf
-from .series import CHUNK_ELEMENTS, zeta_cdf
+from .series import zeta_cdf
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def ks_statistic(
         best = int(np.argmax(gaps))  # the first of equal gaps
         return KsResult(statistic=float(gaps[best]), argmax_k=best + 1)
     values = row.observations
-    below, at = _endpoint_gaps(values, row.counts, np.diff(row.starts), row.n, gamma)
+    below, at, _ = _endpoint_gaps(row, gamma)
     best = max(below.max(), at.max())
     # the smallest point among equal gaps; the gap below a value sits at value - 1
     points = np.concatenate((values[at == best], values[below == best] - 1))
@@ -98,22 +98,34 @@ def _finite_gaps(counts: CountRows, models: ZipfRows) -> np.ndarray:
 
 
 def _endpoint_gaps(
-    values: np.ndarray, counts: np.ndarray, lengths: np.ndarray, n: int, gamma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """|fitted cdf - empirical cdf| just below and at each distinct value of some samples.
+    rows: ValueRows, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|fitted cdf - empirical cdf| of some samples just below and at each value they hold.
 
-    Sample r holds the next lengths[r] sorted values, seen ``counts`` times out of n,
-    fitted by gamma[r].  Its empirical cdf is an integer running count,
-    restarted at the sample, so no sample depends on the others.
+    Row r is fitted by gamma[r].  Returns the gaps below and at each value
+    above H, and a rows x H array of the larger of the two gaps at each
+    k <= H that the row holds, 0 at any other.  The empirical cdf is an
+    integer running count, restarted at the row, so no row depends on the
+    others.
     """
-    offsets = np.cumsum(lengths) - lengths
-    seen = np.cumsum(counts)
-    seen -= np.repeat(seen[offsets] - counts[offsets], lengths)  # observations <= value
-    below, at = zeta_cdf(gamma, np.repeat(np.arange(lengths.size), lengths), values)
-    at -= seen / n
+    head, values, counts = rows.head, rows.observations, rows.counts
+    lengths = np.diff(rows.starts)
+    below, at, column_below, column_at = zeta_cdf(
+        gamma, np.repeat(np.arange(lengths.size, dtype=np.int32), lengths), values, head.shape[1])
+    seen = np.cumsum(head, axis=1, dtype=head.dtype)  # observations <= k, at most n
+    column_at -= seen / rows.n
+    seen -= head
+    column_below -= seen / rows.n
+    gaps = np.maximum(np.abs(column_below, out=column_below), np.abs(column_at, out=column_at),
+                      out=column_at)
+    gaps *= head != 0  # a value the row does not hold has no gap
+    through = np.zeros(counts.size + 1, dtype=np.int64)  # observations above H before each value
+    seen = np.cumsum(counts, out=through[1:])  # then n less the row's observations above the value
+    seen += np.repeat(rows.n - through[rows.starts[1:]], lengths)
+    at -= seen / rows.n
     seen -= counts
-    below -= seen / n
-    return np.abs(below, out=below), np.abs(at, out=at)
+    below -= seen / rows.n
+    return np.abs(below, out=below), np.abs(at, out=at), gaps
 
 
 def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
@@ -121,20 +133,18 @@ def _ks_value_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
 
     Each row gives what ks_statistic gives on its own sample: both take the
     largest of _endpoint_gaps.  Rows are taken in chunks of about
-    CHUNK_ELEMENTS of work (ValueRows.sizes), which bounds the per-row head
-    tables as well as the values that a chunk holds.
+    CHUNK_ELEMENTS of work (ValueRows.chunks), which bounds the head columns
+    and per-row head tables as well as the values that a chunk holds.
     """
     if models.support.is_finite:
         raise ValueError("value rows need the unbounded support")
-    starts, sizes = drawn.starts, drawn.sizes()
-    rows = starts.size - 1
-    out = np.empty(rows)
-    lo = 0
-    while lo < rows:
-        hi = max(lo + 1, int(np.searchsorted(sizes, sizes[lo] + CHUNK_ELEMENTS, "right")) - 1)
-        entries = slice(starts[lo], starts[hi])
-        below, at = _endpoint_gaps(drawn.observations[entries], drawn.counts[entries],
-                                   np.diff(starts[lo : hi + 1]), drawn.n, models.gamma[lo:hi])
-        out[lo:hi] = np.maximum.reduceat(np.maximum(below, at, out=at), starts[lo:hi] - starts[lo])
-        lo = hi
+    out = np.empty(drawn.starts.size - 1)
+    for lo, hi in drawn.chunks():
+        part = drawn.part(lo, hi)
+        below, at, gaps = _endpoint_gaps(part, models.gamma[lo:hi])
+        largest = gaps.max(axis=1, initial=0.0)
+        held = np.flatnonzero(np.diff(part.starts))  # rows with values above H
+        tail = np.maximum.reduceat(np.maximum(below, at, out=at), part.starts[held])
+        largest[held] = np.maximum(largest[held], tail)
+        out[lo:hi] = largest
     return out

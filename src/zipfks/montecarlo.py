@@ -12,8 +12,9 @@ contiguous spans of one repetition: run in process, the whole repetition;
 on a pool, about a quarter of one worker's share of it.  A task's spans are
 drawn a block of rows at a time.  On a finite support a block is a matrix of
 count vectors.  On the unbounded support each replicate is reduced, as it
-is drawn, to its distinct values with their counts, and a block holds a
-bounded number of values however heavy the tails.
+is drawn, to its counts of 1..H, a row of a dense matrix, and its distinct
+values above H with their counts, and a block holds bounded work however
+heavy the tails.
 Consecutive blocks, within a span or across spans, are joined into batches
 of bounded size, and each batch is fitted and scored as one before the
 blocks after it are drawn.
@@ -127,7 +128,8 @@ def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterat
 
 
 def _size(block: CountRows | ValueRows) -> int:
-    """A block's share of a batch: its count cells, or its work size (ValueRows.sizes)."""
+    """A block's share of a batch: its count cells, or its work size (ValueRows.sizes),
+    which counts its head cells."""
     if isinstance(block, CountRows):
         return block.table.size
     return int(block.sizes()[-1])

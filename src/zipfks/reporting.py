@@ -13,6 +13,7 @@ class FitReport:
     support: Support
     gamma_hat: float
     gamma_hat_at_bound: bool  # the fit took an end of its search range
+    gamma_hat_se: float  # Fisher-information standard error at gamma_hat
     ks: float
     ks_argmax: int
     cutoff_source: str
@@ -33,6 +34,7 @@ def format_human(report: FitReport) -> str:
         f"gamma_hat:     {report.gamma_hat:.4f}",
         *(["note:          gamma_hat is an end of the search range; the likelihood "
            "still rises beyond it"] if report.gamma_hat_at_bound else []),
+        f"gamma_hat_se:  {report.gamma_hat_se:.3g} (Fisher information at gamma_hat)",
         f"ks_statistic:  {report.ks:.4f} (attained at k={report.ks_argmax})",
         f"cutoffs from:  {report.cutoff_source}",
     ]
@@ -63,4 +65,5 @@ def format_machine(report: FitReport) -> str:
         lines.append(f"cutoff_q{tag}={verdict.cutoff!r}")
         lines.append(f"rejected_q{tag}={str(verdict.rejected).lower()}")
     lines.append(f"gamma_hat_at_bound={str(report.gamma_hat_at_bound).lower()}")
+    lines.append(f"gamma_hat_se={report.gamma_hat_se!r}")
     return "\n".join(lines)

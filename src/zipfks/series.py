@@ -96,8 +96,9 @@ def _tail_factors(
     """(a^(-gamma), b, (gamma)_7): sum_{k>=a} k^(-gamma) (ln k)^p = a^(-gamma) b[p], p < moments.
 
     Elementwise over 1-d gammas and starts a (starts may have one element),
-    or with start i under gammas[rows[i]].  Euler-Maclaurin: the integral,
-    f(a)/2 and the f', f''', f^(5), f^(7) terms.  As f = (-d/dgamma)^p x^(-gamma),
+    or with each start under gammas[rows], rows broadcast against starts (a
+    column of row indices takes every start under every row).  Euler-Maclaurin:
+    the integral, f(a)/2 and the f', f''', f^(5), f^(7) terms.  As f = (-d/dgamma)^p x^(-gamma),
     f^(j)(a) = (-1)^j a^(-gamma-j) sum_i C(p, i) (-1)^i D_i L^(p-i), L = ln a, with
     D_i the i-th gamma-derivative of (gamma)_j: D_1 = D_0 H_1, D_2 = D_0 (H_1^2 - H_2),
     H_q = sum_{c<j} (gamma + c)^(-q).  zeta_moments bounds the remainder.
@@ -117,13 +118,19 @@ def _tail_factors(
             d[:, 2] *= h
     r = np.reciprocal(gammas - 1.0)
     if rows is not None:  # np.take: a gather on the last axis, far faster than d[..., rows]
-        d, r, gammas = np.take(d, rows, axis=-1), np.take(r, rows), np.take(gammas, rows)
+        r, gammas = np.take(r, rows), np.take(gammas, rows)
+
+    def coefficient(j: int) -> np.ndarray:
+        """w_j D_i under each start's exponent, gathered one j at a time."""
+        return d[j] if rows is None else np.take(d[j], rows, axis=-1)
+
     inv = np.reciprocal(starts)
     step = inv * inv
-    e = d[3]  # e_i = sum over j of w_j a^(-j) D_i, by Horner in a^-2
-    for m in (2, 1, 0):
+    e = coefficient(3) * step  # e_i = sum over j of w_j a^(-j) D_i, by Horner in a^-2
+    e += coefficient(2)
+    for j in (1, 0):
         e *= step
-        e += d[m]
+        e += coefficient(j)
     e *= inv
     # The integral is a^(1-gamma) J_p, J_0 = r = 1 / (gamma - 1) and, by parts,
     # J_p = (L^p + p J_(p-1)) r.  In powers of L, with u = a r: b_0 = c_0,
@@ -137,7 +144,8 @@ def _tail_factors(
         if moments > 2:
             b[2] += 2.0 * u * r * r + (b[0] * L + 2.0 * c1) * L
         b[1] = b[0] * L + c1
-    return np.exp(gammas * -L), b, rising[6]
+    power = gammas * -L
+    return np.exp(power, out=power), b, rising[6]
 
 
 def zeta_moments(gammas: np.ndarray, moments: int = 3) -> np.ndarray:
@@ -177,30 +185,45 @@ def zeta_value(gamma: float) -> float:
 
 
 def zeta_cdf(
-    gammas: np.ndarray, rows: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(F(v - 1), F(v)) at each value v >= 1 under the unbounded model of row rows[i].
+    gammas: np.ndarray, rows: np.ndarray, values: np.ndarray, columns: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(F(v - 1), F(v)) at each value v >= 1 under the unbounded model of row rows[i],
+    then (F(k - 1), F(k)) at k = 1..columns under every row's, two rows x columns arrays.
 
     Row r's exponent is gammas[r].  Its zeta sum is that of zeta_moments, but
     with the terms 1..HEAD_TERMS taken as the running sum S that its cdf is
     read from: up to HEAD_TERMS, F = S / zeta; above, with t = sum_{k>=v}
     k^(-gamma) = v^(-gamma) b, F(v - 1) = 1 - t / zeta and F(v) = 1 -
-    v^(-gamma) (b - 1) / zeta.  A NaN exponent gives NaN.
+    v^(-gamma) (b - 1) / zeta.  Columns above HEAD_TERMS take the values'
+    arithmetic in one rows x columns pass, each row's factors broadcast over
+    ln k, 1/k and 1/k^2, so a column gives the bits a value gives.  A NaN
+    exponent gives NaN.
     """
     count = gammas.size
-    big = values > HEAD_TERMS
-    starts = np.concatenate((np.full(count, HEAD_TERMS + 1.0), values[big]))
-    power, b, _ = _tail_factors(gammas, starts, 1, np.concatenate((np.arange(count), rows[big])))
-    b = b[0]
+    power, b, _ = _tail_factors(gammas, _TAIL_START, 1)  # each row's tail from HEAD_TERMS + 1
     head = np.zeros((count, HEAD_TERMS + 1))  # head[r, k] = S(k), then F(k), for k <= HEAD_TERMS
     np.cumsum(power_rows(gammas, HEAD_TERMS), axis=1, out=head[:, 1:])
-    scale = 1.0 / (head[:, -1] + power[:count] * b[:count])  # 1 / zeta
+    scale = 1.0 / (head[:, -1] + power * b[0])  # 1 / zeta
     head *= scale[:, None]
+
+    def above_head(starts: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F(v - 1), F(v)) at each start v above HEAD_TERMS under the model of row ``of``."""
+        power, b, _ = _tail_factors(gammas, starts, 1, of)
+        power *= scale[of]
+        b = b[0]
+        below = 1.0 - power * b
+        b -= 1.0
+        return below, np.subtract(1.0, power * b, out=b)
+
     below, at = np.empty(values.size), np.empty(values.size)
+    big = values > HEAD_TERMS
     small = ~big
     row, value = rows[small], values[small]
     below[small], at[small] = head[row, value - 1], head[row, value]
-    power, b = power[count:] * scale[rows[big]], b[count:]
-    below[big] = 1.0 - power * b
-    at[big] = 1.0 - power * (b - 1.0)
-    return below, at
+    below[big], at[big] = above_head(values[big].astype(np.float64), rows[big])
+    listed = min(columns, HEAD_TERMS)
+    column_below, column_at = head[:, :listed], head[:, 1 : listed + 1]
+    if columns > listed:
+        dense = above_head(np.arange(HEAD_TERMS + 1.0, columns + 1.0), np.arange(count)[:, None])
+        return below, at, np.hstack((column_below, dense[0])), np.hstack((column_at, dense[1]))
+    return below, at, column_below.copy(), column_at.copy()

@@ -19,7 +19,9 @@ import mpmath
 import numpy as np
 from scipy import stats
 
-from zipfks.distribution import Sample, Support, ValueRows, ZipfModel, as_rows, concatenate_rows
+from zipfks.distribution import (
+    Sample, Support, ValueRows, ZipfModel, _head_size, as_rows, concatenate_rows,
+)
 from zipfks.estimate import _log_sums, _start, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.observations import ObservationParseError
@@ -218,9 +220,12 @@ def value_rows(samples: list[Sample]) -> ValueRows:
 
 
 def expand_value_rows(drawn: ValueRows) -> list[Sample]:
-    """The samples, each in sorted order, that a ValueRows batch holds."""
-    bounds = zip(drawn.starts[:-1], drawn.starts[1:])
-    return [Sample(np.repeat(drawn.observations[a:b], drawn.counts[a:b])) for a, b in bounds]
+    """The samples, each in sorted order, that a ValueRows batch holds: its head counts of
+    1..H, then its values above H."""
+    bounds = zip(drawn.head, drawn.starts[:-1], drawn.starts[1:])
+    return [Sample(np.concatenate((np.repeat(np.arange(1, head.size + 1), head),
+                                   np.repeat(drawn.observations[a:b], drawn.counts[a:b]))))
+            for head, a, b in bounds]
 
 
 def limit_ks(gamma: float, k: int, draws: int, seed: int, refit: bool = True) -> np.ndarray:
@@ -289,21 +294,24 @@ def assert_draw_properties(drawn: ValueRows, model: ZipfModel, rows: int, n: int
                            fitted: bool = True) -> list[Sample]:
     """Check a batch drawn from the unbounded model; return its samples.
 
-    Each row holds strictly increasing values in 1..65535 with positive
-    counts summing to n, and a log sum equal to its expanded sum of ln x.
+    Each row holds head counts of 1..H, H = _head_size, and strictly
+    increasing values in H+1..65535 with positive counts, summing to n in
+    all, and has a log sum equal to its expanded sum of ln x.
     With ``fitted``, the batch's fit and KS statistic match the one-sample
     pipeline on each expanded row, and the pooled draws pass a chi-square test against the sampling pmf.
     """
+    head = _head_size(model, n)
     assert drawn.n == n and drawn.starts.size == rows + 1 and drawn.starts[0] == 0
     assert drawn.starts[-1] == drawn.observations.size == drawn.counts.size
+    assert drawn.head.shape == (rows, head) and drawn.head.dtype == np.min_scalar_type(n)
     samples = expand_value_rows(drawn)
     for row, one in enumerate(samples):
         values = drawn.observations[drawn.starts[row] : drawn.starts[row + 1]]
         counts = drawn.counts[drawn.starts[row] : drawn.starts[row + 1]]
-        assert (np.diff(values) > 0).all() and values[0] >= 1 and values[-1] <= 65535
-        assert (counts > 0).all() and counts.sum() == n
+        assert (np.diff(values) > 0).all() and (values > head).all() and (values <= 65535).all()
+        assert (counts > 0).all() and int(drawn.head[row].sum()) + counts.sum() == n
     want = np.array([np.log(one.observations.astype(np.float64)).sum() for one in samples])
-    got = _log_sums(drawn.observations, drawn.counts, drawn.starts)  # the fit's reduction
+    got = _log_sums(drawn)  # the fit's reduction
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     if not fitted:
         return samples
@@ -313,7 +321,7 @@ def assert_draw_properties(drawn: ValueRows, model: ZipfModel, rows: int, n: int
         want_ks, want_gamma = scalar_score(one, model.support)
         assert abs(gamma_hat[row] - want_gamma) <= 1e-9
         assert abs(ks[row] - want_ks) <= 1e-12
-    pooled = np.repeat(drawn.observations, drawn.counts)
+    pooled = np.concatenate([one.observations for one in samples])
     assert chi_square_p(pooled, model._sampling_pmf) > 1e-6
     return samples
 

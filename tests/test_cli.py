@@ -2,6 +2,7 @@
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -138,7 +139,7 @@ class TestFit:
         assert float(lines["ks"]) < 1e-12
         assert lines["rejected_q90"] == "false"
         assert "cutoff_q999" in lines
-        assert list(lines)[-2:] == ["rejected_q999", "gamma_hat_at_bound"]
+        assert list(lines)[-3:] == ["rejected_q999", "gamma_hat_at_bound", "gamma_hat_se"]
         assert lines["gamma_hat_at_bound"] == "false"
 
     def test_data_piled_near_k_calibrates(self, tmp_path, capsys):
@@ -169,6 +170,27 @@ class TestFit:
         human = capsys.readouterr().out.splitlines()
         assert human[2] == "gamma_hat:     -20.0000"
         assert human[3].startswith("note:          gamma_hat is an end of the search range")
+
+    @pytest.mark.parametrize("gamma,support_k,n", [(1.0, 20, 500), (2.0, None, 1000)])
+    def test_gamma_hat_standard_error_against_mpmath(self, tmp_path, capsys, gamma, support_k, n):
+        # 1 / sqrt(n Var ln X) at gamma_hat, the sums taken in 50 digits
+        path = write_sample(tmp_path, gamma, support_k, n, seed=4)
+        args = ["fit", "--input", str(path), "--k", "inf" if support_k is None else str(support_k),
+                "--bespoke", "--seed", "3", "--replicates", "100", "--reps", "1", "--workers", "1"]
+        assert cli.main(args + ["--machine"]) in (0, 1)
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        with mpmath.workdps(50):
+            gamma_hat = mpmath.mpf(float(lines["gamma_hat"]))
+            if support_k is None:
+                s0, s1, s2 = (mpmath.zeta(gamma_hat, 1, p) * (-1) ** p for p in range(3))
+            else:
+                s0, s1, s2 = (mpmath.fsum(mpmath.power(j, -gamma_hat) * mpmath.log(j) ** p
+                                          for j in range(1, support_k + 1)) for p in range(3))
+            want = 1 / mpmath.sqrt(n * (s2 / s0 - (s1 / s0) ** 2))
+        assert float(lines["gamma_hat_se"]) == pytest.approx(float(want), rel=1e-9)
+        assert cli.main(args) in (0, 1)
+        human = capsys.readouterr().out.splitlines()
+        assert human[3] == f"gamma_hat_se:  {float(lines['gamma_hat_se']):.3g} (Fisher information at gamma_hat)"
 
     def test_table_lookup_flow(self, tmp_path):
         from zipfks.estimate import mle_gamma

@@ -12,7 +12,6 @@ from zipfks.distribution import (
     RandomStream,
     Sample,
     Support,
-    ValueRows,
     ZipfModel,
     as_rows,
     sample,
@@ -238,9 +237,7 @@ def one_row(drawn, r):
     """Row r of a batch as a batch of its own."""
     if isinstance(drawn, CountRows):
         return CountRows(table=drawn.table[r : r + 1], n=drawn.n)
-    a, b = drawn.starts[r], drawn.starts[r + 1]
-    return ValueRows(observations=drawn.observations[a:b], counts=drawn.counts[a:b],
-                     starts=np.array([0, b - a]), n=drawn.n)
+    return drawn.part(r, r + 1)
 
 
 def fit_mean_logs(targets):

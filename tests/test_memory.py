@@ -49,11 +49,16 @@ def test_one_sample_draw_holds_one_array():
     assert traced_peak(lambda: sample(model, 10**6, RandomStream([1]))) < 10.0
 
 
-@pytest.mark.parametrize("n,whole_span_mb", [(50_000, 84.8), (200_000, 208.7)])
-def test_heavy_span_is_scored_in_bounded_blocks(n, whole_span_mb):
+@pytest.mark.parametrize("gamma,n,whole_span_mb", [
+    pytest.param(1.25, 50_000, 84.8, id="50000-84.8"),
+    pytest.param(1.25, 200_000, 208.7, id="200000-208.7"),
+    pytest.param(1.05, 50_000, 182.4, id="gamma1.05-50000-182.4"),  # 512 x 3648 head counts
+])
+def test_heavy_span_is_scored_in_bounded_blocks(gamma, n, whole_span_mb):
     # a span drawn, fitted and scored whole held every row's values at once:
-    # whole_span_mb at gamma = 1.25
-    config = SimulationConfig(n=n, support=Support.unbounded(), gamma=1.25, base_seed=3,
+    # whole_span_mb; the head counts of 1..H, 512 x H of them, are counted in
+    # the work of every block, batch and KS chunk
+    config = SimulationConfig(n=n, support=Support.unbounded(), gamma=gamma, base_seed=3,
                               replicates=512, repetitions=1)
     model = ZipfModel(config.gamma, config.support)
     mle_gamma(sample(model, n, RandomStream([0]), rows=1), config.support)  # builds the tables

@@ -24,7 +24,13 @@ from zipfks.montecarlo import (
     run_simulation,
 )
 
-from oracles import assert_draw_properties, expand_counts, nth_element, scalar_score
+from oracles import (
+    assert_draw_properties,
+    expand_counts,
+    expand_value_rows,
+    nth_element,
+    scalar_score,
+)
 
 
 def config(**overrides):
@@ -227,6 +233,31 @@ class TestObservedSample:
             statistic = ks_statistic(observed, fitted).statistic
             assert statistic == cutoff
             assert not judge(statistic, cutoff, 0.9).rejected
+
+    @pytest.mark.parametrize("gamma,n,head", [
+        (2.0, 100, 16),  # H < 32: tail values up to 32 read the head table
+        (2.0, 1700, 32),
+        (2.0, 50_000, 174),  # columns 33..H scored by the column pass
+        (1.05, 60_000, 4096),  # the head limit
+        (20.0, 1000, 16),  # no tail values at all
+    ])
+    def test_unbounded_replicates_score_as_observed_samples(self, gamma, n, head):
+        # a drawn row keeps its counts of 1..H dense; expanded back to the
+        # sample it holds and scored as observed data (H = 0), it must give
+        # the replicate's estimate and statistic bit for bit
+        cfg = SimulationConfig(n=n, support=Support.unbounded(), gamma=gamma, base_seed=7,
+                               replicates=100, repetitions=1)
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
+        model = ZipfModel(cfg.gamma, cfg.support)
+        assert distribution._head_size(model, n) == head
+        drawn = sample(model, n, RandomStream.for_replicate(cfg.base_seed, 0, 0), rows=100)
+        samples = expand_value_rows(drawn)
+        tailless = np.flatnonzero(np.diff(drawn.starts) == 0)
+        rows = np.unique(np.concatenate((np.arange(8), tailless[:4])))
+        for row in rows:
+            fitted = mle_gamma(samples[row], cfg.support)
+            assert fitted == gamma_hat[row]
+            assert ks_statistic(samples[row], ZipfModel(fitted, cfg.support)).statistic == ks[row]
 
 
 def span_by_span(cfg, repetition):

@@ -1,7 +1,8 @@
 """The batched unbounded-support kernel against the one-sample pipeline.
 
 On the unbounded support a batch of replicates is ValueRows: each sample
-reduced to its distinct values with their counts.  They are
+reduced to its counts of 1..H, a row of a dense matrix, and its distinct
+values above H with their counts (H = 0 for observed data).  They are
 drawn by ``sample(..., rows=...)``, fitted by ``mle_gamma`` and scored by
 ``ks_statistic`` a whole batch at a time.  Each row must agree with the
 scalar pipeline run on the very sample it holds.  A batch draws its rows'
@@ -9,6 +10,7 @@ counts of 1..H as multinomials and only the rest one value at a time, so
 its rows are not the samples one-sample draws would give; they must follow
 the same distribution.
 """
+import hashlib
 import weakref
 
 import numpy as np
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zipfks import distribution, gof, montecarlo, series
-from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
+from zipfks import distribution, montecarlo, series
+from zipfks.distribution import RandomStream, Sample, Support, ValueRows, ZipfModel, sample
 from zipfks.estimate import ABSOLUTE_TOLERANCE, log_mean, mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_spans, run_simulation
@@ -26,6 +28,7 @@ from oracles import (
     assert_draw_properties,
     brute_force_ks,
     chi_square_p,
+    expand_value_rows,
     golden_section_mle,
     scalar_score,
     value_rows,
@@ -122,6 +125,96 @@ class TestAgainstScalarOracle:
             ks_statistic(drawn, ZipfRows(np.ones(1), Support.finite(5)))
 
 
+def dense_head_rows(samples: list[Sample], head: int) -> ValueRows:
+    """These equal-size samples as a draw with head H = ``head`` holds them: counts of
+    1..H in a matrix, distinct values above H with their counts."""
+    n = samples[0].n
+    heads = np.zeros((len(samples), head), dtype=np.min_scalar_type(n))
+    values, counts, lengths = [], [], []
+    for row, one in enumerate(samples):
+        held, seen = one.distinct
+        low = held <= head
+        heads[row, held[low] - 1] = seen[low]
+        values.append(held[~low])
+        counts.append(seen[~low])
+        lengths.append(int((~low).sum()))
+    return ValueRows(heads, np.concatenate(values), np.concatenate(counts),
+                     np.concatenate(([0], np.cumsum(lengths))), n)
+
+
+@st.composite
+def head_and_samples(draw):
+    """A head H (below, at and above 32, and the draw's limit) and equal-size samples
+    over 1..65535: rows within the head, above it, or both."""
+    head = draw(st.sampled_from([16, 31, 32, 33, 100, 4096]))
+    near = st.integers(head + 1, head + 40)  # tail values beside the columns
+    pools = [st.integers(1, head), st.one_of(near, st.integers(head + 1, 65535)),
+             st.one_of(st.integers(1, head), near, st.integers(head + 1, 65535))]
+    n = draw(st.integers(1, 40))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(draw(st.sampled_from(pools)), min_size=1, max_size=6))
+        samples.append(Sample(np.array(draw(st.lists(st.sampled_from(pool), min_size=n,
+                                                    max_size=n)))))
+    return head, samples
+
+
+class TestDenseHead:
+    """A drawn batch keeps each row's counts of 1..H as a dense matrix; observed data
+    are rows with H = 0.  A row's log sum, estimate and statistic never depend on H."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(head_and_samples())
+    def test_dense_head_equals_the_observed_form(self, case):
+        head, samples = case
+        dense, observed = dense_head_rows(samples, head), value_rows(samples)
+        assert dense.head.shape[1] == head and observed.head.shape[1] == 0
+        np.testing.assert_array_equal(log_mean(dense), log_mean(observed))
+        gamma_hat = mle_gamma(dense, UNBOUNDED)
+        np.testing.assert_array_equal(gamma_hat, mle_gamma(observed, UNBOUNDED))
+        for gammas in (gamma_hat, np.linspace(1.05, 6.0, len(samples))):
+            models = ZipfRows(gammas, UNBOUNDED)
+            np.testing.assert_array_equal(ks_statistic(dense, models), ks_statistic(observed, models))
+
+    def test_rows_with_an_empty_head_or_no_tail(self):
+        # one row wholly above the head, one wholly in it, one across it
+        samples = [Sample([40, 41, 41, 5000]), Sample([1, 1, 2, 33]), Sample([1, 32, 33, 65535])]
+        for head in (16, 32, 33, 4096):
+            dense = dense_head_rows(samples, head)
+            gamma_hat = mle_gamma(dense, UNBOUNDED)
+            for row, one in enumerate(samples):
+                assert gamma_hat[row] == mle_gamma(one, UNBOUNDED)
+            ks = ks_statistic(dense, ZipfRows(gamma_hat, UNBOUNDED))
+            for row, one in enumerate(samples):
+                assert ks[row] == ks_statistic(one, ZipfModel(gamma_hat[row], UNBOUNDED)).statistic
+
+    @pytest.mark.parametrize("gamma,n,digest", [
+        (2.0, 100, "3b8cbde8b48cf679"),  # H = 16
+        (2.0, 1700, "4c8b246164c3df60"),  # H = 32
+        (1.25, 1000, "76bfa035d1c54e5b"),  # H = 77
+        (2.0, 50_000, "ea919b41397ca089"),  # H = 174
+        (1.05, 60_000, "d3a0b0325d0a6b8c"),  # H = 4096
+    ])
+    def test_statistics_keep_the_bits_of_the_value_by_value_kernel(self, gamma, n, digest):
+        # the digests of every KS statistic and estimate of one span, taken when
+        # drawn batches interleaved head and tail values and scored them one by
+        # one; scoring the head as columns must not move a bit
+        cfg = SimulationConfig(n=n, support=UNBOUNDED, gamma=gamma, base_seed=5,
+                               replicates=100 if n > 50_000 else 512, repetitions=1)
+        ks, gamma_hat = _run_spans((cfg, 0, 0, 1))
+        assert hashlib.sha256(ks.tobytes() + gamma_hat.tobytes()).hexdigest()[:16] == digest
+
+    def test_a_batch_without_tail_values(self):
+        samples = [Sample([1, 2, 2, 7]), Sample([3, 3, 3, 3])]
+        dense = dense_head_rows(samples, 16)
+        assert dense.observations.size == 0
+        gamma_hat = mle_gamma(dense, UNBOUNDED)
+        np.testing.assert_array_equal(gamma_hat, mle_gamma(value_rows(samples), UNBOUNDED))
+        models = ZipfRows(gamma_hat, UNBOUNDED)
+        np.testing.assert_array_equal(ks_statistic(dense, models),
+                                      ks_statistic(value_rows(samples), models))
+
+
 class TestEdges:
     def test_sparse_ks_against_brute_force(self):
         # values above 65535 send the one-sample statistic down the
@@ -163,7 +256,7 @@ class TestChunks:
         cfg = SimulationConfig(n=n, support=UNBOUNDED, gamma=1.3, base_seed=9, replicates=600,
                                repetitions=2)
         want = run_simulation(cfg, workers=1)
-        for module in (distribution, gof, series):
+        for module in (distribution, series):
             monkeypatch.setattr(module, "CHUNK_ELEMENTS", 1)
         assert run_simulation(cfg, workers=1) == want
 
@@ -197,15 +290,17 @@ class TestBlocks:
 
     def test_block_past_a_32_bit_sort_key(self, monkeypatch):
         # a tail draw's sort key is its row above 16 bits of value: a block of
-        # more than 2^16 rows sorts 64-bit keys, a smaller one 32-bit keys
+        # more than 2^16 rows sorts 64-bit keys, a smaller one 32-bit keys; a
+        # row's work counts its 16 head cells, so such a block needs a larger budget
         model = ZipfModel(1.05, UNBOUNDED)
+        monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", 1 << 22)
         blocks = list(distribution.value_blocks(model, 2, RandomStream([5]), 80000))
         assert blocks[0].starts.size - 1 > 1 << 16
         big = distribution.concatenate_rows(blocks)
         monkeypatch.setattr(distribution, "CHUNK_ELEMENTS", 1 << 12)
         small = distribution.concatenate_rows(
             distribution.value_blocks(model, 2, RandomStream([5]), 80000))
-        for field in ("observations", "counts", "starts"):
+        for field in ("head", "observations", "counts", "starts"):
             np.testing.assert_array_equal(getattr(big, field), getattr(small, field))
 
     @pytest.mark.parametrize("gamma,n,rows,chunk", [
@@ -220,14 +315,17 @@ class TestBlocks:
         blocks = list(distribution.value_blocks(model, n, RandomStream([4]), rows))
         assert len(blocks) > len(whole)
         assert sum(b.starts.size - 1 for b in blocks) == rows
+        head = distribution._head_size(model, n)
         for block in blocks:
-            assert block.starts[-1] <= budget or block.starts.size == 2
-            assert block.n == n and block.starts[0] == 0
+            # a block's work, head cells included, fits the budget unless it is one row
+            assert block.sizes()[-1] <= budget or block.starts.size == 2
+            assert block.n == n and block.starts[0] == 0 and block.head.shape[1] == head
+            assert (block.observations > head).all()
         joined = sample(model, n, RandomStream([4]), rows=rows)
         assert_draw_properties(joined, model, rows, n, fitted=False)
         for got, want in ((joined, distribution.concatenate_rows(whole)),
                           (distribution.concatenate_rows(blocks), joined)):
-            for field in ("observations", "counts", "starts"):
+            for field in ("head", "observations", "counts", "starts"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
@@ -281,7 +379,7 @@ class TestHeadTailDraw:
         stream = RandomStream([8])
         drawn = sample(model, 1000, stream, rows=50)
         assert_draw_properties(drawn, model, 50, 1000)
-        assert drawn.observations.max() <= distribution._HEAD_MIN
+        assert drawn.observations.size == 0
         replay = RandomStream([8])
         pmf = model._sampling_pmf
         head = distribution._HEAD_MIN
@@ -332,7 +430,7 @@ class TestHeadTailDraw:
         model = ZipfModel(gamma, UNBOUNDED)
         head = distribution._head_size(model, n)
         drawn = sample(model, n, RandomStream([int(gamma * 100), n]), rows=512)
-        pooled = np.repeat(drawn.observations, drawn.counts)
+        pooled = np.concatenate([one.observations for one in expand_value_rows(drawn)])
         edges = np.unique(np.concatenate((np.arange(1, 9), [head - 1, head, head + 1, head + 2],
                                           2 ** np.arange(4, 16))))
         assert chi_square_p(pooled, model._sampling_pmf, edges) > 1e-4
