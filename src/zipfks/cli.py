@@ -186,7 +186,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     support = args.k
     try:
         sample = parse_observations(args.input)
-    except (FileNotFoundError, ObservationParseError) as err:
+    except ObservationParseError as err:
         raise UsageError(str(err)) from None
     if not support.contains(sample.distinct[0]):
         raise UsageError(
@@ -199,7 +199,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.table is not None:
         try:
             table = load_table(args.table)
-        except (FileNotFoundError, TableFormatError) as err:
+        except TableFormatError as err:
             raise UsageError(str(err)) from None
         if table.support != support:
             raise UsageError(
@@ -258,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_tables(args)
     except (UsageError, SimulationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # a missing file, a directory, a denied permission
+        where = f"{err.filename}: " if err.filename is not None else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return 2
 
 

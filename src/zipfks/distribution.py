@@ -156,14 +156,16 @@ class ZipfModel:
         return held[1:]
 
 
-@dataclass(frozen=True)
 class Sample:
-    """Ordered collection of positive integer observations."""
+    """Collection of positive integer observations.
 
-    observations: np.ndarray
+    ``Sample(observations)`` holds them in the order given.  A sample built
+    from its distinct values and their counts (from_counts) holds only those,
+    and expands ``observations``, sorted, when they are first asked for.
+    """
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.observations)
+    def __init__(self, observations: Iterable[int] | np.ndarray) -> None:
+        values = np.asarray(observations)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("a sample must be a nonempty one-dimensional collection")
         if not np.issubdtype(values.dtype, np.integer):
@@ -175,11 +177,37 @@ class Sample:
             raise ValueError("observations must be positive integers")
         if int(values.max()) > _INT64_MAX:  # checked before the cast, which would wrap
             raise ValueError(f"observations must be at most {_INT64_MAX}")
-        object.__setattr__(self, "observations", values.astype(np.int64, copy=False))
+        self.__dict__["observations"] = values.astype(np.int64, copy=False)
 
-    @property
+    @classmethod
+    def from_counts(cls, values: np.ndarray, counts: np.ndarray) -> "Sample":
+        """The sample that holds each of the increasing positive int64 ``values``
+        as often as the positive ``counts`` say."""
+        # views, so that marking them read-only leaves the caller's arrays as they were
+        values = np.asarray(values, dtype=np.int64).view()
+        counts = np.asarray(counts, dtype=np.int64).view()
+        if values.ndim != 1 or values.size == 0 or counts.shape != values.shape:
+            raise ValueError("values and counts must be nonempty and one-dimensional, one count each")
+        if values[0] < 1 or (np.diff(values) <= 0).any() or counts.min() < 1:
+            raise ValueError("values must be increasing positive integers, counts positive")
+        values.flags.writeable = counts.flags.writeable = False
+        sample = cls.__new__(cls)
+        sample.__dict__["distinct"] = (values, counts)
+        return sample
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a Sample is immutable: cannot set {name!r}")
+
+    @cached_property
+    def observations(self) -> np.ndarray:
+        """Every observation: in the order given, or sorted for a sample built from counts."""
+        return np.repeat(*self.distinct)
+
+    @cached_property
     def n(self) -> int:
-        return int(self.observations.size)
+        if "observations" in self.__dict__:
+            return int(self.observations.size)
+        return int(self.distinct[1].sum())
 
     @cached_property
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,15 +216,20 @@ class Sample:
         The estimator and the KS statistic see a sample only through these,
         by its batch of one row (as_rows), so it is reduced once.
         """
-        obs = self.observations
-        if int(obs.max()) <= _BINCOUNT_SPREAD * obs.size:
-            counts = np.bincount(obs)
-            values = np.flatnonzero(counts)
-            counts = counts[values]
-        else:
-            values, counts = np.unique(obs, return_counts=True)
+        values, counts = count_distinct(self.observations)
         values.flags.writeable = counts.flags.writeable = False
         return values, counts
+
+
+def count_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a nonempty array of positive int64 values, and
+    how often each is seen: by one np.bincount pass when the largest value is at
+    most _BINCOUNT_SPREAD times their number, by np.unique otherwise."""
+    if int(values.max()) <= _BINCOUNT_SPREAD * values.size:
+        counts = np.bincount(values)
+        distinct = np.flatnonzero(counts)
+        return distinct, counts[distinct]
+    return np.unique(values, return_counts=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,3 +26,25 @@ def test_cold_start_names_at_the_package_root():
 
     drawn = sample(ZipfModel(2.0, Support(k=None)), 1, RandomStream.for_replicate(0, 0, 0))
     assert drawn.n == 1
+
+
+def test_fit_reads_its_input_through_the_cli_attribute(tmp_path, capsys, monkeypatch):
+    # the tracer times the reader by wrapping cli.parse_observations; a fit
+    # that reached the reader another way would read 0 in its metrics
+    from zipfks import cli
+
+    calls = []
+    parse = cli.parse_observations
+
+    def counting(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(cli, "parse_observations", counting)
+    path = tmp_path / "obs.txt"
+    path.write_text("1 1 2\n")
+    argv = ["fit", "--input", str(path), "--k", "2", "--bespoke", "--replicates", "100",
+            "--reps", "1", "--seed", "1", "--workers", "1", "--machine"]
+    assert cli.main(argv) in (0, 1)
+    assert calls == [str(path)]
+    assert capsys.readouterr().out.startswith("n=3\n")

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from zipfks import cli
-from zipfks.distribution import RandomStream, Support, ZipfModel, sample
+from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
 from zipfks.observations import write_observations
 from zipfks.tablefile import load_table
+
+from oracles import token_loop_observations
 
 
 def run_cli(*args, timeout=600):
@@ -268,6 +270,51 @@ class TestFit:
         result = run_cli("fit", "--input", str(path), "--k", "100", "--bespoke")
         assert result.returncode == 2
         assert "token 2" in result.stderr
+
+    def test_undecodable_input_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_bytes(b"1 2\n3 4\xff\n")
+        assert cli.main(["fit", "--input", str(path), "--k", "20", "--bespoke"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2, token 2: b'4\\xff' is not UTF-8\n"
+
+    def test_unreadable_paths_exit_2(self, tmp_path, capsys):
+        # exit 1 means "rejected at the 0.9 level", so an unusable path must not crash into it
+        obs = tmp_path / "obs.txt"
+        obs.write_text("1 1 2\n")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        missing = tmp_path / "missing.txt"
+        simulate = ["simulate", "--n", "3", "--gamma", "1.0", "--k", "2", "--replicates", "100",
+                    "--reps", "1", "--seed", "1", "--workers", "1", "--out"]
+        for argv, reason in [
+            (["fit", "--input", str(folder), "--k", "2", "--bespoke"], f"{folder}: Is a directory"),
+            (["fit", "--input", str(obs), "--k", "2", "--table", str(folder)],
+             f"{folder}: Is a directory"),
+            (["fit", "--input", str(missing), "--k", "2", "--bespoke"],
+             f"{missing}: No such file or directory"),
+            (simulate + [str(folder)], f"{folder}: Is a directory"),
+        ]:
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("k", [20, None])
+    def test_machine_output_equals_the_token_loop_fit(self, tmp_path, capsys, monkeypatch, k):
+        # the file's block-by-block (value, count) pairs give the same report,
+        # bit for bit, as a Sample of every observation in file order; on the
+        # unbounded support some values lie above the draw's 65535
+        values = sample(ZipfModel(1.5, Support(k=k)), 30_000, RandomStream([12])).observations
+        path = tmp_path / "obs.txt"
+        extra = [] if k is not None else [70_000, 123_456, 10**7, 70_000, 2**40]
+        path.write_text("\n".join(map(str, values.tolist() + extra)) + "\n")
+        argv = ["fit", "--input", str(path), "--k", "inf" if k is None else str(k), "--bespoke",
+                "--replicates", "128", "--reps", "1", "--seed", "5", "--workers", "1", "--machine"]
+        code = cli.main(argv)
+        by_counts = capsys.readouterr().out
+        monkeypatch.setattr(cli, "parse_observations",
+                            lambda where: Sample(token_loop_observations(where)))
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == by_counts
+        assert f"n={values.size + len(extra)}\n" in by_counts
 
     def test_requires_exactly_one_cutoff_source(self, tmp_path):
         path = tmp_path / "obs.txt"

@@ -251,6 +251,45 @@ class TestDistinct:
                 assert_distinct(obs, got)
 
 
+class TestFromCounts:
+    """Sample.from_counts: the distinct values and counts as given, n their
+    total, the sorted observations only when asked for."""
+
+    def test_holds_the_counts_and_expands_on_demand(self):
+        values, counts = np.array([2, 5, 2**63 - 1]), np.array([3, 1, 2])
+        held = Sample.from_counts(values, counts)
+        assert values.flags.writeable and counts.flags.writeable  # the caller's arrays
+        assert "observations" not in vars(held)
+        assert held.n == 6
+        assert_distinct([2, 2, 2, 5, 2**63 - 1, 2**63 - 1], held.distinct)
+        assert "observations" not in vars(held)
+        assert held.observations.tolist() == [2, 2, 2, 5, 2**63 - 1, 2**63 - 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=40))
+    def test_same_distinct_and_n_as_the_sample_of_every_observation(self, obs):
+        whole = Sample(obs)
+        held = Sample.from_counts(*whole.distinct)
+        assert held.n == whole.n
+        for a, b in zip(held.distinct, whole.distinct):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(held.observations, np.sort(whole.observations))
+
+    @pytest.mark.parametrize("values,counts", [
+        ([], []), ([1, 2], [1]), ([2, 1], [1, 1]), ([1, 1], [1, 1]), ([0, 1], [1, 1]),
+        ([1, 2], [1, 0]), ([[1]], [[1]]),
+    ])
+    def test_rejects_what_is_not_a_reduction(self, values, counts):
+        with pytest.raises(ValueError):
+            Sample.from_counts(np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64))
+
+    def test_samples_are_immutable(self):
+        for held in (Sample([1, 2]), Sample.from_counts(np.array([1]), np.array([2]))):
+            with pytest.raises(AttributeError, match="immutable"):
+                held.observations = np.array([3])
+
+
 class TestSampling:
     @pytest.mark.parametrize("support_k", [20, 1000, None])
     @pytest.mark.parametrize("rows", [0, -1])

@@ -1,4 +1,4 @@
-"""Memory guards: one-sample fits, unbounded spans, batches of spans and fit and KS chunks hold bounded working memory.
+"""Memory guards: reading and fitting an observation file, one-sample fits, unbounded spans, batches of spans and fit and KS chunks hold bounded working memory.
 
 Peaks are taken with tracemalloc, which also sees numpy's array buffers.
 """
@@ -11,6 +11,7 @@ from zipfks.distribution import _BLOCK_CHUNKS, RandomStream, Support, ZipfModel,
 from zipfks.estimate import mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_spans
+from zipfks.observations import parse_observations
 from zipfks.series import CHUNK_ELEMENTS
 
 MB = 1 << 20
@@ -40,6 +41,27 @@ def test_one_sample_fit_and_ks_hold_little_beyond_the_sample(gamma, k):
         ks_statistic(drawn, ZipfModel(mle_gamma(drawn, support), support))
 
     assert traced_peak(fit_and_score) < 2.0
+
+
+def test_observation_file_is_read_fitted_and_scored_in_memory_of_its_distinct_values(tmp_path):
+    # 2x10^6 observations on the unbounded support (4.1 MB of text): a reader
+    # that holds them, or a buffer of (file size + 1) // 2 int64 slots for
+    # them, takes 16 MB; block-by-block (value, count) pairs take a few
+    # hundred KB of block temporaries beside the distinct values
+    support = Support.unbounded()
+    model = ZipfModel(2.0, support)
+    drawn = sample(model, 2 * 10**6, RandomStream([3]))
+    path = tmp_path / "obs.txt"
+    path.write_text("\n".join(map(str, drawn.observations.tolist())))
+    del drawn
+    warm = sample(model, 100, RandomStream([0]))
+    ks_statistic(warm, ZipfModel(mle_gamma(warm, support), support))  # builds the tables
+
+    def read_fit_and_score():
+        observed = parse_observations(path)
+        ks_statistic(observed, ZipfModel(mle_gamma(observed, support), support))
+
+    assert traced_peak(read_fit_and_score) < 4.0
 
 
 def test_one_sample_draw_holds_one_array():
