@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-from .distribution import Support, ZipfModel, MIN_UNBOUNDED_GAMMA
+from .distribution import Support, ZipfModel
 from .estimate import _search_range, mle_gamma, standard_error
 from .gof import judge, ks_statistic
 from .montecarlo import (
@@ -17,18 +18,14 @@ from .montecarlo import (
     build_table,
     run_simulation,
 )
-from .observations import ObservationParseError, parse_observations
+from .observations import parse_observations
 from .reporting import FitReport, format_human, format_machine
-from .tablefile import TableFormatError, load_table, write_table
+from .tablefile import load_table, write_table
 
 # Sample-size and exponent grids of the shipped reference tables.
 REFERENCE_NS = (10, 20, 30, 40, 50, 100, 500, 1000, 2000, 3000, 4000, 5000, 10000, 20000, 50000)
 REFERENCE_GAMMAS_FINITE = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0)
 REFERENCE_GAMMAS_UNBOUNDED = (1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0)
-
-
-class UsageError(Exception):
-    """Bad flag combination or unusable input; exits with status 2."""
 
 
 def _parse_support(text: str) -> Support:
@@ -76,20 +73,6 @@ def _resolve_seed(seed: int | None) -> int:
     return derived
 
 
-def _check_gamma_grid(gammas: tuple[float, ...], support: Support) -> None:
-    if support.k is None:
-        bad = [g for g in gammas if g < MIN_UNBOUNDED_GAMMA]
-        if bad:
-            raise UsageError(
-                f"gamma values {bad} are invalid with --k inf "
-                f"(the unbounded model needs gamma >= {MIN_UNBOUNDED_GAMMA})"
-            )
-    else:
-        bad = [g for g in gammas if g <= 0.0]
-        if bad:
-            raise UsageError(f"gamma values {bad} are invalid: simulation needs gamma > 0")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zipfks",
@@ -118,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--gamma", type=_list_of(float, "numbers"), required=True,
                           metavar="LIST", help="comma-separated exponents")
     simulate.add_argument("--out", required=True, help="output CSV path")
+    simulate.set_defaults(run=_cmd_grid)
 
     fit = sub.add_parser("fit", parents=[common], help="fit one observation file and judge the fit")
     fit.add_argument("--input", required=True, help="observation file (positive integers)")
@@ -127,88 +111,66 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate cutoffs at the estimated exponent and exact n")
     fit.add_argument("--machine", action="store_true",
                      help="emit a key=value block instead of the human report")
+    fit.set_defaults(run=_cmd_fit)
 
     tables = sub.add_parser(
         "tables", parents=[common], help="compute the full reference grid for one support"
     )
     tables.add_argument("--out", required=True)
+    tables.set_defaults(run=_cmd_grid, n=REFERENCE_NS, gamma=None)
     return parser
 
 
-def _write_grid(
-    ns: tuple[int, ...],
-    gammas: tuple[float, ...],
-    support: Support,
-    replicates: int,
-    reps: int,
-    seed: int | None,
-    out: str,
-    workers: int | None,
-) -> int:
-    """Compute the (n, gamma) cutoff grid, printing each cell, and write it to ``out``."""
-    _check_gamma_grid(gammas, support)
-    seed = _resolve_seed(seed)
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, leaving no new file behind."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
+def _cmd_grid(args: argparse.Namespace) -> int:
+    """Compute the (n, gamma) cutoff grid, printing each cell, and write it to ``--out``."""
+    gammas = args.gamma
+    if gammas is None:  # tables: the reference exponents of the support
+        gammas = REFERENCE_GAMMAS_UNBOUNDED if args.k.k is None else REFERENCE_GAMMAS_FINITE
+    _check_writable(args.out)
+    seed = _resolve_seed(args.seed)
 
     def progress(gamma: float, n: int, seconds: float, row: tuple[float, ...]) -> None:
         cutoffs = " ".join(f"{c:.4f}" for c in row)
         print(f"cell gamma={gamma:g} n={n}: {seconds:.2f}s  cutoffs {cutoffs}", flush=True)
 
-    table = build_table(
-        ns=ns,
-        gammas=gammas,
-        support=support,
-        base_seed=seed,
-        replicates=replicates,
-        repetitions=reps,
-        workers=workers,
-        progress=progress,
-    )
-    write_table(table, out)
+    table = build_table(ns=args.n, gammas=gammas, support=args.k, base_seed=seed,
+                        replicates=args.replicates, repetitions=args.reps,
+                        workers=args.workers, progress=progress)
+    write_table(table, args.out)
     print(
-        f"wrote {out}: {len(gammas) * len(ns)} cells, "
-        f"replicates={replicates}, repetitions={reps}, seed={seed}"
+        f"wrote {args.out}: {len(table.cells)} cells, "
+        f"replicates={args.replicates}, repetitions={args.reps}, seed={seed}"
     )
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    return _write_grid(args.n, args.gamma, args.k, args.replicates, args.reps, args.seed,
-                       args.out, args.workers)
-
-
-def _cmd_tables(args: argparse.Namespace) -> int:
-    gammas = REFERENCE_GAMMAS_UNBOUNDED if args.k.k is None else REFERENCE_GAMMAS_FINITE
-    return _write_grid(REFERENCE_NS, gammas, args.k, args.replicates, args.reps, args.seed,
-                       args.out, args.workers)
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     support = args.k
-    try:
-        sample = parse_observations(args.input)
-    except ObservationParseError as err:
-        raise UsageError(str(err)) from None
+    sample = parse_observations(args.input)
     if not support.contains(sample.distinct[0]):
-        raise UsageError(
-            f"{args.input}: observations exceed the declared support 1..{support}"
-        )
+        raise ValueError(f"{args.input}: observations exceed the declared support 1..{support}")
     gamma_hat = mle_gamma(sample, support)
     fitted = ZipfModel(gamma=gamma_hat, support=support)
     ks = ks_statistic(sample, fitted)
 
     if args.table is not None:
-        try:
-            table = load_table(args.table)
-        except TableFormatError as err:
-            raise UsageError(str(err)) from None
+        table = load_table(args.table)
         if table.support != support:
-            raise UsageError(
+            raise ValueError(
                 f"{args.table} tabulates support {table.support}, but --k {support} was given"
             )
         try:
             cutoffs = table.cutoffs_for(gamma_hat, sample.n)
         except CutoffLookupError as err:
-            raise UsageError(f"{err} (rerun with --bespoke)") from None
+            raise ValueError(f"{err} (rerun with --bespoke)") from None
         levels = table.levels
         source = f"table {args.table}"
     else:
@@ -251,12 +213,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        return _cmd_tables(args)
-    except (UsageError, SimulationError, ValueError) as err:
+        return args.run(args)
+    except (SimulationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:  # a missing file, a directory, a denied permission

@@ -13,6 +13,7 @@ are required: a table without them cannot say how it was made.
 """
 from __future__ import annotations
 
+import math
 import os
 
 from .distribution import Support
@@ -87,6 +88,10 @@ def load_table(path: str | os.PathLike) -> CutoffTable:
                 cutoffs = tuple(float(c) for c in parts[3:])
             except ValueError as err:
                 raise TableFormatError(f"{path}: line {line_no}: {err}") from err
+            if not math.isfinite(gamma):
+                raise TableFormatError(f"{path}: line {line_no}: gamma must be finite")
+            if n < 1:
+                raise TableFormatError(f"{path}: line {line_no}: n must be >= 1")
             if any(b < a for a, b in zip(cutoffs, cutoffs[1:])):
                 raise TableFormatError(
                     f"{path}: line {line_no}: quantile columns must be nondecreasing"

@@ -8,6 +8,7 @@ import pytest
 
 from zipfks import cli
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
+from zipfks.montecarlo import SimulationConfig, run_simulation
 from zipfks.observations import write_observations
 from zipfks.tablefile import load_table
 
@@ -16,7 +17,7 @@ from oracles import token_loop_observations
 
 def run_cli(*args, timeout=600):
     return subprocess.run(
-        [sys.executable, "-m", "zipfks", *args],
+        [sys.executable, "-W", "error", "-m", "zipfks", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -61,12 +62,32 @@ class TestSimulate:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_unbounded_with_low_gamma_is_usage_error(self, tmp_path):
+        out = tmp_path / "t.csv"
         result = run_cli(
             "simulate", "--n", "10", "--gamma", "0.5", "--k", "inf",
-            "--out", str(tmp_path / "t.csv"),
+            "--out", str(out),
         )
         assert result.returncode == 2
-        assert "invalid with --k inf" in result.stderr
+        assert "unbounded support requires gamma >= 1.05" in result.stderr
+        assert "cell" not in result.stdout
+        assert not out.exists()
+
+    def test_non_positive_exponents_on_finite_support(self, tmp_path):
+        # fit --bespoke calibrates negative estimates, so simulate takes them too;
+        # a list that starts with a minus sign needs the --gamma=LIST form
+        out = tmp_path / "t.csv"
+        result = run_cli(
+            "simulate", "--k", "20", "--n", "10", "--gamma=-1,0", "--replicates", "200",
+            "--reps", "1", "--seed", "3", "--out", str(out), "--workers", "1",
+        )
+        assert result.returncode == 0, result.stderr
+        table = load_table(out)
+        assert table.gammas == (-1.0, 0.0)
+        for gamma in table.gammas:
+            config = SimulationConfig(n=10, support=Support.finite(20), gamma=gamma,
+                                      base_seed=3, replicates=200, repetitions=1)
+            pairs = run_simulation(config, 1)
+            assert table.cells[(gamma, 10)] == tuple(cutoff for _, cutoff in pairs)
 
     @pytest.mark.parametrize("flag,values,repeated", [("--n", "10,10", "10"),
                                                        ("--gamma", "1.0,1", "1.0")])
@@ -286,6 +307,8 @@ class TestFit:
         missing = tmp_path / "missing.txt"
         simulate = ["simulate", "--n", "3", "--gamma", "1.0", "--k", "2", "--replicates", "100",
                     "--reps", "1", "--seed", "1", "--workers", "1", "--out"]
+        tables = ["tables", "--k", "20", "--replicates", "100", "--reps", "1", "--seed", "1",
+                  "--out"]
         for argv, reason in [
             (["fit", "--input", str(folder), "--k", "2", "--bespoke"], f"{folder}: Is a directory"),
             (["fit", "--input", str(obs), "--k", "2", "--table", str(folder)],
@@ -293,9 +316,12 @@ class TestFit:
             (["fit", "--input", str(missing), "--k", "2", "--bespoke"],
              f"{missing}: No such file or directory"),
             (simulate + [str(folder)], f"{folder}: Is a directory"),
+            (simulate + [str(missing / "t.csv")], f"{missing / 't.csv'}: No such file or directory"),
+            (tables + [str(folder)], f"{folder}: Is a directory"),
         ]:
             assert cli.main(argv) == 2
-            assert capsys.readouterr().err == f"error: {reason}\n"
+            # the --out path is checked before any cell runs and prints its line
+            assert capsys.readouterr() == ("", f"error: {reason}\n")
 
     @pytest.mark.parametrize("k", [20, None])
     def test_machine_output_equals_the_token_loop_fit(self, tmp_path, capsys, monkeypatch, k):

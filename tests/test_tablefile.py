@@ -150,6 +150,23 @@ def test_cutoffs_outside_unit_interval_rejected(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("gamma,n,reason", [("nan", "10", "gamma must be finite"),
+                                            ("inf", "10", "gamma must be finite"),
+                                            ("-inf", "10", "gamma must be finite"),
+                                            ("1.0", "-5", "n must be >= 1"),
+                                            ("1.0", "0", "n must be >= 1")])
+def test_unusable_grid_values_rejected(tmp_path, gamma, n, reason):
+    # a nan row that came first would match every estimate in cutoffs_for,
+    # since each comparison with nan is false
+    path = tmp_path / "bad.csv"
+    path.write_text("# replicates=200\n# repetitions=1\n# seed=1\n"
+                    "k_support,gamma,n,q90,q95,q99,q999\n"
+                    f"20,{gamma},{n},0.1,0.2,0.3,0.4\n"
+                    "20,3.7,10,0.1,0.2,0.3,0.4\n")
+    with pytest.raises(TableFormatError, match=f"bad.csv: line 5: {reason}$"):
+        load_table(path)
+
+
 @pytest.mark.parametrize("key", ["replicates", "repetitions", "seed"])
 def test_missing_provenance_rejected(tmp_path, key):
     table = small_table()
