@@ -164,8 +164,11 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
             raise ValueError(f"count rows do not match the finite support 1..{support}")
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1 (for
-        # K >= 20 and n >= 2 its root still lies below the search range)
-        target[sample.table[:, -1] == sample.n] -= (math.log(k) - math.log(k - 1)) / sample.n
+        # K >= 20 and n >= 2 its root still lies below the search range);
+        # at K = 2 and n = 1 that scores [2] as [1], so it is scored as the
+        # all-ones sample is, and the estimate never rises with the mean log
+        piled = sample.table[:, -1] == sample.n
+        target[piled] = np.maximum(target[piled] - (math.log(k) - math.log(k - 1)) / sample.n, _LN2 / sample.n)
         return _mle_rows(target, support)
     if support.is_finite:
         raise ValueError("value rows need the unbounded support")

@@ -152,7 +152,8 @@ def scalar_mle(drawn: Sample, support: Support) -> float:
     """The estimator's fit of one sample, one exponent at a time.
 
     The same target as mle_gamma (the one-row log mean with its ln 2 nudge
-    for all ones, the K - 1 nudge for all at K), the same start
+    for all ones, the K - 1 nudge for all at K, never below the all-ones
+    target), the same start
     (estimate._start) and the same stopping rule: Newton steps on the
     oracle's own sums (log_moments) until a step is within 1e-5.  Stopping
     where the estimator stops keeps the KS statistic at this exponent
@@ -167,7 +168,7 @@ def scalar_mle(drawn: Sample, support: Support) -> float:
     k = support.k
     target = float(log_mean(as_rows(drawn, support))[0])
     if k is not None and int(drawn.observations.min()) == k:
-        target -= (math.log(k) - math.log(k - 1)) / drawn.n
+        target = max(target - (math.log(k) - math.log(k - 1)) / drawn.n, math.log(2.0) / drawn.n)
     low, high = (-20.0, 20.0) if k is not None else (1.05, 20.0)
 
     def mean_and_variance(gamma: float) -> tuple[float, float]:

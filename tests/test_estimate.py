@@ -433,8 +433,8 @@ class TestStart:
         support = Support.finite(2)
         table = np.array([[a, n - a] for a in range(n + 1)])
         got = mle_gamma(CountRows(table=table, n=n), support)
-        if n == 1:  # scored as 0 ones and one two, or the reverse: the range's ends
-            assert got.tolist() == [20.0, -20.0]
+        if n == 1:  # both scored as one two, not [1] as [2] and [2] as [1]: the lower end
+            assert got.tolist() == [-20.0, -20.0]
             return
         for (a, b), g in zip(table, got):
             a, b = (n - 1, 1) if b == 0 else (1, n - 1) if a == 0 else (a, b)
