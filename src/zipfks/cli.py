@@ -27,6 +27,10 @@ REFERENCE_NS = (10, 20, 30, 40, 50, 100, 500, 1000, 2000, 3000, 4000, 5000, 1000
 REFERENCE_GAMMAS_FINITE = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0)
 REFERENCE_GAMMAS_UNBOUNDED = (1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0)
 
+# Grid flags whose value may be a list that starts with a negative number.
+_GRID_FLAGS = ("--n", "--gamma")
+_NUMBER_STARTS = set("0123456789.")
+
 
 def _parse_support(text: str) -> Support:
     if text.strip().lower() == "inf":
@@ -209,9 +213,22 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 1 if report.rejected_at(0.9) else 0
 
 
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """``--n``/``--gamma`` followed by a list that starts with a minus sign, as one
+    ``--gamma=-1,0`` argument: argparse takes a value that starts with '-' for
+    an option unless it is one number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _GRID_FLAGS and arg[:1] == "-" and arg[1:2] in _NUMBER_STARTS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except (SimulationError, ValueError) as err:

@@ -125,11 +125,22 @@ class ZipfModel:
 
     @cached_property
     def _sampling_pmf(self) -> np.ndarray:
-        """Probabilities over 1..limit that draws are made from."""
+        """Probabilities over 1..limit that draws are made from.
+
+        An unbounded model drops them once it has built a draw table from them
+        (_draw_table), and builds them again if asked: they take 0.5 MB, and
+        the draw table holds what a draw needs.
+        """
         limit = self.support.k if self.support.is_finite else UNBOUNDED_SAMPLE_LIMIT
         logs = natural_logs(limit)[1 : limit + 1]
         weights = np.exp(-self.gamma * logs)
         return weights * (1.0 / weights.sum())
+
+    @cached_property
+    def _head_pmf(self) -> np.ndarray:
+        """The first _HEAD_MAX entries of _sampling_pmf, a copy kept when an unbounded
+        model drops the rest."""
+        return self._sampling_pmf[:_HEAD_MAX].copy()
 
     def _draw_table(self, head: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only tables of a draw whose values 1..head are counted by multinomial.
@@ -139,7 +150,8 @@ class ZipfModel:
         guide (_guide).  Head 0 is a whole-support draw, whose cdf is not
         renormalized.  Built on first use, they are kept for the last head
         asked for only: a draw uses one head, and an unbounded tail table
-        takes about 0.8 MB.
+        takes about 0.8 MB.  Threads may share a model: a table is replaced
+        whole, never changed.
         """
         held = self.__dict__.get("_held_draw_table")
         if held is None or held[0] != head:
@@ -153,6 +165,8 @@ class ZipfModel:
             guide = _guide(cdf)
             p.flags.writeable = cdf.flags.writeable = guide.flags.writeable = False
             held = self.__dict__["_held_draw_table"] = (head, p, cdf, guide)
+            if not self.support.is_finite:  # _head_size reads only _head_pmf
+                self.__dict__.pop("_sampling_pmf", None)
         return held[1:]
 
 
@@ -407,7 +421,7 @@ def _head_size(model: ZipfModel, n: int) -> int:
     each head value costs one binomial per row whether it is drawn or not,
     and each tail observation one inverse-transform draw.
     """
-    expected = n * model._sampling_pmf[:_HEAD_MAX]
+    expected = n * model._head_pmf
     return min(max(int(np.count_nonzero(expected >= 1.0)), _HEAD_MIN), _HEAD_MAX)
 
 

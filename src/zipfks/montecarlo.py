@@ -8,13 +8,23 @@ valid for parameters estimated from the data).
 Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
 that draw from one stream keyed on (base_seed, repetition, span_index), so
 results do not depend on worker count or scheduling.  A task is a run of
-contiguous spans of one repetition: run in process, the whole repetition;
-on a pool, about a quarter of one worker's share of it.  A task's spans are
-drawn a block of rows at a time.  On a finite support a block is a matrix of
-count vectors.  On the unbounded support each replicate is reduced, as it
-is drawn, to its counts of 1..H, a row of a dense matrix, and its distinct
-values above H with their counts, and a block holds bounded work however
-heavy the tails.
+contiguous spans of one repetition, and a call runs its tasks one of three
+ways, chosen from its configuration and worker count alone:
+- on a fork pool, when it has more than one worker and its estimated
+  serial work (_estimated_seconds) reaches _POOL_MIN_SECONDS; a task is
+  about a quarter of one worker's share of a repetition;
+- on two threads, the calling one and a helper started for the call, when
+  it has more than one worker, less work than that, the unbounded support
+  and heavy replicates (_THREAD_MIN_REPLICATE_SECONDS); a task is one
+  span, and each thread takes the next one in index order;
+- else in process, a task being a whole repetition.
+Results are placed by task index, so all three give the same bytes.
+
+A task's spans are drawn a block of rows at a time.  On a finite support a
+block is a matrix of count vectors.  On the unbounded support each
+replicate is reduced, as it is drawn, to its counts of 1..H, a row of a
+dense matrix, and its distinct values above H with their counts, and a
+block holds bounded work however heavy the tails.
 Consecutive blocks, within a span or across spans, are joined into batches
 of bounded size, and each batch is fitted and scored as one before the
 blocks after it are drawn.
@@ -22,9 +32,11 @@ blocks after it are drawn.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
 import multiprocessing.pool
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, Decimal
@@ -64,6 +76,19 @@ _SPAN = 512
 # replicates per cell took 89 ms in process and 133 ms on a two-worker pool
 # (2-vCPU VM), and the pool's share of that time varied most between runs.
 _POOL_MIN_SECONDS = 0.25
+
+# Calls on the unbounded support under _POOL_MIN_SECONDS with more than one
+# worker run on two threads when a replicate is estimated (_replicate_seconds)
+# at this or more: such spans spend most of their time in numpy calls that
+# release the GIL.  An `inf`, gamma = 1.25, n = 1000 cell (about 41 us; 2,048
+# replicates: 66 ms in process, 45 ms on threads, for 74 ms of CPU) and fit
+# --bespoke at gamma ~ 2, n = 5x10^4 (about 37 us; the whole call 42 ms, 29 ms)
+# gain.  Light `inf` cells hold the GIL for much of their time and lose
+# (gamma = 2, n = 100, about 4.5 us, 50,000 replicates: 212 ms in process,
+# 298 ms on threads).  Finite supports stay in process: their batches hold
+# few rows, and K = 5000, gamma = 1, n = 10 (1,536 replicates) took 153 ms in
+# process and 200 ms on threads; K = 1000 gained nothing.  2-vCPU VM.
+_THREAD_MIN_REPLICATE_SECONDS = 2e-5
 
 
 class SimulationError(RuntimeError):
@@ -144,9 +169,10 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     CHUNK_ELEMENTS on a finite support, or _BLOCK_CHUNKS * CHUNK_ELEMENTS on
     the unbounded one, and are then joined, fitted and scored as one batch; a
     block past that budget on its own is scored alone.  A task is a whole
-    repetition in process and a run of its spans on a pool (_replicate_ks);
-    a row's fit and statistic do not depend on the rows batched with it, so
-    results do not depend on how spans are grouped into tasks.
+    repetition in process, one span on threads and a run of spans on a pool
+    (_replicate_ks); a row's fit and statistic do not depend on the rows
+    batched with it, so results do not depend on how spans are grouped into
+    tasks.
 
     A replicate whose fit did not converge (NaN) aborts the task, since
     scoring or dropping it would bias the quantiles.
@@ -221,35 +247,84 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _estimated_seconds(config: SimulationConfig) -> float:
-    """Rough serial cost of a simulation, used only to decide whether a pool pays.
+def _replicate_seconds(config: SimulationConfig) -> float:
+    """Rough serial cost of one replicate, used only to choose how a call runs.
 
-    Per-replicate costs measured on one core: about 1-3.5 us at K=20, 0.013-0.05
-    ms at K=1000 and 0.4-0.6 ms at K=32766, growing with n.  Unbounded, they
-    grow with a row's distinct values, about n^(1/gamma): from gamma = 4 down
-    to 1.25, 2.3-9 us at n <= 100, 3.6-37 us at n = 1000 and up to 0.66 ms at
-    n = 5x10^4 (1.4 ms at gamma = 1.05).  The model is within a factor of two
-    of those figures but at gamma = 1.05, n = 5x10^4 (three).  It depends only
-    on the configuration, so the same call always takes the same path.
+    Per-replicate costs measured on one core (README, Performance): about
+    1.1-2.9 us at K=20, 11-42 us at K=1000 and 0.4-0.5 ms at K=32766, from
+    n = 10 to n = 1000.  Unbounded, they grow with a row's distinct values,
+    about n^(1/gamma): from gamma = 4 down to 1.25, 2.3-9 us at n <= 100,
+    3.6-37 us at n = 1000 and up to 0.66 ms at n = 5x10^4 (1.4 ms at gamma =
+    1.05).  The model is within a factor of two of those figures but at
+    gamma = 1.05, n = 5x10^4 (three).  It depends only on the configuration,
+    so the same call always takes the same path.
     """
     if config.support.is_finite:
-        per_replicate = 1.5e-6 + 2.5e-8 * config.support.k
-    else:
-        per_replicate = 3e-6 + 1.5e-7 * config.n ** (1.0 / config.gamma)
-    return per_replicate * config.replicates * config.repetitions
+        return 1.5e-6 + 2.5e-8 * config.support.k + 1e-9 * config.n
+    return 3e-6 + 1.5e-7 * config.n ** (1.0 / config.gamma)
+
+
+def _estimated_seconds(config: SimulationConfig) -> float:
+    """Rough serial cost of a whole call: _replicate_seconds of all its replicates."""
+    return _replicate_seconds(config) * config.replicates * config.repetitions
 
 
 @contextlib.contextmanager
 def _worker_pool(
     workers: int | None, seconds: float
 ) -> Iterator[tuple[multiprocessing.pool.Pool | None, int]]:
-    """A pool and its worker count for more than one worker and enough work, else (None, 1)."""
+    """A fork pool and its worker count when more than one worker gets enough work.
+
+    Else no pool (None) and the worker count, which _replicate_ks uses for
+    threads where a call's replicates are heavy.
+    """
     workers = resolve_workers(workers)
     if workers == 1 or seconds < _POOL_MIN_SECONDS:
-        yield None, 1
+        yield None, workers
         return
     with multiprocessing.get_context().Pool(workers) as pool:
         yield pool, workers
+
+
+def _on_two_threads(
+    tasks: list[tuple[SimulationConfig, int, int, int]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_run_spans of each task, in task order, run by the calling thread and one helper.
+
+    Each thread takes the next task in index order.  The helper is started
+    for the call and joined before it returns, so no thread outlives it (a
+    forked pool worker inherits no running thread).  An error stops both
+    threads from taking more tasks; every task before the failed one was
+    taken earlier and is finished, so the error raised is that of the
+    earliest failing task, as in process.
+    """
+    results: list[tuple[np.ndarray, np.ndarray] | BaseException | None] = [None] * len(tasks)
+    claims, claiming = itertools.count(), threading.Lock()  # no task is taken twice
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with claiming:
+                index = next(claims)
+            if index >= len(tasks):
+                return
+            try:
+                results[index] = _run_spans(tasks[index])
+            except BaseException as err:
+                results[index] = err
+                stop.set()
+
+    helper = threading.Thread(target=work, name="zipfks-spans", daemon=True)
+    helper.start()
+    try:
+        work()
+    finally:
+        stop.set()  # an interrupt of the calling thread ends the helper after its task
+        helper.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def _replicate_ks(
@@ -258,18 +333,30 @@ def _replicate_ks(
     """KS statistic of every replicate, shape (repetitions, replicates).
 
     A task is a run of contiguous spans of one repetition, so that its
-    batches can cross spans.  In process it is the whole repetition; on a
-    pool of ``workers`` it is ceil(spans / (4 workers)) spans, about four
-    tasks per worker and repetition, which balances the workers' load.
+    batches can cross spans.  On a pool of ``workers`` it is
+    ceil(spans / (4 workers)) spans, about four tasks per worker and
+    repetition, which balances the workers' load.  Without a pool, a call
+    on the unbounded support with more than one worker whose replicates
+    cost at least _THREAD_MIN_REPLICATE_SECONDS each runs one span per task
+    on two threads (_on_two_threads); any other runs each repetition as one
+    task in process.
     """
     spans = -(-config.replicates // _SPAN)
-    step = spans if pool is None else -(-spans // (4 * workers))
+    threads = (pool is None and workers > 1 and not config.support.is_finite
+               and _replicate_seconds(config) >= _THREAD_MIN_REPLICATE_SECONDS)
+    if pool is not None:
+        step = -(-spans // (4 * workers))
+    else:
+        step = 1 if threads else spans
     tasks = [
         (config, repetition, first, min(first + step, spans))
         for repetition in range(config.repetitions)
         for first in range(0, spans, step)
     ]
-    results = map(_run_spans, tasks) if pool is None else pool.imap(_run_spans, tasks)
+    if pool is not None:
+        results = pool.imap(_run_spans, tasks)
+    else:
+        results = _on_two_threads(tasks) if threads else map(_run_spans, tasks)
     ks = np.concatenate([task_ks for task_ks, _ in results])
     return ks.reshape(config.repetitions, config.replicates)
 
@@ -281,10 +368,11 @@ def run_simulation(
     """(level, cutoff) pairs: per-repetition order quantiles averaged over repetitions.
 
     ``workers`` is a worker count (None: every CPU this process may use) or
-    what _worker_pool gives, a pool (None: in process) and its worker count,
-    to share, as build_table does across its cells.  A count is an upper
+    what _worker_pool gives, a pool (None: none) and its worker count, to
+    share, as build_table does across its cells.  A count is an upper
     bound: a call estimated to take under _POOL_MIN_SECONDS of serial work
-    runs in process.  Results never depend on it.
+    starts no pool, and runs on two threads if its replicates are heavy
+    (_replicate_ks), else in process.  Results never depend on it.
     """
     if isinstance(workers, tuple):
         ks = _replicate_ks(config, *workers)
@@ -351,7 +439,8 @@ def build_table(
     Every cell reuses the same base_seed, so any single cell is reproducible
     with a standalone run_simulation call on that cell's configuration.  The
     pool starts only when the whole grid's estimated serial work reaches
-    _POOL_MIN_SECONDS.  ``progress`` gets each cell's seconds; the pool's
+    _POOL_MIN_SECONDS; without it, cells of heavy replicates run on two
+    threads (_replicate_ks).  ``progress`` gets each cell's seconds; the pool's
     start-up is charged to the first cell and its shutdown to the last, so
     that the seconds add up to the call's wall time.
     """

@@ -118,7 +118,13 @@ def _tail_factors(
             d[:, 2] *= h
     r = np.reciprocal(gammas - 1.0)
     if rows is not None:  # np.take: a gather on the last axis, far faster than d[..., rows]
-        r, gammas = np.take(r, rows), np.take(gammas, rows)
+        r = np.take(r, rows)
+    # a^(-gamma) first: the exponents' gather, and ln a when only s_0 is asked
+    # for, then go before the arrays of the sum below
+    power = (gammas if rows is None else np.take(gammas, rows)) * -L
+    np.exp(power, out=power)
+    if moments == 1:
+        del L
 
     def coefficient(j: int) -> np.ndarray:
         """w_j D_i under each start's exponent, gathered one j at a time."""
@@ -132,6 +138,7 @@ def _tail_factors(
         e *= step
         e += coefficient(j)
     e *= inv
+    del inv, step  # a batch's tails are arrays of its values: each is freed once spent
     # The integral is a^(1-gamma) J_p, J_0 = r = 1 / (gamma - 1) and, by parts,
     # J_p = (L^p + p J_(p-1)) r.  In powers of L, with u = a r: b_0 = c_0,
     # b_1 = c_0 L + c_1 and b_2 = (c_0 L + 2 c_1) L + c_2, where
@@ -144,8 +151,7 @@ def _tail_factors(
         if moments > 2:
             b[2] += 2.0 * u * r * r + (b[0] * L + 2.0 * c1) * L
         b[1] = b[0] * L + c1
-    power = gammas * -L
-    return np.exp(power, out=power), b, rising[6]
+    return power, b, rising[6]
 
 
 def zeta_moments(gammas: np.ndarray, moments: int = 3) -> np.ndarray:
@@ -211,16 +217,21 @@ def zeta_cdf(
         power, b, _ = _tail_factors(gammas, starts, 1, of)
         power *= scale[of]
         b = b[0]
-        below = 1.0 - power * b
+        below = np.multiply(power, b)
+        np.subtract(1.0, below, out=below)
         b -= 1.0
-        return below, np.subtract(1.0, power * b, out=b)
+        b *= power
+        return below, np.subtract(1.0, b, out=b)
 
-    below, at = np.empty(values.size), np.empty(values.size)
-    big = values > HEAD_TERMS
-    small = ~big
-    row, value = rows[small], values[small]
-    below[small], at[small] = head[row, value - 1], head[row, value]
-    below[big], at[big] = above_head(values[big].astype(np.float64), rows[big])
+    if values.size and values.min() > HEAD_TERMS:  # as drawn rows hold: no masks, no copies
+        below, at = above_head(values.astype(np.float64), rows)
+    else:
+        below, at = np.empty(values.size), np.empty(values.size)
+        big = values > HEAD_TERMS
+        small = ~big
+        row, value = rows[small], values[small]
+        below[small], at[small] = head[row, value - 1], head[row, value]
+        below[big], at[big] = above_head(values[big].astype(np.float64), rows[big])
     listed = min(columns, HEAD_TERMS)
     column_below, column_at = head[:, :listed], head[:, 1 : listed + 1]
     if columns > listed:

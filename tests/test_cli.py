@@ -73,8 +73,7 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_positive_exponents_on_finite_support(self, tmp_path):
-        # fit --bespoke calibrates negative estimates, so simulate takes them too;
-        # a list that starts with a minus sign needs the --gamma=LIST form
+        # fit --bespoke calibrates negative estimates, so simulate takes them too
         out = tmp_path / "t.csv"
         result = run_cli(
             "simulate", "--k", "20", "--n", "10", "--gamma=-1,0", "--replicates", "200",
@@ -88,6 +87,23 @@ class TestSimulate:
                                       base_seed=3, replicates=200, repetitions=1)
             pairs = run_simulation(config, 1)
             assert table.cells[(gamma, 10)] == tuple(cutoff for _, cutoff in pairs)
+
+    def test_grid_list_may_start_with_a_minus_sign(self, tmp_path, capsys):
+        # argparse reads "-1,0" after a flag as an option of its own unless the
+        # list is attached to its flag; both spellings now give the same table
+        common = ["simulate", "--k", "20", "--n", "10", "--replicates", "200", "--reps", "1",
+                  "--seed", "3", "--workers", "1"]
+        spaced, attached = tmp_path / "spaced.csv", tmp_path / "attached.csv"
+        assert cli.main([*common, "--gamma", "-1,0", "--out", str(spaced)]) == 0
+        assert cli.main([*common, "--gamma=-1,0", "--out", str(attached)]) == 0
+        assert spaced.read_bytes() == attached.read_bytes()
+        assert load_table(spaced).gammas == (-1.0, 0.0)
+        capsys.readouterr()
+        bad_n = ["simulate", "--k", "20", "--n", "-5,10", "--gamma", "1", "--out",
+                 str(tmp_path / "bad.csv")]
+        assert cli.main(bad_n) == 2
+        assert "error: sample size must be >= 1, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
 
     @pytest.mark.parametrize("flag,values,repeated", [("--n", "10,10", "10"),
                                                        ("--gamma", "1.0,1", "1.0")])

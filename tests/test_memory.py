@@ -7,9 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zipfks.distribution import _BLOCK_CHUNKS, RandomStream, Support, ZipfModel, sample
+from zipfks.distribution import (
+    _BLOCK_CHUNKS,
+    UNBOUNDED_SAMPLE_LIMIT,
+    RandomStream,
+    Support,
+    ZipfModel,
+    sample,
+)
 from zipfks.estimate import mle_gamma
-from zipfks.gof import ZipfRows, ks_statistic
+from zipfks.gof import ZipfRows, _endpoint_gaps, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_spans
 from zipfks.observations import parse_observations
 from zipfks.series import CHUNK_ELEMENTS
@@ -127,3 +134,35 @@ def test_unbounded_fit_chunks_bound_the_newton_state_of_many_short_rows():
     per_row = 2 * 8 * rows
     bound = (6 * 8 * CHUNK_ELEMENTS + per_row) / MB
     assert traced_peak(lambda: mle_gamma(drawn, model.support)) < bound
+
+
+@pytest.mark.parametrize("gamma,n", [(1.25, 1000), (2.0, 50_000)])
+def test_ks_chunk_of_tail_values_holds_few_arrays_of_them(gamma, n):
+    # every value of a drawn chunk lies above H >= 32, so its cdf is taken
+    # with no masks or masked copies, and the tail sums free each array once
+    # spent: about 9 floats per value (70 B), where the masked pass and all
+    # its sums' arrays held 12.5 (100-110 B)
+    model = ZipfModel(gamma, Support.unbounded())
+    drawn = sample(model, n, RandomStream([9]), rows=300)
+    gamma_hat = mle_gamma(drawn, model.support)
+    lo, hi = next(drawn.chunks())
+    part = drawn.part(lo, hi)
+    assert part.head.shape[1] >= 32 and part.observations.size > 10_000
+    _endpoint_gaps(part, gamma_hat[lo:hi])  # builds the tables
+    peak = traced_peak(lambda: _endpoint_gaps(part, gamma_hat[lo:hi]))
+    assert peak < 10 * 8 * part.observations.size / MB
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_unbounded_model_drops_its_full_pmf_once_it_has_drawn(rows):
+    # the 65,535 probabilities (0.5 MB) are spent once the draw table holds
+    # their cdf; _head_size reads only the first _HEAD_MAX of them
+    model = ZipfModel(1.25, Support.unbounded())
+    sample(model, 1000, RandomStream([2]), rows=rows)
+    assert "_sampling_pmf" not in model.__dict__
+    held = sum(value.nbytes for value in model.__dict__.values() if isinstance(value, np.ndarray))
+    held += sum(table.nbytes for table in model.__dict__["_held_draw_table"][1:])
+    # the cdf (8 B per value), its guide (4 B) and the head's pmf, with no 8 B pmf beside them
+    assert held < 2 * 8 * UNBOUNDED_SAMPLE_LIMIT
+    again = ZipfModel(1.25, Support.unbounded())
+    np.testing.assert_array_equal(model._sampling_pmf, again._sampling_pmf)  # built again if asked

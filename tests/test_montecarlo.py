@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import sys
+import threading
 import time
 from decimal import ROUND_FLOOR, Decimal
 
@@ -64,6 +66,29 @@ def count_pools(monkeypatch):
 
     monkeypatch.setattr(montecarlo.multiprocessing, "get_context", lambda: CountingContext())
     return pools
+
+
+def count_threads(monkeypatch, thread_class=threading.Thread):
+    """List that gets each span thread the engine starts from now on (a pool's own
+    threads are not listed); ``thread_class`` is the class they are made of."""
+    threads = []
+
+    class CountingThread(thread_class):
+        def start(self):
+            if self.name == "zipfks-spans":
+                threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", CountingThread)
+    return threads
+
+
+# Short calls of heavy replicates: estimated above _THREAD_MIN_REPLICATE_SECONDS
+# per replicate, and below _POOL_MIN_SECONDS in all
+HEAVY_SHORT = {
+    "inf": dict(n=1000, support=Support.unbounded(), gamma=1.25, replicates=1100, repetitions=2),
+    "k1000": dict(n=100, support=Support.finite(1000), gamma=1.0, replicates=1100, repetitions=2),
+}
 
 
 class TestConfigValidation:
@@ -388,6 +413,109 @@ class TestChunksAndWorkers:
         monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", montecarlo._estimated_seconds(cfg))
         run_simulation(cfg, workers=2)
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("cell", list(HEAVY_SHORT), ids=list(HEAVY_SHORT))
+    def test_heavy_short_call_runs_on_two_threads_only_if_unbounded(self, monkeypatch, cell):
+        # a finite support's short call stays in process however heavy its
+        # replicates: threads measured no faster at K = 1000, slower at K = 5000
+        cfg = config(**HEAVY_SHORT[cell])
+        assert montecarlo._replicate_seconds(cfg) >= montecarlo._THREAD_MIN_REPLICATE_SECONDS
+        assert montecarlo._estimated_seconds(cfg) < montecarlo._POOL_MIN_SECONDS
+        started = 0 if cfg.support.is_finite else 1
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
+        serial = montecarlo._replicate_ks(cfg, None, 1)
+        assert threads == []
+        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        assert len(threads) == started
+        assert run_simulation(cfg, workers=2) == run_simulation(cfg, workers=1)
+        assert pools == [] and len(threads) == 2 * started
+        assert not any(thread.is_alive() for thread in threads)  # joined before the call returns
+
+    def test_unconverged_fit_in_the_helpers_span_names_the_serial_replicate(self, monkeypatch):
+        # replicate 88 of span 0 comes back NaN; the helper is made to take
+        # span 0, so the error is raised in the helper and re-raised by the caller
+        cfg = config(**dict(HEAVY_SHORT["inf"], repetitions=1))
+        _, gamma_hat = _run_spans((cfg, 0, 0, 3))
+        target = gamma_hat[88]
+        assert np.count_nonzero(gamma_hat == target) == 1
+        fit = montecarlo.mle_gamma
+        failed_on = []
+
+        def unconverged(drawn, support):
+            out = fit(drawn, support)
+            if (out == target).any():
+                failed_on.append(threading.current_thread())
+                out[out == target] = np.nan
+            return out
+
+        monkeypatch.setattr(montecarlo, "mle_gamma", unconverged)
+        message = r"^replicate 88 \(repetition 0, "
+        with pytest.raises(SimulationError, match=message):
+            run_simulation(cfg, workers=1)
+        began = threading.Event()
+        run_spans = montecarlo._run_spans
+
+        def signalling(task):
+            if threading.current_thread() is not threading.main_thread():
+                began.set()
+            return run_spans(task)
+
+        class HelperFirst(threading.Thread):
+            def start(self):  # the caller takes no span before the helper has one
+                super().start()
+                assert began.wait(timeout=60)
+
+        monkeypatch.setattr(montecarlo, "_run_spans", signalling)
+        threads = count_threads(monkeypatch, HelperFirst)
+        with pytest.raises(SimulationError, match=message):
+            run_simulation(cfg, workers=2)
+        assert len(threads) == 1 and failed_on[-1] is threads[0]
+
+    def test_threads_switching_often_take_each_span_once(self, monkeypatch):
+        # 16 light spans per repetition forced onto threads that switch every
+        # microsecond, with a fresh generating model whose draw table both
+        # threads may build: every task is run once and the bytes are the serial ones
+        cfg = config(n=100, support=Support.unbounded(), gamma=2.0, replicates=16 * _SPAN,
+                     repetitions=2)
+        serial = montecarlo._replicate_ks(cfg, None, 1)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_REPLICATE_SECONDS", 0.0)
+        run_spans, ran = montecarlo._run_spans, []
+
+        def recording(task):
+            ran.append(task[1:])
+            return run_spans(task)
+
+        monkeypatch.setattr(montecarlo, "_run_spans", recording)
+        threads = count_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                montecarlo._generating_model.cache_clear()
+                ran.clear()
+                np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+                assert sorted(ran) == [(rep, span, span + 1) for rep in range(2) for span in range(16)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 3 and not any(thread.is_alive() for thread in threads)
+
+    def test_path_follows_the_configuration(self, monkeypatch):
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
+        light = config()  # 800 K=20 replicates, about 2 us each
+        heavy = config(**dict(HEAVY_SHORT["inf"], replicates=600, repetitions=1))
+        run_simulation(light, workers=2)
+        assert (pools, threads) == ([], [])  # in process
+        run_simulation(heavy, workers=2)
+        assert pools == [] and len(threads) == 1  # on two threads
+        table = dict(ns=(1000,), gammas=(1.25,), support=Support.unbounded(), base_seed=5,
+                     replicates=600, repetitions=1)
+        assert build_table(workers=2, **table) == build_table(workers=1, **table)
+        assert pools == [] and len(threads) == 2  # a table's heavy cell, too
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", montecarlo._estimated_seconds(heavy))
+        run_simulation(heavy, workers=2)
+        assert len(pools) == 1 and len(threads) == 2  # on a fork pool
+        run_simulation(heavy, workers=1)
+        assert len(pools) == 1 and len(threads) == 2
 
     def test_resolve_workers_uses_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
