@@ -15,10 +15,13 @@ ways, chosen from its configuration and worker count alone:
   about a quarter of one worker's share of a repetition;
 - on two threads, the calling one and a helper started for the call, when
   it has more than one worker, less work than that, the unbounded support
-  and heavy replicates (_THREAD_MIN_REPLICATE_SECONDS); a task is one
-  span, and each thread takes the next one in index order;
+  and heavy replicates (_spans_on_threads); a task is one span, and each
+  thread takes the next one in index order;
 - else in process, a task being a whole repetition.
 Results are placed by task index, so all three give the same bytes.
+A table (build_table) whose grid would start no pool instead runs whole
+cells on two threads, each in process, when it has more than one worker
+and cell and none of its cells would put its spans on threads.
 
 A task's spans are drawn a block of rows at a time.  On a finite support a
 block is a matrix of count vectors.  On the unbounded support each
@@ -41,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, Decimal
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -61,6 +64,9 @@ from .estimate import mle_gamma
 from .gof import ZipfRows, ks_statistic
 from .series import CHUNK_ELEMENTS
 
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
 DEFAULT_LEVELS = (0.9, 0.95, 0.99, 0.999)
 
 # The default protocol: replicates per repetition, and repetitions averaged per cell.
@@ -70,11 +76,13 @@ DEFAULT_REPETITIONS = 10
 # Replicates per span; fixed so that the split into pool tasks never affects results.
 _SPAN = 512
 
-# Calls whose estimated serial work (_estimated_seconds) is below this run in
-# process whatever the worker count: starting two forked workers and moving
+# Calls whose estimated serial work (_estimated_seconds) is below this start
+# no pool whatever the worker count: starting two forked workers and moving
 # spans through them costs more than it saves.  A 12-cell K=20 grid of 2,048
 # replicates per cell took 89 ms in process and 133 ms on a two-worker pool
-# (2-vCPU VM), and the pool's share of that time varied most between runs.
+# (2-vCPU VM), and the pool's share of that time varied most between runs;
+# with its cells on two threads (build_table) it took 35 ms where it took 59
+# ms in process and 76 ms on the pool (medians of 7, 2-vCPU VM).
 _POOL_MIN_SECONDS = 0.25
 
 # Calls on the unbounded support under _POOL_MIN_SECONDS with more than one
@@ -87,7 +95,11 @@ _POOL_MIN_SECONDS = 0.25
 # (gamma = 2, n = 100, about 4.5 us, 50,000 replicates: 212 ms in process,
 # 298 ms on threads).  Finite supports stay in process: their batches hold
 # few rows, and K = 5000, gamma = 1, n = 10 (1,536 replicates) took 153 ms in
-# process and 200 ms on threads; K = 1000 gained nothing.  2-vCPU VM.
+# process and 200 ms on threads; K = 1000 gained nothing.  A table holding
+# such a cell keeps this path for each of its cells rather than run whole
+# cells on threads, which left the heavy cell on one: `inf`, gamma in {1.25,
+# 4}, n = 1000, 2,048 replicates took 49 ms so, 66 ms with whole cells on
+# threads and 73 ms in process (medians of 7).  2-vCPU VM.
 _THREAD_MIN_REPLICATE_SECONDS = 2e-5
 
 
@@ -286,45 +298,66 @@ def _worker_pool(
         yield pool, workers
 
 
-def _on_two_threads(
-    tasks: list[tuple[SimulationConfig, int, int, int]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_run_spans of each task, in task order, run by the calling thread and one helper.
+def _spans_on_threads(config: SimulationConfig) -> bool:
+    """Whether a short call of more than one worker runs its spans on two threads:
+    the unbounded support and replicates of at least _THREAD_MIN_REPLICATE_SECONDS."""
+    return (not config.support.is_finite
+            and _replicate_seconds(config) >= _THREAD_MIN_REPLICATE_SECONDS)
 
-    Each thread takes the next task in index order.  The helper is started
-    for the call and joined before it returns, so no thread outlives it (a
-    forked pool worker inherits no running thread).  An error stops both
-    threads from taking more tasks; every task before the failed one was
-    taken earlier and is finished, so the error raised is that of the
-    earliest failing task, as in process.
+
+def _on_two_threads(run: Callable[[_Item], _Result], items: Sequence[_Item]) -> Iterator[_Result]:
+    """run(item) of each item, in item order, run by the calling thread and one helper.
+
+    Each thread takes the next item in index order.  Results are yielded on
+    the calling thread, in item order: between its own items, each one that
+    it and every item before it are done, and after the helper is joined,
+    the rest.  The helper is started for the call and joined before the last
+    result is yielded or an error raised, so no thread outlives a consumed
+    or failed call (a forked pool worker inherits no running thread); close
+    the iterator to end one that is left.  An error stops both threads from
+    taking more items; every item before the failed one was taken earlier
+    and is finished, so the error raised is that of the earliest failing
+    item, as in process.
     """
-    results: list[tuple[np.ndarray, np.ndarray] | BaseException | None] = [None] * len(tasks)
-    claims, claiming = itertools.count(), threading.Lock()  # no task is taken twice
+    results: list[_Result | BaseException | None] = [None] * len(items)
+    claims, claiming = itertools.count(), threading.Lock()  # no item is taken twice
     stop = threading.Event()
 
+    def take() -> int | None:
+        """The next item's index, or None once the items are taken or one failed."""
+        with claiming:
+            index = next(claims)
+        return None if stop.is_set() or index >= len(items) else index
+
+    def run_one(index: int) -> None:
+        try:
+            results[index] = run(items[index])
+        except BaseException as err:
+            results[index] = err
+            stop.set()
+
     def work() -> None:
-        while not stop.is_set():
-            with claiming:
-                index = next(claims)
-            if index >= len(tasks):
-                return
-            try:
-                results[index] = _run_spans(tasks[index])
-            except BaseException as err:
-                results[index] = err
-                stop.set()
+        while (index := take()) is not None:
+            run_one(index)
 
     helper = threading.Thread(target=work, name="zipfks-spans", daemon=True)
     helper.start()
+    done = 0  # results yielded
     try:
-        work()
+        while (index := take()) is not None:
+            run_one(index)
+            # the last result waits for the join
+            while done < len(items) - 1 and results[done] is not None \
+                    and not isinstance(results[done], BaseException):
+                yield results[done]
+                done += 1
     finally:
-        stop.set()  # an interrupt of the calling thread ends the helper after its task
+        stop.set()  # an interrupt of the calling thread ends the helper after its item
         helper.join()
-    for result in results:
+    for result in results[done:]:
         if isinstance(result, BaseException):
             raise result
-    return results
+        yield result
 
 
 def _replicate_ks(
@@ -342,8 +375,7 @@ def _replicate_ks(
     task in process.
     """
     spans = -(-config.replicates // _SPAN)
-    threads = (pool is None and workers > 1 and not config.support.is_finite
-               and _replicate_seconds(config) >= _THREAD_MIN_REPLICATE_SECONDS)
+    threads = pool is None and workers > 1 and _spans_on_threads(config)
     if pool is not None:
         step = -(-spans // (4 * workers))
     else:
@@ -356,7 +388,7 @@ def _replicate_ks(
     if pool is not None:
         results = pool.imap(_run_spans, tasks)
     else:
-        results = _on_two_threads(tasks) if threads else map(_run_spans, tasks)
+        results = _on_two_threads(_run_spans, tasks) if threads else map(_run_spans, tasks)
     ks = np.concatenate([task_ks for task_ks, _ in results])
     return ks.reshape(config.repetitions, config.replicates)
 
@@ -391,7 +423,8 @@ class CutoffLookupError(LookupError):
 
 
 # A fitted exponent must sit this close to a tabulated one for lookup to
-# apply; cutoffs vary too steeply in gamma to interpolate.
+# apply: lookup answers only at tabulated exponents, and interpolating
+# between them is not implemented.
 GAMMA_LOOKUP_WINDOW = 0.005
 
 
@@ -434,15 +467,23 @@ def build_table(
     workers: int | None = None,
     progress: Callable[[float, int, float, tuple[float, ...]], None] | None = None,
 ) -> CutoffTable:
-    """Fill the (gamma, n) grid at DEFAULT_LEVELS cell by cell, all cells sharing one worker pool.
+    """Fill the (gamma, n) grid at DEFAULT_LEVELS, all cells sharing one worker pool or helper thread.
 
     Every cell reuses the same base_seed, so any single cell is reproducible
     with a standalone run_simulation call on that cell's configuration.  The
     pool starts only when the whole grid's estimated serial work reaches
-    _POOL_MIN_SECONDS; without it, cells of heavy replicates run on two
-    threads (_replicate_ks).  ``progress`` gets each cell's seconds; the pool's
-    start-up is charged to the first cell and its shutdown to the last, so
-    that the seconds add up to the call's wall time.
+    _POOL_MIN_SECONDS.  Without it, and with more than one worker, a grid of
+    more than one cell of which none runs its spans on threads
+    (_spans_on_threads) runs its cells on two threads, each cell whole and
+    in process, the calling thread and a helper each taking the next cell
+    in grid order; any other grid runs cell by cell.
+
+    ``progress`` is called on the calling thread, in grid order, with each
+    cell's seconds: the time since the previous report.  A cell is reported
+    once it and every cell before it are done, so on two threads a cell
+    done before an earlier one is reported with it, at about 0 s.  The
+    pool's or helper's start-up is charged to the first cell and its
+    shutdown to the last, so that the seconds add up to the call's wall time.
     """
     ns = tuple(int(n) for n in ns)
     gammas = tuple(float(g) for g in gammas)
@@ -468,16 +509,29 @@ def build_table(
             progress(gamma, n, time.perf_counter() - started, cells[(gamma, n)])
         started = time.perf_counter()
 
+    def cell(config: SimulationConfig, shared: tuple[multiprocessing.pool.Pool | None, int]
+             ) -> list[tuple[float, float]]:
+        try:
+            return run_simulation(config, shared)
+        except Exception as err:
+            raise SimulationError(
+                f"table cell (gamma={config.gamma}, n={config.n}) failed: {err}"
+            ) from err
+
     with _worker_pool(workers, sum(map(_estimated_seconds, configs))) as shared:
-        for config in configs:
-            gamma, n = config.gamma, config.n
-            try:
-                pairs = run_simulation(config, shared)
-            except Exception as err:
-                raise SimulationError(f"table cell (gamma={gamma}, n={n}) failed: {err}") from err
-            cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)
-            if (gamma, n) != grid[-1]:
-                report(gamma, n)
-    report(*grid[-1])  # the last cell also pays for the pool's shutdown
+        pool, count = shared
+        if (pool is None and count > 1 and len(configs) > 1
+                and not any(map(_spans_on_threads, configs))):
+            # each cell whole and in process, on one of two threads
+            results = _on_two_threads(lambda config: cell(config, (None, 1)), configs)
+        else:
+            results = (cell(config, shared) for config in configs)
+        with contextlib.closing(results):  # joins the helper should progress raise
+            for config, pairs in zip(configs, results):
+                gamma, n = config.gamma, config.n
+                cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)
+                if (gamma, n) != grid[-1]:
+                    report(gamma, n)
+    report(*grid[-1])  # the last cell also pays for the pool's or helper's shutdown
     return CutoffTable(support=support, levels=DEFAULT_LEVELS, gammas=gammas, ns=ns, cells=cells,
                        replicates=replicates, repetitions=repetitions, base_seed=base_seed)

@@ -45,19 +45,23 @@ _log_cache = np.zeros(1)
 def natural_logs(limit: int) -> np.ndarray:
     """Read-only array ``a`` with ``a[k] = ln k`` for ``k = 1..limit`` (``a[0]`` is 0 padding).
 
-    Backed by a shared cache that grows geometrically.
+    Backed by a shared cache that grows geometrically.  Threads may call it at
+    once: each slices the table it read or built, never one another thread
+    swapped in, and a table replaces only a shorter one.
     """
     global _log_cache
     if not isinstance(limit, (int, np.integer)) or isinstance(limit, bool) or limit < 1:
         raise ValueError(f"log table limit must be a positive integer, got {limit!r}")
-    if len(_log_cache) < limit + 1:
+    table = _log_cache
+    if len(table) < limit + 1:
         size = 1024
         while size < limit + 1:
             size *= 2
-        fresh = np.log(np.arange(1, size, dtype=np.float64))
-        _log_cache = np.concatenate(([0.0], fresh))
-        _log_cache.flags.writeable = False
-    return _log_cache[: limit + 1]
+        table = np.concatenate(([0.0], np.log(np.arange(1, size, dtype=np.float64))))
+        table.flags.writeable = False
+        if len(_log_cache) < size:
+            _log_cache = table
+    return table[: limit + 1]
 
 
 def power_rows(gammas: np.ndarray, k: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from zipfks.montecarlo import (
     resolve_workers,
     run_simulation,
 )
+from zipfks.tablefile import write_table
 
 from oracles import (
     assert_draw_properties,
@@ -684,3 +685,158 @@ class TestCutoffTable:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             build_table(ns=(), gammas=(1.0,), support=Support.finite(20), base_seed=1)
+
+
+def record_cells(monkeypatch):
+    """List that gets ((gamma, n), workers, thread) for each run_simulation call from now on."""
+    calls = []
+    run = montecarlo.run_simulation
+
+    def recorded(config, workers=None):
+        calls.append(((config.gamma, config.n), workers, threading.current_thread()))
+        return run(config, workers)
+
+    monkeypatch.setattr(montecarlo, "run_simulation", recorded)
+    return calls
+
+
+# Multi-cell grids estimated below _POOL_MIN_SECONDS with no heavy `inf` cell
+# (_spans_on_threads), whose cells run whole on two threads ...
+LIGHT_GRIDS = {
+    "k20": dict(ns=(10, 100, 1000), gammas=(1.0, 2.0), support=Support.finite(20), base_seed=5,
+                replicates=600, repetitions=2),
+    "inf": dict(ns=(100, 1000), gammas=(1.5, 2.5), support=Support.unbounded(), base_seed=5,
+                replicates=300, repetitions=1),
+}
+# ... and one that holds a heavy `inf` cell, whose spans keep their threads
+HEAVY_CELL_GRID = dict(ns=(1000,), gammas=(1.25, 4.0), support=Support.unbounded(), base_seed=5,
+                       replicates=600, repetitions=1)
+
+
+def helper_first(began):
+    """Thread class whose start() returns once ``began`` is set: the helper then
+    holds the first item, and the calling thread takes none before it."""
+
+    class HelperFirst(threading.Thread):
+        def start(self):
+            super().start()
+            assert began.wait(timeout=60)
+
+    return HelperFirst
+
+
+class TestGridOnThreads:
+    @pytest.mark.parametrize("name", list(LIGHT_GRIDS), ids=list(LIGHT_GRIDS))
+    def test_light_grid_runs_whole_cells_on_one_helper(self, monkeypatch, tmp_path, name):
+        grid = LIGHT_GRIDS[name]
+        configs = [config(n=n, support=grid["support"], gamma=gamma, base_seed=5,
+                          replicates=grid["replicates"], repetitions=grid["repetitions"])
+                   for gamma in grid["gammas"] for n in grid["ns"]]
+        assert sum(map(montecarlo._estimated_seconds, configs)) < montecarlo._POOL_MIN_SECONDS
+        assert not any(map(montecarlo._spans_on_threads, configs))
+        serial = build_table(workers=1, **grid)
+        write_table(serial, tmp_path / "serial.csv")
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
+        calls = record_cells(monkeypatch)
+        threaded = build_table(workers=2, **grid)
+        write_table(threaded, tmp_path / "threaded.csv")
+        assert threaded == serial
+        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert pools == [] and len(threads) == 1 and not threads[0].is_alive()
+        # each cell once, whole and in process, on the calling thread or the helper
+        assert sorted(cell for cell, _, _ in calls) == sorted(serial.cells)
+        assert all(workers == (None, 1) for _, workers, _ in calls)
+        assert {thread for _, _, thread in calls} <= {threading.current_thread(), threads[0]}
+
+    def test_grid_holding_a_heavy_inf_cell_keeps_the_span_threads(self, monkeypatch):
+        serial = build_table(workers=1, **HEAVY_CELL_GRID)
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
+        calls = record_cells(monkeypatch)
+        assert build_table(workers=2, **HEAVY_CELL_GRID) == serial
+        # cells one by one on the calling thread; only the gamma = 1.25 cell's spans use a helper
+        assert [(cell, workers) for cell, workers, _ in calls] == [((1.25, 1000), (None, 2)),
+                                                                   ((4.0, 1000), (None, 2))]
+        assert all(thread is threading.current_thread() for _, _, thread in calls)
+        assert pools == [] and len(threads) == 1 and not threads[0].is_alive()
+
+    def test_threads_switching_often_take_each_cell_once(self, monkeypatch):
+        # with a fresh generating model per run, whose draw table both threads may build
+        grid = LIGHT_GRIDS["k20"]
+        serial = build_table(workers=1, **grid)
+        calls, threads = record_cells(monkeypatch), count_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                montecarlo._generating_model.cache_clear()
+                calls.clear()
+                assert build_table(workers=2, **grid) == serial
+                assert sorted(cell for cell, _, _ in calls) == sorted(serial.cells)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 3 and not any(thread.is_alive() for thread in threads)
+
+    def test_progress_streams_in_grid_order_and_adds_up_to_wall_time(self):
+        grid = dict(LIGHT_GRIDS["k20"], replicates=2048, repetitions=1)
+        reported = []
+        started = time.perf_counter()
+        table = build_table(workers=2, **grid,
+                            progress=lambda gamma, n, s, row: reported.append(((gamma, n), s)))
+        wall = time.perf_counter() - started
+        assert [cell for cell, _ in reported] == list(table.cells)  # grid order, each cell once
+        assert 0.95 * wall <= sum(s for _, s in reported) <= wall
+
+    def test_progress_reports_cells_before_the_last_one_ends(self, monkeypatch):
+        # the helper takes cell 0, the caller cell 1, and the helper then
+        # holds cell 2 until the calling thread has reported a cell
+        grid = dict(ns=(10, 100, 1000), gammas=(1.0,), support=Support.finite(20), base_seed=5,
+                    replicates=200, repetitions=1)
+        caller, began = threading.current_thread(), threading.Event()
+        caller_took, reported = threading.Event(), threading.Event()
+        run = montecarlo.run_simulation
+
+        def held(config, workers):
+            if threading.current_thread() is caller:
+                caller_took.set()
+            elif config.n == 10:
+                began.set()
+                assert caller_took.wait(timeout=60)
+            else:
+                assert reported.wait(timeout=60)
+            return run(config, workers)
+
+        def progress(gamma, n, seconds, row):
+            seen.append((n, threading.current_thread()))
+            reported.set()
+
+        seen = []
+        monkeypatch.setattr(montecarlo, "run_simulation", held)
+        threads = count_threads(monkeypatch, helper_first(began))
+        build_table(workers=2, progress=progress, **grid)
+        assert seen == [(10, caller), (100, caller), (1000, caller)]
+        assert len(threads) == 1 and not threads[0].is_alive()
+
+    def test_failing_cells_raise_the_earliest_in_grid_order(self, monkeypatch):
+        # the helper is made to take cell 0, which fails only after cell 1 has
+        # failed on the calling thread; cell 0's error is the one raised
+        grid = dict(ns=(10, 100, 1000), gammas=(1.5,), support=Support.finite(20), base_seed=5,
+                    replicates=200, repetitions=1)
+        caller, began, caller_failed = threading.current_thread(), threading.Event(), threading.Event()
+        failed_on = {}
+
+        def fail(config, workers):
+            failed_on[config.n] = threading.current_thread()
+            if threading.current_thread() is caller:
+                caller_failed.set()
+            else:
+                began.set()
+                assert caller_failed.wait(timeout=60)
+            raise ValueError(f"no cutoffs at n={config.n}")
+
+        monkeypatch.setattr(montecarlo, "run_simulation", fail)
+        threads = count_threads(monkeypatch, helper_first(began))
+        message = r"^table cell \(gamma=1.5, n=10\) failed: no cutoffs at n=10$"
+        with pytest.raises(SimulationError, match=message):
+            build_table(workers=2, **grid)
+        assert len(threads) == 1 and not threads[0].is_alive()
+        assert failed_on == {10: threads[0], 100: caller}  # cell n=1000 was never taken

@@ -71,6 +71,23 @@ class TestLogTable:
         assert natural_logs(10)[7] == first == np.log(7.0)
         assert not natural_logs(1 << 17).flags.writeable
 
+    def test_table_built_meanwhile_is_not_replaced_by_a_shorter_one(self, monkeypatch):
+        # another call (as from a second thread) grows the cache while this one builds
+        monkeypatch.setattr(series, "_log_cache", np.zeros(1))
+        concatenate, nested = np.concatenate, []
+
+        def meanwhile(arrays, *args, **kwargs):
+            if not nested:
+                nested.append(None)
+                nested.append(natural_logs(5000))
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(series.np, "concatenate", meanwhile)
+        logs = natural_logs(10)
+        assert logs.size == 11 and logs[7] == np.log(7.0)
+        assert nested[1].size == 5001
+        assert series._log_cache.size == 8192  # the longer table stays
+
 
 class TestInfiniteSums:
     @pytest.mark.parametrize("gamma", [1.05, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0])
