@@ -14,14 +14,14 @@ ways, chosen from its configuration and worker count alone:
   serial work (_estimated_seconds) reaches _POOL_MIN_SECONDS; a task is
   about a quarter of one worker's share of a repetition;
 - on two threads, the calling one and a helper started for the call, when
-  it has more than one worker, less work than that, the unbounded support
-  and heavy replicates (_spans_on_threads); a task is one span, and each
-  thread takes the next one in index order;
+  it has more than one worker, less work than that but at least
+  _THREAD_MIN_SECONDS, and at least two tasks; a task is one contiguous
+  half of a repetition's spans, and each thread takes the next one in order;
 - else in process, a task being a whole repetition.
 Results are placed by task index, so all three give the same bytes.
 A table (build_table) whose grid would start no pool instead runs whole
 cells on two threads, each in process, when it has more than one worker
-and cell and none of its cells would put its spans on threads.
+and cell and holds no heavy unbounded cell (_spans_on_threads).
 
 A task's spans are drawn a block of rows at a time.  On a finite support a
 block is a matrix of count vectors.  On the unbounded support each
@@ -85,21 +85,26 @@ _SPAN = 512
 # ms in process and 76 ms on the pool (medians of 7, 2-vCPU VM).
 _POOL_MIN_SECONDS = 0.25
 
-# Calls on the unbounded support under _POOL_MIN_SECONDS with more than one
-# worker run on two threads when a replicate is estimated (_replicate_seconds)
-# at this or more: such spans spend most of their time in numpy calls that
-# release the GIL.  An `inf`, gamma = 1.25, n = 1000 cell (about 41 us; 2,048
-# replicates: 66 ms in process, 45 ms on threads, for 74 ms of CPU) and fit
-# --bespoke at gamma ~ 2, n = 5x10^4 (about 37 us; the whole call 42 ms, 29 ms)
-# gain.  Light `inf` cells hold the GIL for much of their time and lose
-# (gamma = 2, n = 100, about 4.5 us, 50,000 replicates: 212 ms in process,
-# 298 ms on threads).  Finite supports stay in process: their batches hold
-# few rows, and K = 5000, gamma = 1, n = 10 (1,536 replicates) took 153 ms in
-# process and 200 ms on threads; K = 1000 gained nothing.  A table holding
-# such a cell keeps this path for each of its cells rather than run whole
-# cells on threads, which left the heavy cell on one: `inf`, gamma in {1.25,
-# 4}, n = 1000, 2,048 replicates took 49 ms so, 66 ms with whole cells on
-# threads and 73 ms in process (medians of 7).  2-vCPU VM.
+# Calls under _POOL_MIN_SECONDS with more than one worker and at least two
+# tasks run on two threads when their estimated serial work reaches this,
+# each thread taking the next contiguous half of a repetition's spans, so that
+# batches still cross spans.  Below it the helper's start and the hand-offs of
+# the GIL cost more than the second core saves: K = 20, gamma = 1, n = 10, 1,024
+# replicates (2.1 ms estimated) took 1.5 ms in process and 2.2-2.3 ms on
+# threads; `inf`, gamma = 4, n = 1000, 1,024 (3.9 ms) 3.1-3.4 and 4.7 ms.  From
+# 6 ms up calls gain or tie: K = 20, n = 1000, 2,048 (6.1 ms, fit --bespoke on
+# 1..20 at n = 1000) 8.5 -> 5.8 ms; K = 1000, gamma = 1, n = 1000, 2,048 128 ->
+# 76 ms; light `inf` replicates, which hold the GIL for much of their time,
+# tie at gamma = 4, n = 1000, 2,048 (7.9 ms; 5.9-6.1 ms either way).  Medians
+# of 9-21 calls, 2-vCPU VM.
+_THREAD_MIN_SECONDS = 5e-3
+
+# A table without a pool runs its cells one by one, each by the rule above,
+# instead of whole cells on two threads, when it holds an `inf` cell whose
+# replicates are estimated (_replicate_seconds) at this or more: run whole,
+# that cell would be left on one thread.  `inf`, gamma in {1.25, 4}, n = 1000,
+# 2,048 replicates took 52 ms cell by cell, each on two threads, 73 ms with
+# whole cells on threads and 81 ms in process (medians of 9, 2-vCPU VM).
 _THREAD_MIN_REPLICATE_SECONDS = 2e-5
 
 
@@ -181,8 +186,8 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     CHUNK_ELEMENTS on a finite support, or _BLOCK_CHUNKS * CHUNK_ELEMENTS on
     the unbounded one, and are then joined, fitted and scored as one batch; a
     block past that budget on its own is scored alone.  A task is a whole
-    repetition in process, one span on threads and a run of spans on a pool
-    (_replicate_ks); a row's fit and statistic do not depend on the rows
+    repetition in process, half of one on threads and a run of spans on a
+    pool (_replicate_ks); a row's fit and statistic do not depend on the rows
     batched with it, so results do not depend on how spans are grouped into
     tasks.
 
@@ -288,7 +293,7 @@ def _worker_pool(
     """A fork pool and its worker count when more than one worker gets enough work.
 
     Else no pool (None) and the worker count, which _replicate_ks uses for
-    threads where a call's replicates are heavy.
+    two threads where a call has enough work.
     """
     workers = resolve_workers(workers)
     if workers == 1 or seconds < _POOL_MIN_SECONDS:
@@ -299,7 +304,7 @@ def _worker_pool(
 
 
 def _spans_on_threads(config: SimulationConfig) -> bool:
-    """Whether a short call of more than one worker runs its spans on two threads:
+    """Whether a table holding this cell gives the threads its spans, not whole cells:
     the unbounded support and replicates of at least _THREAD_MIN_REPLICATE_SECONDS."""
     return (not config.support.is_finite
             and _replicate_seconds(config) >= _THREAD_MIN_REPLICATE_SECONDS)
@@ -369,17 +374,17 @@ def _replicate_ks(
     batches can cross spans.  On a pool of ``workers`` it is
     ceil(spans / (4 workers)) spans, about four tasks per worker and
     repetition, which balances the workers' load.  Without a pool, a call
-    on the unbounded support with more than one worker whose replicates
-    cost at least _THREAD_MIN_REPLICATE_SECONDS each runs one span per task
-    on two threads (_on_two_threads); any other runs each repetition as one
-    task in process.
+    with more than one worker whose _estimated_seconds reach
+    _THREAD_MIN_SECONDS and that has at least two tasks, a task being
+    ceil(spans / 2) spans, runs them on two threads (_on_two_threads); any
+    other runs each repetition as one task in process.
     """
     spans = -(-config.replicates // _SPAN)
-    threads = pool is None and workers > 1 and _spans_on_threads(config)
+    threads = pool is None and workers > 1 and _estimated_seconds(config) >= _THREAD_MIN_SECONDS
     if pool is not None:
         step = -(-spans // (4 * workers))
     else:
-        step = 1 if threads else spans
+        step = -(-spans // 2) if threads else spans
     tasks = [
         (config, repetition, first, min(first + step, spans))
         for repetition in range(config.repetitions)
@@ -387,8 +392,10 @@ def _replicate_ks(
     ]
     if pool is not None:
         results = pool.imap(_run_spans, tasks)
+    elif threads and len(tasks) > 1:
+        results = _on_two_threads(_run_spans, tasks)
     else:
-        results = _on_two_threads(_run_spans, tasks) if threads else map(_run_spans, tasks)
+        results = map(_run_spans, tasks)
     ks = np.concatenate([task_ks for task_ks, _ in results])
     return ks.reshape(config.repetitions, config.replicates)
 
@@ -403,8 +410,9 @@ def run_simulation(
     what _worker_pool gives, a pool (None: none) and its worker count, to
     share, as build_table does across its cells.  A count is an upper
     bound: a call estimated to take under _POOL_MIN_SECONDS of serial work
-    starts no pool, and runs on two threads if its replicates are heavy
-    (_replicate_ks), else in process.  Results never depend on it.
+    starts no pool, and runs on two threads if it is estimated at
+    _THREAD_MIN_SECONDS or more (_replicate_ks), else in process.  Results
+    never depend on it.
     """
     if isinstance(workers, tuple):
         ks = _replicate_ks(config, *workers)
@@ -473,10 +481,11 @@ def build_table(
     with a standalone run_simulation call on that cell's configuration.  The
     pool starts only when the whole grid's estimated serial work reaches
     _POOL_MIN_SECONDS.  Without it, and with more than one worker, a grid of
-    more than one cell of which none runs its spans on threads
+    more than one cell that holds no heavy unbounded cell
     (_spans_on_threads) runs its cells on two threads, each cell whole and
     in process, the calling thread and a helper each taking the next cell
-    in grid order; any other grid runs cell by cell.
+    in grid order; any other grid runs cell by cell, each by
+    run_simulation's rule.
 
     ``progress`` is called on the calling thread, in grid order, with each
     cell's seconds: the time since the previous report.  A cell is reported

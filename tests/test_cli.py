@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zipfks import cli
+from zipfks import cli, montecarlo
 from zipfks.distribution import RandomStream, Sample, Support, ZipfModel, sample
 from zipfks.montecarlo import SimulationConfig, run_simulation
 from zipfks.observations import write_observations
@@ -357,6 +357,23 @@ class TestFit:
         assert cli.main(argv) == code
         assert capsys.readouterr().out == by_counts
         assert f"n={values.size + len(extra)}\n" in by_counts
+
+    @pytest.mark.parametrize("gamma,k,replicates", [(1.0, 20, 2048), (1.5, None, 1024)])
+    def test_bespoke_machine_output_same_at_one_and_two_workers(self, tmp_path, capsys,
+                                                                 gamma, k, replicates):
+        # enough replicates at n = 1000 that the call runs its halves on two threads
+        path = write_sample(tmp_path, gamma, k, 1000, seed=8)
+        argv = ["fit", "--input", str(path), "--k", "inf" if k is None else str(k), "--bespoke",
+                "--replicates", str(replicates), "--reps", "1", "--seed", "6", "--machine"]
+        out = []
+        for workers in ("1", "2"):
+            assert cli.main(argv + ["--workers", workers]) in (0, 1)
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1]
+        lines = dict(line.split("=", 1) for line in out[0].splitlines())
+        config = SimulationConfig(n=1000, support=Support(k=k), gamma=float(lines["gamma_hat"]),
+                                  base_seed=6, replicates=replicates, repetitions=1)
+        assert montecarlo._estimated_seconds(config) >= montecarlo._THREAD_MIN_SECONDS
 
     def test_requires_exactly_one_cutoff_source(self, tmp_path):
         path = tmp_path / "obs.txt"

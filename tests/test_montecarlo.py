@@ -85,7 +85,7 @@ def count_threads(monkeypatch, thread_class=threading.Thread):
 
 
 # Short calls of heavy replicates: estimated above _THREAD_MIN_REPLICATE_SECONDS
-# per replicate, and below _POOL_MIN_SECONDS in all
+# per replicate, and between _THREAD_MIN_SECONDS and _POOL_MIN_SECONDS in all
 HEAVY_SHORT = {
     "inf": dict(n=1000, support=Support.unbounded(), gamma=1.25, replicates=1100, repetitions=2),
     "k1000": dict(n=100, support=Support.finite(1000), gamma=1.0, replicates=1100, repetitions=2),
@@ -416,21 +416,56 @@ class TestChunksAndWorkers:
         assert len(pools) == 1
 
     @pytest.mark.parametrize("cell", list(HEAVY_SHORT), ids=list(HEAVY_SHORT))
-    def test_heavy_short_call_runs_on_two_threads_only_if_unbounded(self, monkeypatch, cell):
-        # a finite support's short call stays in process however heavy its
-        # replicates: threads measured no faster at K = 1000, slower at K = 5000
+    def test_heavy_short_call_runs_on_two_threads(self, monkeypatch, cell):
+        # a short call over the floor runs on two threads on either support
         cfg = config(**HEAVY_SHORT[cell])
-        assert montecarlo._replicate_seconds(cfg) >= montecarlo._THREAD_MIN_REPLICATE_SECONDS
+        assert montecarlo._estimated_seconds(cfg) >= montecarlo._THREAD_MIN_SECONDS
         assert montecarlo._estimated_seconds(cfg) < montecarlo._POOL_MIN_SECONDS
-        started = 0 if cfg.support.is_finite else 1
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         serial = montecarlo._replicate_ks(cfg, None, 1)
         assert threads == []
         np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
-        assert len(threads) == started
+        assert len(threads) == 1
         assert run_simulation(cfg, workers=2) == run_simulation(cfg, workers=1)
-        assert pools == [] and len(threads) == 2 * started
+        assert pools == [] and len(threads) == 2
         assert not any(thread.is_alive() for thread in threads)  # joined before the call returns
+
+    def test_calls_either_side_of_the_thread_floor(self, monkeypatch):
+        cfg = config(n=1000, replicates=3 * _SPAN, repetitions=1)
+        serial = montecarlo._replicate_ks(cfg, None, 1)
+        threads = count_threads(monkeypatch)
+        floor = montecarlo._estimated_seconds(cfg)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", np.nextafter(floor, np.inf))
+        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        assert threads == []  # just under the floor: in process
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", floor)
+        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        assert len(threads) == 1 and not threads[0].is_alive()  # at it: one helper, joined
+
+    def test_one_task_call_starts_no_thread(self, monkeypatch):
+        # one span and one repetition are one task, however low the floor
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
+        threads = count_threads(monkeypatch)
+        cfg = config(n=1000, replicates=_SPAN, repetitions=1)
+        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2),
+                                      montecarlo._replicate_ks(cfg, None, 1))
+        assert threads == []
+
+    @pytest.mark.parametrize("shape", [(3, 1), (5, 1), (3, 2), (1, 2)], ids=str)
+    @pytest.mark.parametrize("cell", [
+        dict(n=100, support=Support.finite(20)),  # counts by conditional binomials
+        dict(n=10, support=Support.finite(1000)),  # K > n: by inverse transform
+        dict(n=100, support=Support.unbounded(), gamma=2.0),
+    ], ids=["k20", "k1000-n10", "inf"])
+    def test_halves_on_threads_give_the_serial_bytes(self, monkeypatch, cell, shape):
+        # the last span is partial, so the halves differ in replicates
+        spans, repetitions = shape
+        cfg = config(**cell, replicates=spans * _SPAN - 100, repetitions=repetitions)
+        serial = montecarlo._replicate_ks(cfg, None, 1)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
+        threads = count_threads(monkeypatch)
+        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        assert len(threads) == 1
 
     def test_unconverged_fit_in_the_helpers_span_names_the_serial_replicate(self, monkeypatch):
         # replicate 88 of span 0 comes back NaN; the helper is made to take
@@ -472,14 +507,14 @@ class TestChunksAndWorkers:
             run_simulation(cfg, workers=2)
         assert len(threads) == 1 and failed_on[-1] is threads[0]
 
-    def test_threads_switching_often_take_each_span_once(self, monkeypatch):
+    def test_threads_switching_often_take_each_half_once(self, monkeypatch):
         # 16 light spans per repetition forced onto threads that switch every
         # microsecond, with a fresh generating model whose draw table both
-        # threads may build: every task is run once and the bytes are the serial ones
+        # threads may build: every half is run once and the bytes are the serial ones
         cfg = config(n=100, support=Support.unbounded(), gamma=2.0, replicates=16 * _SPAN,
                      repetitions=2)
         serial = montecarlo._replicate_ks(cfg, None, 1)
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN_REPLICATE_SECONDS", 0.0)
+        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         run_spans, ran = montecarlo._run_spans, []
 
         def recording(task):
@@ -495,7 +530,7 @@ class TestChunksAndWorkers:
                 montecarlo._generating_model.cache_clear()
                 ran.clear()
                 np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
-                assert sorted(ran) == [(rep, span, span + 1) for rep in range(2) for span in range(16)]
+                assert sorted(ran) == [(rep, first, first + 8) for rep in range(2) for first in (0, 8)]
         finally:
             sys.setswitchinterval(interval)
         assert len(threads) == 3 and not any(thread.is_alive() for thread in threads)
