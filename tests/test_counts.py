@@ -5,6 +5,7 @@ On a finite support a replicate is its count vector: CountRows are drawn by
 ``ks_statistic`` a whole matrix at a time.  Each row must agree with the
 scalar pipeline run on the sample those counts describe.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,22 @@ class TestEdges:
             want_ks, want_gamma = scalar_score(expand_counts(counts.table[row]), cfg.support)
             assert abs(gamma_hat[row] - want_gamma) <= GAMMA_TOL
             assert abs(ks[row] - want_ks) <= KS_TOL
+
+    @pytest.mark.parametrize("k,gamma,n,replicates,digest", [
+        (2, 1.0, 1, 512, "3267cbcccd9e164a"),  # every row all ones or all at K
+        (20, 1.0, 10, 3500, "26361fbfaf2c2828"),  # seven spans, batches across them
+        (20, 2.0, 1000, 512, "797ebe1d000bca1b"),
+        (1000, 0.5, 10, 512, "d078cae1a2a1796f"),  # K > n: inverse transform and bincount
+        (1000, 1.0, 1000, 512, "c0bc5bf102cb00ed"),
+        (32766, 1.0, 10, 512, "b8b23a5fcf3cea5c"),  # two rows per chunk
+    ])
+    def test_statistics_keep_the_bits_of_the_per_k_scan(self, k, gamma, n, replicates, digest):
+        # the digests of every KS statistic and estimate of a task's spans, taken
+        # when finite batches were count matrices of their own type
+        cfg = SimulationConfig(n=n, support=Support.finite(k), gamma=gamma, base_seed=5,
+                               replicates=replicates, repetitions=1)
+        ks, gamma_hat = _run_spans((cfg, 0, 0, -(-replicates // 512)))
+        assert hashlib.sha256(ks.tobytes() + gamma_hat.tobytes()).hexdigest()[:16] == digest
 
     def test_rows_must_match_support(self):
         counts = CountRows(np.ones((1, 5), dtype=np.int64), 5)
