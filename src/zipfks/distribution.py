@@ -3,7 +3,9 @@
 Two flavours share one type: a truncated model over 1..K (any real
 exponent) and an unbounded model over all positive integers (exponent
 at least MIN_UNBOUNDED_GAMMA so the normalizing series converges fast
-enough to evaluate).
+enough to evaluate).  Their batches of samples share one type as well
+(ValueRows): dense counts of 1..H per row, H = K on 1..K, and the distinct
+values above H.
 """
 from __future__ import annotations
 
@@ -247,29 +249,18 @@ def count_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class CountRows:
-    """Equal-size samples over a finite support 1..K, one count vector per row.
-
-    ``table[r, k - 1]`` is how often sample r holds the value k; every row sums
-    to n.  On a finite support the estimator and the KS statistic see a sample
-    only through its counts, so a batch of replicates is one such matrix.
-    """
-
-    table: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True, eq=False)
 class ValueRows:
-    """Equal-size samples over the unbounded support: dense counts of 1..H, then distinct values.
+    """Equal-size samples: dense counts of 1..H, then distinct values above H.
 
     ``head[r, k - 1]`` is how often sample r holds the value k <= H, H =
-    ``head.shape[1]``, in the smallest unsigned type that holds n.  Row r's
-    sorted distinct values above H are ``observations[starts[r]:starts[r + 1]]``,
-    seen ``counts[starts[r]:starts[r + 1]]`` times.  The estimator and the KS
-    statistic need no more of a sample than that, so a batch keeps no more
-    of its draws.  Drawn batches take H from the draw (_head_size) and store
-    their values in the smallest type that holds UNBOUNDED_SAMPLE_LIMIT, their
+    ``head.shape[1]``.  Row r's sorted distinct values above H are
+    ``observations[starts[r]:starts[r + 1]]``, seen ``counts[starts[r]:starts[r + 1]]``
+    times.  The estimator and the KS statistic need no more of a sample than
+    that, so a batch keeps no more of its draws.  On 1..K, H = K and no row
+    holds a value above it; drawn rows keep the multinomial's int64 counts.
+    On the unbounded support drawn batches take H from the draw (_head_size),
+    keep their head counts in the smallest unsigned type that holds n, their
+    values in the smallest type that holds UNBOUNDED_SAMPLE_LIMIT and their
     counts in the head's; an observed sample is a row with H = 0 (as_rows).
     """
 
@@ -279,16 +270,18 @@ class ValueRows:
     starts: np.ndarray
     n: int
 
-    def sizes(self) -> np.ndarray:
-        """Entry r: the work of rows 0..r-1, their values above H and H + HEAD_TERMS + 1
-        per row: its head counts and the head table that the fit and KS statistic
-        build for every row."""
-        return self.starts + (self.head.shape[1] + HEAD_TERMS + 1) * np.arange(self.starts.size)
+    def sizes(self, support: Support) -> np.ndarray:
+        """Entry r: the work of rows 0..r-1 on the support, their values above H and
+        per row its H head counts, plus on the unbounded support the HEAD_TERMS + 1
+        wide table of head terms that the fit and KS statistic build for every row
+        (on 1..K the arrays they build per row are as wide as the head)."""
+        width = self.head.shape[1] + (0 if support.is_finite else HEAD_TERMS + 1)
+        return self.starts + width * np.arange(self.starts.size)
 
-    def chunks(self) -> Iterator[tuple[int, int]]:
+    def chunks(self, support: Support) -> Iterator[tuple[int, int]]:
         """(lo, hi) of consecutive runs of rows, at least one row each, of at most
         CHUNK_ELEMENTS of work (sizes) where more than one row fits."""
-        sizes = self.sizes()
+        sizes = self.sizes(support)
         rows = sizes.size - 1
         lo = 0
         while lo < rows:
@@ -302,24 +295,36 @@ class ValueRows:
         return ValueRows(self.head[lo:hi], self.observations[a:b], self.counts[a:b],
                          self.starts[lo : hi + 1] - a, self.n)
 
+    def check(self, support: Support) -> None:
+        """Raise ValueError unless the rows can be fitted and scored on the support:
+        on 1..K, counts of 1..K and no value above K."""
+        if support.is_finite and (self.head.shape[1] != support.k or self.observations.size):
+            raise ValueError(f"rows do not match the finite support 1..{support}")
 
-def as_rows(sample: Sample, support: Support) -> CountRows | ValueRows:
+
+def _count_rows(table: np.ndarray, n: int) -> ValueRows:
+    """Rows over 1..K whose counts of 1..K are those of ``table``, one row each."""
+    none = np.zeros(0, dtype=np.int64)
+    return ValueRows(table, none, none, np.zeros(len(table) + 1, dtype=np.intp), n)
+
+
+def as_rows(sample: Sample, support: Support) -> ValueRows:
     """The sample as a batch of one row on the declared support.
 
-    Over 1..K it is its count vector (CountRows), over all positive integers
-    its distinct values and their counts (ValueRows with H = 0), so that it is
-    fitted and scored by the arithmetic that fits and scores the replicates.
-    Values outside the support are an error.
+    Its distinct values up to H = K on 1..K, H = 0 on the unbounded support,
+    are counted in its head, and the rest kept with their counts, so that it
+    is fitted and scored by the arithmetic that fits and scores the
+    replicates.  Values outside the support are an error.
     """
     values, counts = sample.distinct
     if not support.contains(values):
         raise ValueError(f"observations exceed the declared support 1..{support}")
-    if support.is_finite:
-        table = np.zeros((1, support.k), dtype=np.int64)
-        table[0, values - 1] = counts
-        return CountRows(table, sample.n)
-    head = np.zeros((1, 0), dtype=np.min_scalar_type(sample.n))
-    return ValueRows(head, values, counts, np.array([0, values.size]), sample.n)
+    h = support.k or 0
+    split = int(np.searchsorted(values, h, side="right"))
+    head = np.zeros((1, h), dtype=np.min_scalar_type(sample.n))
+    head[0, values[:split] - 1] = counts[:split]
+    return ValueRows(head, values[split:], counts[split:], np.array([0, values.size - split]),
+                     sample.n)
 
 
 def finite_cdf(gammas: np.ndarray, k: int, last: int) -> np.ndarray:
@@ -486,14 +491,12 @@ def _block(model: ZipfModel, stream: RandomStream, heads: np.ndarray, tails: np.
                      starts, n)
 
 
-def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | ValueRows:
-    """One batch of consecutive blocks of rows, all CountRows or all ValueRows of one n and H."""
+def concatenate_rows(blocks: Iterable[ValueRows]) -> ValueRows:
+    """One batch of consecutive blocks of rows of one n and H."""
     blocks = list(blocks)
     if len(blocks) == 1:
         return blocks[0]
     n = blocks[0].n
-    if isinstance(blocks[0], CountRows):
-        return CountRows(np.concatenate([b.table for b in blocks]), n)
     lengths = np.concatenate([np.diff(b.starts) for b in blocks])
     return ValueRows(
         np.concatenate([b.head for b in blocks]),
@@ -506,7 +509,7 @@ def concatenate_rows(blocks: Iterable[CountRows | ValueRows]) -> CountRows | Val
 
 def sample(
     model: ZipfModel, n: int, stream: RandomStream, rows: int | None = None
-) -> Sample | CountRows | ValueRows:
+) -> Sample | ValueRows:
     """Draw n values by inverse transform: the smallest k with cdf(k) >= u.
 
     Finite supports use the exact model cdf and clamp to K against end-of-table
@@ -515,15 +518,15 @@ def sample(
     transform is a guided search (_guided_search), which finds the index a
     binary search would.
 
-    With ``rows``, the model instead gives that many samples as one batch,
-    drawn as counts by conditional binomials (Generator.multinomial) where
-    that is cheaper than drawing observations one by one.
+    With ``rows``, the model instead gives that many samples as one batch of
+    ValueRows, drawn as counts by conditional binomials (Generator.multinomial)
+    where that is cheaper than drawing observations one by one.
 
-    - Finite support, K <= n: CountRows, every row's counts of 1..K one
-      multinomial, O(K) per row whatever n is.
-    - Finite support, K > n: CountRows by inverse transform and a row-offset
-      bincount, O(n) per row.
-    - Unbounded support: ValueRows.  A head 1..H, H the largest k with
+    - Finite support, K <= n: a head of H = K columns, every row's counts of
+      1..K one K-category multinomial, O(K) per row whatever n is.
+    - Finite support, K > n: the same head, by inverse transform and a
+      row-offset bincount, O(n) per row.
+    - Unbounded support: a head 1..H, H the largest k with
       n p(k) >= 1 clipped to [16, 4096], is drawn as a multinomial over
       1..H plus one tail category; its counts of 1..H are the row of the
       batch's head matrix.  Only the row's tail observations are drawn by
@@ -547,8 +550,7 @@ def sample(
     if k is None:
         return concatenate_rows(value_blocks(model, n, stream, rows))
     if k <= n:
-        return CountRows(stream.multinomial(n, model._sampling_pmf, rows), n)
+        return _count_rows(stream.multinomial(n, model._sampling_pmf, rows), n)
     cells = _draw_values(model, rows * n, stream).reshape(rows, n) - 1
     cells += (np.arange(rows) * k)[:, None]
-    table = np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
-    return CountRows(table, n)
+    return _count_rows(np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k), n)

@@ -7,7 +7,9 @@ a bracket of the root that shrinks at every step.  The left side is the
 sample mean of ln x; the right side is the model mean of ln X, strictly
 decreasing in gamma, so the root is unique whenever it exists; where it
 does not, the estimate is the nearer end of the search range, where the
-likelihood is largest on it.
+likelihood is largest on it.  A batch of samples (ValueRows) is fitted as
+one; the support chooses how a row's log sum is taken (log_mean) and what
+the model's moments are.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import numpy as np
 from .distribution import (
     MIN_UNBOUNDED_GAMMA,
     UNBOUNDED_SAMPLE_LIMIT,
-    CountRows,
     Sample,
     Support,
     ValueRows,
@@ -76,20 +77,22 @@ def _log_sums(rows: ValueRows) -> np.ndarray:
     return np.add.reduceat(terms, rows.starts[:-1] + np.cumsum(head_lengths) - head_lengths)
 
 
-def log_mean(rows: CountRows | ValueRows) -> np.ndarray:
-    """(sum ln x_i) / n per row, with the all-ones degenerate case nudged by ln 2.
+def log_mean(rows: ValueRows, support: Support = Support.unbounded()) -> np.ndarray:
+    """(sum ln x_i) / n per row on the support, with the all-ones case nudged by ln 2.
 
-    A row's log sum is taken from its counts of 1..K (CountRows) or from its
-    head counts and distinct values above them (_log_sums, a chunk of rows at a
-    time), drawn or observed alike.
+    A row's log sum is taken a chunk of rows at a time, drawn or observed
+    alike: on 1..K as the sum along its row of count x ln k over 1..K, on the
+    unbounded support from its head counts and distinct values above them
+    (_log_sums).
     A sample of all ones has log-sum zero and would drive the estimate to
     infinity; it is scored as if a single observation were 2 instead.
     """
-    if isinstance(rows, CountRows):
-        k = rows.table.shape[1]
-        raw = (rows.table * natural_logs(k)[1 : k + 1]).sum(axis=1)
-    else:
-        raw = np.concatenate([_log_sums(rows.part(lo, hi)) for lo, hi in rows.chunks()])
+    k = support.k
+    sums = []
+    for lo, hi in rows.chunks(support):
+        part = rows.part(lo, hi)
+        sums.append((part.head * natural_logs(k)[1 : k + 1]).sum(axis=1) if k else _log_sums(part))
+    raw = np.concatenate(sums)
     raw[raw <= 0.0] += _LN2
     return raw / rows.n
 
@@ -140,14 +143,13 @@ def _start(target: np.ndarray, support: Support) -> np.ndarray:
     )
 
 
-def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float | np.ndarray:
+def mle_gamma(sample: Sample | ValueRows, support: Support) -> float | np.ndarray:
     """Exponent estimate for the sample over the declared support.
 
     Newton-Raphson from the start table (_start), kept inside a shrinking
     bracket of the root (see _mle_rows).
 
-    CountRows over a finite support are fitted all at once, and ValueRows
-    over the unbounded one in chunks of rows; either gives one estimate per
+    A batch of rows is fitted a chunk of rows at a time, one estimate per
     row, the likelihood's maximizer on the search range (_mle_rows).  A
     Sample is fitted as its batch of one row (as_rows), and raises
     ValueError if its fit does not converge.
@@ -157,24 +159,21 @@ def mle_gamma(sample: Sample | CountRows | ValueRows, support: Support) -> float
         if math.isnan(root):
             raise ValueError(f"the fit did not converge in {MAX_ITERATIONS} iterations")
         return root
-    target = log_mean(sample)
-    if isinstance(sample, CountRows):
-        k = support.k
-        if k is None or sample.table.shape[1] != k:
-            raise ValueError(f"count rows do not match the finite support 1..{support}")
+    sample.check(support)
+    target = log_mean(sample, support)
+    k = support.k
+    if k:
         # every observation at the support bound: the root sits at -infinity,
         # so mirror the all-ones nudge and score one observation as K-1 (for
         # K >= 20 and n >= 2 its root still lies below the search range);
         # at K = 2 and n = 1 that scores [2] as [1], so it is scored as the
         # all-ones sample is, and the estimate never rises with the mean log
-        piled = sample.table[:, -1] == sample.n
+        piled = sample.head[:, k - 1] == sample.n
         target[piled] = np.maximum(target[piled] - (math.log(k) - math.log(k - 1)) / sample.n, _LN2 / sample.n)
-        return _mle_rows(target, support)
-    if support.is_finite:
-        raise ValueError("value rows need the unbounded support")
-    # A fit holds some floats per row and none per value: at most as many
-    # rows at once as CHUNK_ELEMENTS of work would hold (ValueRows.sizes).
-    step = CHUNK_ELEMENTS // (HEAD_TERMS + 1)
+    # A fit holds some floats per row and none per value: its model sums take
+    # rows x K powers on 1..K and HEAD_TERMS + 1 a row on the unbounded support,
+    # and it takes at most as many rows at once as CHUNK_ELEMENTS of them hold.
+    step = CHUNK_ELEMENTS // (k or HEAD_TERMS + 1)
     out = np.empty(target.size)
     for lo in range(0, target.size, step):
         out[lo : lo + step] = _mle_rows(target[lo : lo + step], support)

@@ -23,14 +23,13 @@ A table (build_table) whose grid would start no pool instead runs whole
 cells on two threads, each in process, when it has more than one worker
 and cell and holds no heavy unbounded cell (_spans_on_threads).
 
-A task's spans are drawn a block of rows at a time.  On a finite support a
-block is a matrix of count vectors.  On the unbounded support each
-replicate is reduced, as it is drawn, to its counts of 1..H, a row of a
-dense matrix, and its distinct values above H with their counts, and a
-block holds bounded work however heavy the tails.
-Consecutive blocks, within a span or across spans, are joined into batches
-of bounded size, and each batch is fitted and scored as one before the
-blocks after it are drawn.
+A task's spans are drawn a block of rows at a time.  Each replicate is
+reduced, as it is drawn, to its counts of 1..H, a row of a dense matrix,
+and its distinct values above H with their counts: on a finite support H
+is K and there are none, on the unbounded one a block holds bounded work
+however heavy the tails.  Consecutive blocks, within a span or across
+spans, are joined into batches of bounded size, and each batch is fitted
+and scored as one before the blocks after it are drawn.
 """
 from __future__ import annotations
 
@@ -50,7 +49,6 @@ import numpy as np
 
 from .distribution import (
     _BLOCK_CHUNKS,
-    CountRows,
     RandomStream,
     Support,
     ValueRows,
@@ -153,28 +151,22 @@ def _generating_model(gamma: float, support_k: int | None) -> ZipfModel:
     return ZipfModel(gamma=gamma, support=Support(k=support_k))
 
 
-def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterator[CountRows | ValueRows]:
+def _blocks(model: ZipfModel, n: int, stream: RandomStream, rows: int) -> Iterator[ValueRows]:
     """The next ``rows`` replicates of the stream, drawn a block of rows at a time.
 
-    Finite-support rows come in chunks of about CHUNK_ELEMENTS count-matrix
-    elements (rows x K), which keeps the arrays in cache; unbounded rows in
-    value_blocks' blocks, which bounds the values a span holds at once.
-    Neither changes a sample: both consume the stream as one draw would.
+    Finite-support rows come in blocks of _BLOCK_CHUNKS whole chunks of
+    about CHUNK_ELEMENTS head counts (rows x K), as the fit and KS statistic
+    take them (ValueRows.chunks); unbounded rows in value_blocks' blocks,
+    which bounds the values a span holds at once.  Either block is at most
+    _BLOCK_CHUNKS * CHUNK_ELEMENTS of work where more than one row fits, and
+    neither changes a sample: both consume the stream as one draw would.
     """
     if model.support.is_finite:
-        step = max(1, CHUNK_ELEMENTS // model.support.k)
+        step = _BLOCK_CHUNKS * max(1, CHUNK_ELEMENTS // model.support.k)
         for lo in range(0, rows, step):
             yield sample(model, n, stream, min(step, rows - lo))
     else:
         yield from value_blocks(model, n, stream, rows)
-
-
-def _size(block: CountRows | ValueRows) -> int:
-    """A block's share of a batch: its count cells, or its work size (ValueRows.sizes),
-    which counts its head cells."""
-    if isinstance(block, CountRows):
-        return block.table.size
-    return int(block.sizes()[-1])
 
 
 def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +174,9 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
 
     Results come in replicate-index order.  Each span draws from its own
     stream, a block at a time (_blocks).  Consecutive blocks, of one span or
-    of several, are collected while their _sizes add up to at most
-    CHUNK_ELEMENTS on a finite support, or _BLOCK_CHUNKS * CHUNK_ELEMENTS on
-    the unbounded one, and are then joined, fitted and scored as one batch; a
-    block past that budget on its own is scored alone.  A task is a whole
+    of several, are collected while their work (ValueRows.sizes) adds up to
+    at most _BLOCK_CHUNKS * CHUNK_ELEMENTS, and are then joined, fitted and
+    scored as one batch; a block past that budget on its own is scored alone.  A task is a whole
     repetition in process, half of one on threads and a run of spans on a
     pool (_replicate_ks); a row's fit and statistic do not depend on the rows
     batched with it, so results do not depend on how spans are grouped into
@@ -199,10 +190,10 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     if not 0 <= start < stop * _SPAN or (stop - 1) * _SPAN >= config.replicates:
         raise ValueError(f"spans {first}..{stop - 1} outside the {config.replicates} replicates")
     model = _generating_model(config.gamma, config.support.k)
-    budget = CHUNK_ELEMENTS if config.support.is_finite else _BLOCK_CHUNKS * CHUNK_ELEMENTS
+    budget = _BLOCK_CHUNKS * CHUNK_ELEMENTS
     scored: list[tuple[np.ndarray, np.ndarray]] = []
-    batch: list[CountRows | ValueRows] = []
-    held = 0  # the batch's _size
+    batch: list[ValueRows] = []
+    held = 0  # the batch's work
 
     def score_batch() -> None:
         drawn = concatenate_rows(batch)
@@ -213,7 +204,7 @@ def _run_spans(task: tuple[SimulationConfig, int, int, int]) -> tuple[np.ndarray
     for span in range(first, stop):
         stream = RandomStream.for_replicate(config.base_seed, repetition, span)
         for block in _blocks(model, config.n, stream, min(_SPAN, config.replicates - span * _SPAN)):
-            size = _size(block)
+            size = int(block.sizes(config.support)[-1])
             if batch and held + size > budget:
                 score_batch()
                 held = 0
@@ -273,11 +264,15 @@ def _replicate_seconds(config: SimulationConfig) -> float:
     about n^(1/gamma): from gamma = 4 down to 1.25, 2.3-9 us at n <= 100,
     3.6-37 us at n = 1000 and up to 0.66 ms at n = 5x10^4 (1.4 ms at gamma =
     1.05).  The model is within a factor of two of those figures but at
-    gamma = 1.05, n = 5x10^4 (three).  It depends only on the configuration,
-    so the same call always takes the same path.
+    gamma = 1.05, n = 5x10^4 (three).  On 1..K its constants are set so that
+    K = 20 calls take the faster path by the README's per-call table: 2.3,
+    2.6 and 4.9 us at n = 10, 100 and 1000, so that 2,048 replicates at
+    n <= 10 stay in process and 2,048 at n = 100 and 1,024 at n = 1000 run on
+    threads.  It depends only on the configuration, so the same call always
+    takes the same path.
     """
     if config.support.is_finite:
-        return 1.5e-6 + 2.5e-8 * config.support.k + 1e-9 * config.n
+        return 1.8e-6 + 2.5e-8 * config.support.k + 2.6e-9 * config.n
     return 3e-6 + 1.5e-7 * config.n ** (1.0 / config.gamma)
 
 

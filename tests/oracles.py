@@ -6,10 +6,10 @@ likelihood instead of root-finding, and the KS supremum is an O(K*N) scan.
 The scalar score is the exception: the estimator's Newton-Raphson, with a
 plain bisection where the estimator safeguards its steps, written one
 exponent at a time on its own moment sums (scalar_mle, log_moments), then
-the one-sample ks_statistic.  It is the reference for the batched engines
-(count vectors on finite supports, distinct values on the unbounded one),
-whose vectorized fit it shares only the start table and the one-row log
-mean with.
+the one-sample ks_statistic.  It is the reference for the batched engine,
+whose rows hold dense counts of 1..H and distinct values above H (H = K and
+no values above it on finite supports), and whose vectorized fit it shares
+only the start table and the one-row log mean with.
 """
 from __future__ import annotations
 
@@ -166,7 +166,7 @@ def scalar_mle(drawn: Sample, support: Support) -> float:
     takes that end: there the likelihood is largest on the range.
     """
     k = support.k
-    target = float(log_mean(as_rows(drawn, support))[0])
+    target = float(log_mean(as_rows(drawn, support), support)[0])
     if k is not None and int(drawn.observations.min()) == k:
         target = max(target - (math.log(k) - math.log(k - 1)) / drawn.n, math.log(2.0) / drawn.n)
     low, high = (-20.0, 20.0) if k is not None else (1.05, 20.0)
@@ -209,6 +209,14 @@ def expand_counts(counts) -> Sample:
     """The sample, in sorted order, whose count vector over 1..K is ``counts``."""
     counts = np.asarray(counts)
     return Sample(np.repeat(np.arange(1, counts.size + 1), counts))
+
+
+def count_rows(table, n: int) -> ValueRows:
+    """The batch over 1..K whose rows' counts of 1..K are the rows of ``table``: a head of
+    K columns, and no values above it."""
+    table = np.asarray(table)
+    none = np.zeros(0, dtype=np.int64)
+    return ValueRows(table, none, none, np.zeros(table.shape[0] + 1, dtype=np.int64), n)
 
 
 def value_rows(samples: list[Sample]) -> ValueRows:

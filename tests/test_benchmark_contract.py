@@ -4,6 +4,7 @@ The tracer replaces engine functions by module attribute for a traced run,
 and the cold-start probe imports its names from the package root.  A change
 that removes one of them would otherwise first fail in a benchmark run.
 """
+import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +49,39 @@ def test_fit_reads_its_input_through_the_cli_attribute(tmp_path, capsys, monkeyp
     assert cli.main(argv) in (0, 1)
     assert calls == [str(path)]
     assert capsys.readouterr().out.startswith("n=3\n")
+
+
+def test_finite_draws_go_through_the_sample_attribute(monkeypatch, tmp_path):
+    # the tracer times the draw by wrapping montecarlo.sample; finite spans
+    # must draw their blocks through it, so that grid_k20's traced pass
+    # reports the draw layer instead of counting it as engine self time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    from zipfks import montecarlo
+    from zipfks.distribution import Support
+
+    calls = []
+    draw = montecarlo.sample
+
+    def counting(model, n, stream, rows=None):
+        calls.append(rows)
+        return draw(model, n, stream, rows)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(montecarlo, "sample", counting)
+        config = montecarlo.SimulationConfig(n=100, support=Support.finite(20), gamma=1.0,
+                                             base_seed=1, replicates=1100, repetitions=1)
+        montecarlo.run_simulation(config, workers=1)
+    assert calls == [512, 512, 76]  # one block of rows per span
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        started = time.perf_counter()
+        with tracer.span("bench.calibrate"):
+            workloads.calibrate(workloads.WORKLOADS["grid_k20"], 1, 1, tmp_path / "grid.csv")
+        wall = time.perf_counter() - started
+    metrics = tracing.layer_metrics(tracer, wall, 1, 0.0)
+    assert metrics["distribution.sample.us_per_call"][0] > 0.0
+    assert metrics["distribution.sample.share"][0] > 0.0

@@ -37,12 +37,12 @@ import pytest
 from scipy.special import gammaln
 
 from zipfks import montecarlo
-from zipfks.distribution import CountRows, Support, ZipfModel
+from zipfks.distribution import Support, ZipfModel
 from zipfks.estimate import mle_gamma
 from zipfks.gof import ZipfRows, ks_statistic
 from zipfks.montecarlo import DEFAULT_LEVELS, SimulationConfig, run_simulation
 
-from oracles import brute_force_ks, expand_counts, golden_section_mle
+from oracles import brute_force_ks, count_rows, expand_counts, golden_section_mle
 
 REPLICATES = 20_000
 LEVELS = np.array(DEFAULT_LEVELS)
@@ -84,7 +84,7 @@ def probabilities(k: int, gamma: float, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def engine_statistics(k: int, n: int) -> np.ndarray:
-    rows, support = CountRows(count_vectors(k, n), n), Support.finite(k)
+    rows, support = count_rows(count_vectors(k, n), n), Support.finite(k)
     return ks_statistic(rows, ZipfRows(mle_gamma(rows, support), support))
 
 
@@ -141,7 +141,7 @@ def test_ks_against_the_generating_exponent_fails(monkeypatch):
     # not quantiles of the re-fitted one: every cell fails at level 0.9
     for k, gamma, n in CELLS:
         monkeypatch.setattr(montecarlo, "mle_gamma",
-                            lambda drawn, support, g=gamma: np.full(drawn.table.shape[0], g))
+                            lambda drawn, support, g=gamma: np.full(drawn.head.shape[0], g))
         passed = levels_passed(engine_statistics(k, n), probabilities(k, gamma, n),
                                engine_cutoffs(k, gamma, n))
         assert not passed[0], (k, gamma, n)
@@ -152,6 +152,6 @@ def test_vectors_piled_at_k_fit_the_range_end():
     # maximum below -20 and fit the range's end; the engine's cutoffs above
     # count them as the exact law does
     table = count_vectors(20, 4)
-    at_end = mle_gamma(CountRows(table, 4), Support.finite(20)) == -20.0
+    at_end = mle_gamma(count_rows(table, 4), Support.finite(20)) == -20.0
     assert np.count_nonzero(at_end) == 4 and (table[at_end, -3:].sum(axis=1) == 4).all()
     assert probabilities(20, -2.0, 4)[at_end].sum() > 4e-3

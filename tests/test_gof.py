@@ -58,7 +58,7 @@ class TestOracleEquality:
             drawn = sample(model_gen, n, RandomStream.for_replicate(2000 + trial, 0, 0), rows=20)
             gammas = rng.uniform(0.3, 3.0, 20)
             got = ks_statistic(drawn, ZipfRows(gammas, support))
-            for row, counts in enumerate(drawn.table):
+            for row, counts in enumerate(drawn.head):
                 want, _ = brute_force_ks(expand_counts(counts).observations, ZipfModel(gammas[row], support))
                 assert got[row] == want
 

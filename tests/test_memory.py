@@ -16,7 +16,7 @@ from zipfks.distribution import (
     sample,
 )
 from zipfks.estimate import mle_gamma
-from zipfks.gof import ZipfRows, _endpoint_gaps, ks_statistic
+from zipfks.gof import ZipfRows, _gaps, ks_statistic
 from zipfks.montecarlo import SimulationConfig, _run_spans
 from zipfks.observations import parse_observations
 from zipfks.series import CHUNK_ELEMENTS
@@ -145,11 +145,11 @@ def test_ks_chunk_of_tail_values_holds_few_arrays_of_them(gamma, n):
     model = ZipfModel(gamma, Support.unbounded())
     drawn = sample(model, n, RandomStream([9]), rows=300)
     gamma_hat = mle_gamma(drawn, model.support)
-    lo, hi = next(drawn.chunks())
+    lo, hi = next(drawn.chunks(model.support))
     part = drawn.part(lo, hi)
     assert part.head.shape[1] >= 32 and part.observations.size > 10_000
-    _endpoint_gaps(part, gamma_hat[lo:hi])  # builds the tables
-    peak = traced_peak(lambda: _endpoint_gaps(part, gamma_hat[lo:hi]))
+    _gaps(part, gamma_hat[lo:hi], model.support)  # builds the tables
+    peak = traced_peak(lambda: _gaps(part, gamma_hat[lo:hi], model.support))
     assert peak < 10 * 8 * part.observations.size / MB
 
 

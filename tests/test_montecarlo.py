@@ -192,7 +192,7 @@ class TestRunReplicate:
         np.testing.assert_array_equal(gamma_hat, want_gamma)
         np.testing.assert_array_equal(ks, ks_statistic(drawn, ZipfRows(want_gamma, support)))
         for row in range(ks.size):
-            want_ks, want_g = scalar_score(expand_counts(drawn.table[row]), support)
+            want_ks, want_g = scalar_score(expand_counts(drawn.head[row]), support)
             assert abs(gamma_hat[row] - want_g) < 1e-9
             assert abs(ks[row] - want_ks) < 1e-12
 
@@ -254,7 +254,7 @@ class TestObservedSample:
         for index in tied:
             span, row = divmod(int(index), _SPAN)
             stream = RandomStream.for_replicate(cfg.base_seed, 0, span)
-            observed = expand_counts(sample(model, cfg.n, stream, rows=_SPAN).table[row])
+            observed = expand_counts(sample(model, cfg.n, stream, rows=_SPAN).head[row])
             fitted = ZipfModel(mle_gamma(observed, cfg.support), cfg.support)
             statistic = ks_statistic(observed, fitted).statistic
             assert statistic == cutoff
@@ -316,8 +316,8 @@ class TestBatches:
         (2, 1.5, 50, None, [1100]),
         (20, 1.5, 10, None, [1100]),  # K > n: drawn by inverse transform
         (20, 1.5, 100, None, [1100]),  # K <= n: drawn as multinomial counts
-        (1000, 1.0, 100, None, [65] * 7 + [57] + [65] * 7 + [57] + [65, 11]),  # no span fits
-        (1000, 1.0, 100, (1 << 20, 1 << 20), [1024, 76]),  # two spans fit the budget
+        (1000, 1.0, 100, None, [130] * 3 + [122] + [130] * 3 + [122] + [76]),  # no span fits
+        (1000, 1.0, 100, (1 << 19, 1 << 20), [1024, 76]),  # two spans fit the budget
         (None, 2.0, 1, None, [1100]),
         (None, 2.0, 100, None, [1100]),
         # one-row blocks, about six to a batch: batches end inside spans and cross them
@@ -414,6 +414,21 @@ class TestChunksAndWorkers:
         monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", montecarlo._estimated_seconds(cfg))
         run_simulation(cfg, workers=2)
         assert len(pools) == 1
+
+    def test_k20_calls_take_the_faster_path_of_the_per_call_table(self):
+        # measured in process and on halves: 2,048 replicates at n = 10 lose on
+        # threads, 2,048 at n = 100 and 1,024 at n = 1000 gain; the benchmark's
+        # K = 20 grid starts no pool, and its fit --bespoke runs on halves
+        def estimate(n, replicates, gamma=1.0):
+            return montecarlo._estimated_seconds(config(n=n, gamma=gamma, replicates=replicates,
+                                                        repetitions=1))
+
+        assert estimate(10, 2048) < montecarlo._THREAD_MIN_SECONDS
+        assert estimate(100, 2048) >= montecarlo._THREAD_MIN_SECONDS
+        assert estimate(1000, 1024) >= montecarlo._THREAD_MIN_SECONDS
+        grid = sum(estimate(n, 2048, gamma) for gamma in (0.5, 1.0, 2.0, 4.0) for n in (10, 100, 1000))
+        assert grid < montecarlo._POOL_MIN_SECONDS
+        assert montecarlo._THREAD_MIN_SECONDS <= estimate(1000, 2048) < montecarlo._POOL_MIN_SECONDS
 
     @pytest.mark.parametrize("cell", list(HEAVY_SHORT), ids=list(HEAVY_SHORT))
     def test_heavy_short_call_runs_on_two_threads(self, monkeypatch, cell):

@@ -318,7 +318,7 @@ class TestBlocks:
         head = distribution._head_size(model, n)
         for block in blocks:
             # a block's work, head cells included, fits the budget unless it is one row
-            assert block.sizes()[-1] <= budget or block.starts.size == 2
+            assert block.sizes(UNBOUNDED)[-1] <= budget or block.starts.size == 2
             assert block.n == n and block.starts[0] == 0 and block.head.shape[1] == head
             assert (block.observations > head).all()
         joined = sample(model, n, RandomStream([4]), rows=rows)
