@@ -291,6 +291,8 @@ class ValueRows:
 
     def part(self, lo: int, hi: int) -> "ValueRows":
         """Rows lo..hi-1 as a batch of their own, on views of this batch's arrays."""
+        if lo == 0 and hi == self.starts.size - 1:
+            return self
         a, b = self.starts[lo], self.starts[hi]
         return ValueRows(self.head[lo:hi], self.observations[a:b], self.counts[a:b],
                          self.starts[lo : hi + 1] - a, self.n)
@@ -496,14 +498,15 @@ def concatenate_rows(blocks: Iterable[ValueRows]) -> ValueRows:
     blocks = list(blocks)
     if len(blocks) == 1:
         return blocks[0]
-    n = blocks[0].n
-    lengths = np.concatenate([np.diff(b.starts) for b in blocks])
+    starts = [blocks[0].starts]
+    for block in blocks[1:]:
+        starts.append(block.starts[1:] + starts[-1][-1])
     return ValueRows(
         np.concatenate([b.head for b in blocks]),
         np.concatenate([b.observations for b in blocks]),
         np.concatenate([b.counts for b in blocks]),
-        np.concatenate(([0], np.cumsum(lengths))),
-        n,
+        np.concatenate(starts),
+        blocks[0].n,
     )
 
 

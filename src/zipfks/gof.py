@@ -141,8 +141,9 @@ def _ks_rows(drawn: ValueRows, models: ZipfRows) -> np.ndarray:
         part = drawn.part(lo, hi)
         gaps, below, at = _gaps(part, models.gamma[lo:hi], models.support)
         largest = gaps.max(axis=1, initial=0.0)
-        held = np.flatnonzero(np.diff(part.starts))  # rows with values above H
-        tail = np.maximum.reduceat(np.maximum(below, at, out=at), part.starts[held])
-        largest[held] = np.maximum(largest[held], tail)
+        if below.size:  # values above H
+            held = np.flatnonzero(np.diff(part.starts))  # rows that hold them
+            tail = np.maximum.reduceat(np.maximum(below, at, out=at), part.starts[held])
+            largest[held] = np.maximum(largest[held], tail)
         out[lo:hi] = largest
     return out
