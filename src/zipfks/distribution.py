@@ -271,10 +271,9 @@ class ValueRows:
     n: int
 
     def sizes(self, support: Support) -> np.ndarray:
-        """Entry r: the work of rows 0..r-1 on the support, their values above H and
-        per row its H head counts, plus on the unbounded support the HEAD_TERMS + 1
-        wide table of head terms that the fit and KS statistic build for every row
-        (on 1..K the arrays they build per row are as wide as the head)."""
+        """Entry r: the work of rows 0..r-1, their values above H and per row its H head
+        counts, plus on the unbounded support the HEAD_TERMS + 1 head terms that the fit
+        and KS statistic build for it (on 1..K what they build is as wide as the head)."""
         width = self.head.shape[1] + (0 if support.is_finite else HEAD_TERMS + 1)
         return self.starts + width * np.arange(self.starts.size)
 

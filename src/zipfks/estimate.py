@@ -7,9 +7,8 @@ a bracket of the root that shrinks at every step.  The left side is the
 sample mean of ln x; the right side is the model mean of ln X, strictly
 decreasing in gamma, so the root is unique whenever it exists; where it
 does not, the estimate is the nearer end of the search range, where the
-likelihood is largest on it.  A batch of samples (ValueRows) is fitted as
-one; the support chooses how a row's log sum is taken (log_mean) and what
-the model's moments are.
+likelihood is largest on it.  The support, not the batch, chooses how a
+row's log sum is taken (log_mean) and what the model's moments are.
 """
 from __future__ import annotations
 

@@ -264,12 +264,10 @@ def _replicate_seconds(config: SimulationConfig) -> float:
     about n^(1/gamma): from gamma = 4 down to 1.25, 2.3-9 us at n <= 100,
     3.6-37 us at n = 1000 and up to 0.66 ms at n = 5x10^4 (1.4 ms at gamma =
     1.05).  The model is within a factor of two of those figures but at
-    gamma = 1.05, n = 5x10^4 (three).  On 1..K its constants are set so that
-    K = 20 calls take the faster path by the README's per-call table: 2.3,
-    2.6 and 4.9 us at n = 10, 100 and 1000, so that 2,048 replicates at
-    n <= 10 stay in process and 2,048 at n = 100 and 1,024 at n = 1000 run on
-    threads.  It depends only on the configuration, so the same call always
-    takes the same path.
+    gamma = 1.05, n = 5x10^4 (three).  On 1..K it reads K = 20 at 2.3, 2.6
+    and 4.9 us at n = 10, 100 and 1000, which puts each call of the README's
+    K = 20 per-call table on its faster path.  It depends only on the
+    configuration, so the same call always takes the same path.
     """
     if config.support.is_finite:
         return 1.8e-6 + 2.5e-8 * config.support.k + 2.6e-9 * config.n
