@@ -76,7 +76,7 @@ def _log_sums(rows: ValueRows) -> np.ndarray:
     return np.add.reduceat(terms, rows.starts[:-1] + np.cumsum(head_lengths) - head_lengths)
 
 
-def log_mean(rows: ValueRows, support: Support = Support.unbounded()) -> np.ndarray:
+def log_mean(rows: ValueRows, support: Support) -> np.ndarray:
     """(sum ln x_i) / n per row on the support, with the all-ones case nudged by ln 2.
 
     A row's log sum is taken a chunk of rows at a time, drawn or observed

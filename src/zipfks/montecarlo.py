@@ -8,20 +8,17 @@ valid for parameters estimated from the data).
 Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
 that draw from one stream keyed on (base_seed, repetition, span_index), so
 results do not depend on worker count or scheduling.  A task is a run of
-contiguous spans of one repetition, and a call runs its tasks one of three
-ways, chosen from its configuration and worker count alone:
-- on a fork pool, when it has more than one worker and its estimated
-  serial work (_estimated_seconds) reaches _POOL_MIN_SECONDS; a task is
-  about a quarter of one worker's share of a repetition;
-- on two threads, the calling one and a helper started for the call, when
-  it has more than one worker, less work than that but at least
-  _THREAD_MIN_SECONDS, and at least two tasks; a task is one contiguous
-  half of a repetition's spans, and each thread takes the next one in order;
+contiguous spans of one repetition.  A call, or a whole table, runs its
+tasks through one runner (_runner), chosen from its estimated serial work
+(_estimated_seconds) and worker count alone:
+- a fork pool, each repetition cut into four tasks per worker, when it
+  has more than one worker and reaches _POOL_MIN_SECONDS;
+- two threads, the calling one and a helper, each repetition cut into
+  halves, when it has more than one worker and reaches _THREAD_MIN_SECONDS;
 - else in process, a task being a whole repetition.
-Results are placed by task index, so all three give the same bytes.
-A table (build_table) whose grid would start no pool instead runs whole
-cells on two threads, each in process, when it has more than one worker
-and cell and holds no heavy unbounded cell (_spans_on_threads).
+Results are placed by task index, so all three give the same bytes.  A
+table (build_table) on two threads with more than one cell and no heavy
+unbounded cell (_spans_on_threads) runs whole cells on them, each in process.
 
 A task's spans are drawn a block of rows at a time.  Each replicate is
 reduced, as it is drawn, to its counts of 1..H, a row of a dense matrix,
@@ -36,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import multiprocessing
-import multiprocessing.pool
 import os
 import threading
 import time
@@ -83,10 +79,10 @@ _SPAN = 512
 # ms in process and 76 ms on the pool (medians of 7, 2-vCPU VM).
 _POOL_MIN_SECONDS = 0.25
 
-# Calls under _POOL_MIN_SECONDS with more than one worker and at least two
-# tasks run on two threads when their estimated serial work reaches this,
-# each thread taking the next contiguous half of a repetition's spans, so that
-# batches still cross spans.  Below it the helper's start and the hand-offs of
+# Calls and tables under _POOL_MIN_SECONDS with more than one worker run on
+# two threads when their estimated serial work reaches this, each thread
+# taking the next contiguous half of a repetition's spans, so that batches
+# still cross spans.  Below it the helper's start and the hand-offs of
 # the GIL cost more than the second core saves: K = 20, gamma = 1, n = 10, 1,024
 # replicates (2.1 ms estimated) took 1.5 ms in process and 2.2-2.3 ms on
 # threads; `inf`, gamma = 4, n = 1000, 1,024 (3.9 ms) 3.1-3.4 and 4.7 ms.  From
@@ -97,12 +93,12 @@ _POOL_MIN_SECONDS = 0.25
 # of 9-21 calls, 2-vCPU VM.
 _THREAD_MIN_SECONDS = 5e-3
 
-# A table without a pool runs its cells one by one, each by the rule above,
-# instead of whole cells on two threads, when it holds an `inf` cell whose
-# replicates are estimated (_replicate_seconds) at this or more: run whole,
-# that cell would be left on one thread.  `inf`, gamma in {1.25, 4}, n = 1000,
-# 2,048 replicates took 52 ms cell by cell, each on two threads, 73 ms with
-# whole cells on threads and 81 ms in process (medians of 9, 2-vCPU VM).
+# A table on two threads runs its cells one by one, each in halves, instead
+# of whole cells, when it holds an `inf` cell whose replicates are estimated
+# (_replicate_seconds) at this or more: run whole, that cell would be left on
+# one thread.  `inf`, gamma in {1.25, 4}, n = 1000, 2,048 replicates took 52
+# ms cell by cell, each on two threads, 73 ms with whole cells on threads and
+# 81 ms in process (medians of 9, 2-vCPU VM).
 _THREAD_MIN_REPLICATE_SECONDS = 2e-5
 
 
@@ -242,9 +238,9 @@ def order_quantiles(stats: Sequence[float] | np.ndarray, levels: Sequence[float]
 
 
 # ---------------------------------------------------------------------------
-# the replicate loop, serial or on a pool
+# the replicate loop and its runner
 
-def resolve_workers(workers: int | None) -> int:
+def _resolve_workers(workers: int | None) -> int:
     """Worker count; None means every CPU this process may run on."""
     if workers is None:
         if hasattr(os, "sched_getaffinity"):
@@ -279,23 +275,6 @@ def _estimated_seconds(config: SimulationConfig) -> float:
     return _replicate_seconds(config) * config.replicates * config.repetitions
 
 
-@contextlib.contextmanager
-def _worker_pool(
-    workers: int | None, seconds: float
-) -> Iterator[tuple[multiprocessing.pool.Pool | None, int]]:
-    """A fork pool and its worker count when more than one worker gets enough work.
-
-    Else no pool (None) and the worker count, which _replicate_ks uses for
-    two threads where a call has enough work.
-    """
-    workers = resolve_workers(workers)
-    if workers == 1 or seconds < _POOL_MIN_SECONDS:
-        yield None, workers
-        return
-    with multiprocessing.get_context().Pool(workers) as pool:
-        yield pool, workers
-
-
 def _spans_on_threads(config: SimulationConfig) -> bool:
     """Whether a table holding this cell gives the threads its spans, not whole cells:
     the unbounded support and replicates of at least _THREAD_MIN_REPLICATE_SECONDS."""
@@ -303,115 +282,107 @@ def _spans_on_threads(config: SimulationConfig) -> bool:
             and _replicate_seconds(config) >= _THREAD_MIN_REPLICATE_SECONDS)
 
 
-def _on_two_threads(run: Callable[[_Item], _Result], items: Sequence[_Item]) -> Iterator[_Result]:
+def _on_two_threads(run: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
     """run(item) of each item, in item order, run by the calling thread and one helper.
 
-    Each thread takes the next item in index order.  Results are yielded on
-    the calling thread, in item order: between its own items, each one that
-    it and every item before it are done, and after the helper is joined,
-    the rest.  The helper is started for the call and joined before the last
-    result is yielded or an error raised, so no thread outlives a consumed
-    or failed call (a forked pool worker inherits no running thread); close
-    the iterator to end one that is left.  An error stops both threads from
-    taking more items; every item before the failed one was taken earlier
-    and is finished, so the error raised is that of the earliest failing
-    item, as in process.
+    Fewer than two items run in process.  Otherwise each thread takes the
+    next item in index order, and the helper, started for the call, is
+    joined before the results are returned or an error raised, so no thread
+    outlives the call (a forked pool worker inherits no running thread).
+    An error stops both threads from taking more items; every item before
+    the failed one was taken earlier and is finished, so the error raised is
+    that of the earliest failing item, as in process.
     """
-    results: list[_Result | BaseException | None] = [None] * len(items)
+    if len(items) < 2:
+        return list(map(run, items))
+    results: list = [None] * len(items)
     claims, claiming = itertools.count(), threading.Lock()  # no item is taken twice
     stop = threading.Event()
 
-    def take() -> int | None:
-        """The next item's index, or None once the items are taken or one failed."""
-        with claiming:
-            index = next(claims)
-        return None if stop.is_set() or index >= len(items) else index
-
-    def run_one(index: int) -> None:
-        try:
-            results[index] = run(items[index])
-        except BaseException as err:
-            results[index] = err
-            stop.set()
-
     def work() -> None:
-        while (index := take()) is not None:
-            run_one(index)
+        while True:
+            with claiming:  # an item is claimed only before a failure is seen
+                index = len(items) if stop.is_set() else next(claims)
+            if index >= len(items):
+                return
+            try:
+                results[index] = run(items[index])
+            except BaseException as err:
+                results[index] = err
+                stop.set()
 
     helper = threading.Thread(target=work, name="zipfks-spans", daemon=True)
     helper.start()
-    done = 0  # results yielded
     try:
-        while (index := take()) is not None:
-            run_one(index)
-            # the last result waits for the join
-            while done < len(items) - 1 and results[done] is not None \
-                    and not isinstance(results[done], BaseException):
-                yield results[done]
-                done += 1
+        work()
     finally:
         stop.set()  # an interrupt of the calling thread ends the helper after its item
         helper.join()
-    for result in results[done:]:
+    for result in results:
         if isinstance(result, BaseException):
             raise result
-        yield result
+    return results
 
 
-def _replicate_ks(
-    config: SimulationConfig, pool: multiprocessing.pool.Pool | None, workers: int
-) -> np.ndarray:
+# How a call or a table runs its tasks: a map-like callable, and how many
+# parts each repetition is cut into (_runner).
+_Runner = tuple[Callable[[Callable, Sequence], Iterable], int]
+
+
+@contextlib.contextmanager
+def _runner(workers: int | None, seconds: float) -> Iterator[_Runner]:
+    """The runner for ``seconds`` of estimated serial work on ``workers`` (None:
+    every CPU this process may use).
+
+    With more than one worker: a fork pool's imap and four parts per worker
+    when the work reaches _POOL_MIN_SECONDS, else two threads
+    (_on_two_threads) and halves when it reaches _THREAD_MIN_SECONDS.  Any
+    other work runs in process (map), each repetition whole.
+    """
+    workers = _resolve_workers(workers)
+    if workers > 1 and seconds >= _POOL_MIN_SECONDS:
+        with multiprocessing.get_context().Pool(workers) as pool:
+            yield pool.imap, 4 * workers
+    elif workers > 1 and seconds >= _THREAD_MIN_SECONDS:
+        yield _on_two_threads, 2
+    else:
+        yield map, 1
+
+
+def _replicate_ks(config: SimulationConfig, runner: _Runner) -> np.ndarray:
     """KS statistic of every replicate, shape (repetitions, replicates).
 
     A task is a run of contiguous spans of one repetition, so that its
-    batches can cross spans.  On a pool of ``workers`` it is
-    ceil(spans / (4 workers)) spans, about four tasks per worker and
-    repetition, which balances the workers' load.  Without a pool, a call
-    with more than one worker whose _estimated_seconds reach
-    _THREAD_MIN_SECONDS and that has at least two tasks, a task being
-    ceil(spans / 2) spans, runs them on two threads (_on_two_threads); any
-    other runs each repetition as one task in process.
+    batches can cross spans: ceil(spans / parts) spans, for the runner's
+    ``parts`` per repetition.
     """
+    run, parts = runner
     spans = -(-config.replicates // _SPAN)
-    threads = pool is None and workers > 1 and _estimated_seconds(config) >= _THREAD_MIN_SECONDS
-    if pool is not None:
-        step = -(-spans // (4 * workers))
-    else:
-        step = -(-spans // 2) if threads else spans
+    step = -(-spans // parts)
     tasks = [
         (config, repetition, first, min(first + step, spans))
         for repetition in range(config.repetitions)
         for first in range(0, spans, step)
     ]
-    if pool is not None:
-        results = pool.imap(_run_spans, tasks)
-    elif threads and len(tasks) > 1:
-        results = _on_two_threads(_run_spans, tasks)
-    else:
-        results = map(_run_spans, tasks)
-    ks = np.concatenate([task_ks for task_ks, _ in results])
+    ks = np.concatenate([task_ks for task_ks, _ in run(_run_spans, tasks)])
     return ks.reshape(config.repetitions, config.replicates)
 
 
 def run_simulation(
-    config: SimulationConfig,
-    workers: int | tuple[multiprocessing.pool.Pool | None, int] | None = None,
+    config: SimulationConfig, workers: int | _Runner | None = None
 ) -> list[tuple[float, float]]:
     """(level, cutoff) pairs: per-repetition order quantiles averaged over repetitions.
 
     ``workers`` is a worker count (None: every CPU this process may use) or
-    what _worker_pool gives, a pool (None: none) and its worker count, to
-    share, as build_table does across its cells.  A count is an upper
-    bound: a call estimated to take under _POOL_MIN_SECONDS of serial work
-    starts no pool, and runs on two threads if it is estimated at
-    _THREAD_MIN_SECONDS or more (_replicate_ks), else in process.  Results
-    never depend on it.
+    a runner to share, as build_table does across its cells.  A count is an
+    upper bound: the call runs on the runner _runner chooses for its
+    _estimated_seconds.  Results never depend on it.
     """
     if isinstance(workers, tuple):
-        ks = _replicate_ks(config, *workers)
+        ks = _replicate_ks(config, workers)
     else:
-        with _worker_pool(workers, _estimated_seconds(config)) as shared:
-            ks = _replicate_ks(config, *shared)
+        with _runner(workers, _estimated_seconds(config)) as runner:
+            ks = _replicate_ks(config, runner)
     per_level = np.mean([order_quantiles(row, config.quantiles) for row in ks], axis=0)
     return list(zip(config.quantiles, (float(c) for c in per_level)))
 
@@ -468,24 +439,22 @@ def build_table(
     workers: int | None = None,
     progress: Callable[[float, int, float, tuple[float, ...]], None] | None = None,
 ) -> CutoffTable:
-    """Fill the (gamma, n) grid at DEFAULT_LEVELS, all cells sharing one worker pool or helper thread.
+    """Fill the (gamma, n) grid at DEFAULT_LEVELS, all cells sharing one runner.
 
     Every cell reuses the same base_seed, so any single cell is reproducible
     with a standalone run_simulation call on that cell's configuration.  The
-    pool starts only when the whole grid's estimated serial work reaches
-    _POOL_MIN_SECONDS.  Without it, and with more than one worker, a grid of
-    more than one cell that holds no heavy unbounded cell
-    (_spans_on_threads) runs its cells on two threads, each cell whole and
-    in process, the calling thread and a helper each taking the next cell
-    in grid order; any other grid runs cell by cell, each by
-    run_simulation's rule.
+    runner (_runner) is chosen once, for the whole grid's estimated serial
+    work.  On two threads, a grid of more than one cell that holds no heavy
+    unbounded cell (_spans_on_threads) runs its cells whole and in process,
+    the calling thread and a helper each taking the next cell in grid order;
+    any other grid runs cell by cell, each on the grid's runner.
 
     ``progress`` is called on the calling thread, in grid order, with each
-    cell's seconds: the time since the previous report.  A cell is reported
-    once it and every cell before it are done, so on two threads a cell
-    done before an earlier one is reported with it, at about 0 s.  The
-    pool's or helper's start-up is charged to the first cell and its
-    shutdown to the last, so that the seconds add up to the call's wall time.
+    cell's seconds: the time since the previous report.  Cells run cell by
+    cell are reported as each ends; whole cells on threads once the last
+    ends, the first with all their time.  The runner's start-up is charged
+    to the first cell and its shutdown to the last, so that the seconds add
+    up to the call's wall time.
     """
     ns = tuple(int(n) for n in ns)
     gammas = tuple(float(g) for g in gammas)
@@ -511,29 +480,26 @@ def build_table(
             progress(gamma, n, time.perf_counter() - started, cells[(gamma, n)])
         started = time.perf_counter()
 
-    def cell(config: SimulationConfig, shared: tuple[multiprocessing.pool.Pool | None, int]
-             ) -> list[tuple[float, float]]:
+    def cell(config: SimulationConfig, runner: _Runner) -> list[tuple[float, float]]:
         try:
-            return run_simulation(config, shared)
+            return run_simulation(config, runner)
         except Exception as err:
             raise SimulationError(
                 f"table cell (gamma={config.gamma}, n={config.n}) failed: {err}"
             ) from err
 
-    with _worker_pool(workers, sum(map(_estimated_seconds, configs))) as shared:
-        pool, count = shared
-        if (pool is None and count > 1 and len(configs) > 1
-                and not any(map(_spans_on_threads, configs))):
+    with _runner(workers, sum(map(_estimated_seconds, configs))) as runner:
+        run, _ = runner
+        if run is _on_two_threads and len(configs) > 1 and not any(map(_spans_on_threads, configs)):
             # each cell whole and in process, on one of two threads
-            results = _on_two_threads(lambda config: cell(config, (None, 1)), configs)
+            results = run(lambda config: cell(config, (map, 1)), configs)
         else:
-            results = (cell(config, shared) for config in configs)
-        with contextlib.closing(results):  # joins the helper should progress raise
-            for config, pairs in zip(configs, results):
-                gamma, n = config.gamma, config.n
-                cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)
-                if (gamma, n) != grid[-1]:
-                    report(gamma, n)
-    report(*grid[-1])  # the last cell also pays for the pool's or helper's shutdown
+            results = (cell(config, runner) for config in configs)
+        for config, pairs in zip(configs, results):
+            gamma, n = config.gamma, config.n
+            cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)
+            if (gamma, n) != grid[-1]:
+                report(gamma, n)
+    report(*grid[-1])  # the last cell also pays for the runner's shutdown
     return CutoffTable(support=support, levels=DEFAULT_LEVELS, gammas=gammas, ns=ns, cells=cells,
                        replicates=replicates, repetitions=repetitions, base_seed=base_seed)

@@ -22,7 +22,6 @@ from zipfks.montecarlo import (
     _run_spans,
     build_table,
     order_quantiles,
-    resolve_workers,
     run_simulation,
 )
 from zipfks.tablefile import write_table
@@ -82,6 +81,12 @@ def count_threads(monkeypatch, thread_class=threading.Thread):
 
     monkeypatch.setattr(montecarlo.threading, "Thread", CountingThread)
     return threads
+
+
+def replicate_ks(cfg, workers):
+    """_replicate_ks of the call on the runner _runner chooses for it at ``workers``."""
+    with montecarlo._runner(workers, montecarlo._estimated_seconds(cfg)) as runner:
+        return montecarlo._replicate_ks(cfg, runner)
 
 
 # Short calls of heavy replicates: estimated above _THREAD_MIN_REPLICATE_SECONDS
@@ -399,7 +404,7 @@ class TestChunksAndWorkers:
 
         cfg = config(replicates=20 * _SPAN + 1, repetitions=2)  # 21 spans
         pool = RecordingPool()
-        assert run_simulation(cfg, (pool, 2)) == run_simulation(cfg, workers=1)
+        assert run_simulation(cfg, (pool.imap, 8)) == run_simulation(cfg, workers=1)
         runs = [(repetition, first, stop) for _, repetition, first, stop in pool.tasks]
         assert runs == [(repetition, first, min(first + 3, 21))
                         for repetition in range(2) for first in range(0, 21, 3)]
@@ -437,9 +442,9 @@ class TestChunksAndWorkers:
         assert montecarlo._estimated_seconds(cfg) >= montecarlo._THREAD_MIN_SECONDS
         assert montecarlo._estimated_seconds(cfg) < montecarlo._POOL_MIN_SECONDS
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
-        serial = montecarlo._replicate_ks(cfg, None, 1)
+        serial = replicate_ks(cfg, 1)
         assert threads == []
-        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
         assert len(threads) == 1
         assert run_simulation(cfg, workers=2) == run_simulation(cfg, workers=1)
         assert pools == [] and len(threads) == 2
@@ -447,14 +452,14 @@ class TestChunksAndWorkers:
 
     def test_calls_either_side_of_the_thread_floor(self, monkeypatch):
         cfg = config(n=1000, replicates=3 * _SPAN, repetitions=1)
-        serial = montecarlo._replicate_ks(cfg, None, 1)
+        serial = replicate_ks(cfg, 1)
         threads = count_threads(monkeypatch)
         floor = montecarlo._estimated_seconds(cfg)
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", np.nextafter(floor, np.inf))
-        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
         assert threads == []  # just under the floor: in process
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", floor)
-        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
         assert len(threads) == 1 and not threads[0].is_alive()  # at it: one helper, joined
 
     def test_one_task_call_starts_no_thread(self, monkeypatch):
@@ -462,8 +467,8 @@ class TestChunksAndWorkers:
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         threads = count_threads(monkeypatch)
         cfg = config(n=1000, replicates=_SPAN, repetitions=1)
-        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2),
-                                      montecarlo._replicate_ks(cfg, None, 1))
+        np.testing.assert_array_equal(replicate_ks(cfg, 2),
+                                      replicate_ks(cfg, 1))
         assert threads == []
 
     @pytest.mark.parametrize("shape", [(3, 1), (5, 1), (3, 2), (1, 2)], ids=str)
@@ -476,10 +481,10 @@ class TestChunksAndWorkers:
         # the last span is partial, so the halves differ in replicates
         spans, repetitions = shape
         cfg = config(**cell, replicates=spans * _SPAN - 100, repetitions=repetitions)
-        serial = montecarlo._replicate_ks(cfg, None, 1)
+        serial = replicate_ks(cfg, 1)
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         threads = count_threads(monkeypatch)
-        np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+        np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
         assert len(threads) == 1
 
     def test_unconverged_fit_in_the_helpers_span_names_the_serial_replicate(self, monkeypatch):
@@ -528,7 +533,7 @@ class TestChunksAndWorkers:
         # threads may build: every half is run once and the bytes are the serial ones
         cfg = config(n=100, support=Support.unbounded(), gamma=2.0, replicates=16 * _SPAN,
                      repetitions=2)
-        serial = montecarlo._replicate_ks(cfg, None, 1)
+        serial = replicate_ks(cfg, 1)
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         run_spans, ran = montecarlo._run_spans, []
 
@@ -544,7 +549,7 @@ class TestChunksAndWorkers:
             for _ in range(3):
                 montecarlo._generating_model.cache_clear()
                 ran.clear()
-                np.testing.assert_array_equal(montecarlo._replicate_ks(cfg, None, 2), serial)
+                np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
                 assert sorted(ran) == [(rep, first, first + 8) for rep in range(2) for first in (0, 8)]
         finally:
             sys.setswitchinterval(interval)
@@ -571,19 +576,19 @@ class TestChunksAndWorkers:
     def test_resolve_workers_uses_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert resolve_workers(None) == 3
+        assert montecarlo._resolve_workers(None) == 3
 
     def test_resolve_workers_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert resolve_workers(None) == 6
+        assert montecarlo._resolve_workers(None) == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert resolve_workers(None) == 1
+        assert montecarlo._resolve_workers(None) == 1
 
     def test_explicit_worker_count(self):
-        assert resolve_workers(3) == 3
+        assert montecarlo._resolve_workers(3) == 3
         with pytest.raises(ValueError):
-            resolve_workers(0)
+            montecarlo._resolve_workers(0)
 
 
 class TestRunSimulation:
@@ -795,7 +800,7 @@ class TestGridOnThreads:
         assert pools == [] and len(threads) == 1 and not threads[0].is_alive()
         # each cell once, whole and in process, on the calling thread or the helper
         assert sorted(cell for cell, _, _ in calls) == sorted(serial.cells)
-        assert all(workers == (None, 1) for _, workers, _ in calls)
+        assert all(workers == (map, 1) for _, workers, _ in calls)
         assert {thread for _, _, thread in calls} <= {threading.current_thread(), threads[0]}
 
     def test_grid_holding_a_heavy_inf_cell_keeps_the_span_threads(self, monkeypatch):
@@ -803,11 +808,39 @@ class TestGridOnThreads:
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         calls = record_cells(monkeypatch)
         assert build_table(workers=2, **HEAVY_CELL_GRID) == serial
-        # cells one by one on the calling thread; only the gamma = 1.25 cell's spans use a helper
-        assert [(cell, workers) for cell, workers, _ in calls] == [((1.25, 1000), (None, 2)),
-                                                                   ((4.0, 1000), (None, 2))]
+        # cells one by one on the calling thread, each on the table's threads in halves
+        halves = (montecarlo._on_two_threads, 2)
+        assert [(cell, workers) for cell, workers, _ in calls] == [((1.25, 1000), halves),
+                                                                   ((4.0, 1000), halves)]
         assert all(thread is threading.current_thread() for _, _, thread in calls)
-        assert pools == [] and len(threads) == 1 and not threads[0].is_alive()
+        assert pools == [] and len(threads) == 2
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_table_under_the_thread_floor_starts_no_thread(self, monkeypatch):
+        grid = dict(ns=(10, 100), gammas=(1.0,), support=Support.finite(20), base_seed=5,
+                    replicates=200, repetitions=1)
+        serial = build_table(workers=1, **grid)
+        assert sum(montecarlo._estimated_seconds(config(n=n, gamma=1.0, replicates=200,
+                                                        repetitions=1))
+                   for n in grid["ns"]) < montecarlo._THREAD_MIN_SECONDS
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
+        calls = record_cells(monkeypatch)
+        assert build_table(workers=2, **grid) == serial
+        assert (pools, threads) == ([], [])
+        assert all(workers == (map, 1) for _, workers, _ in calls)
+
+    def test_one_cell_table_over_the_floor_runs_its_halves(self, monkeypatch):
+        # no heavy cell, but a single one: its halves, not the cell, go to the threads
+        grid = dict(ns=(1000,), gammas=(1.0,), support=Support.finite(20), base_seed=5,
+                    replicates=2048, repetitions=1)
+        cfg = config(n=1000, gamma=1.0, base_seed=5, replicates=2048, repetitions=1)
+        assert montecarlo._THREAD_MIN_SECONDS <= montecarlo._estimated_seconds(cfg)
+        assert montecarlo._estimated_seconds(cfg) < montecarlo._POOL_MIN_SECONDS
+        serial = build_table(workers=1, **grid)
+        threads, calls = count_threads(monkeypatch), record_cells(monkeypatch)
+        assert build_table(workers=2, **grid) == serial
+        assert [workers for _, workers, _ in calls] == [(montecarlo._on_two_threads, 2)]
+        assert len(threads) == 1 and not threads[0].is_alive()
 
     def test_threads_switching_often_take_each_cell_once(self, monkeypatch):
         # with a fresh generating model per run, whose draw table both threads may build
@@ -836,41 +869,12 @@ class TestGridOnThreads:
         assert [cell for cell, _ in reported] == list(table.cells)  # grid order, each cell once
         assert 0.95 * wall <= sum(s for _, s in reported) <= wall
 
-    def test_progress_reports_cells_before_the_last_one_ends(self, monkeypatch):
-        # the helper takes cell 0, the caller cell 1, and the helper then
-        # holds cell 2 until the calling thread has reported a cell
-        grid = dict(ns=(10, 100, 1000), gammas=(1.0,), support=Support.finite(20), base_seed=5,
-                    replicates=200, repetitions=1)
-        caller, began = threading.current_thread(), threading.Event()
-        caller_took, reported = threading.Event(), threading.Event()
-        run = montecarlo.run_simulation
-
-        def held(config, workers):
-            if threading.current_thread() is caller:
-                caller_took.set()
-            elif config.n == 10:
-                began.set()
-                assert caller_took.wait(timeout=60)
-            else:
-                assert reported.wait(timeout=60)
-            return run(config, workers)
-
-        def progress(gamma, n, seconds, row):
-            seen.append((n, threading.current_thread()))
-            reported.set()
-
-        seen = []
-        monkeypatch.setattr(montecarlo, "run_simulation", held)
-        threads = count_threads(monkeypatch, helper_first(began))
-        build_table(workers=2, progress=progress, **grid)
-        assert seen == [(10, caller), (100, caller), (1000, caller)]
-        assert len(threads) == 1 and not threads[0].is_alive()
-
     def test_failing_cells_raise_the_earliest_in_grid_order(self, monkeypatch):
         # the helper is made to take cell 0, which fails only after cell 1 has
-        # failed on the calling thread; cell 0's error is the one raised
+        # failed on the calling thread; cell 0's error is the one raised.  At
+        # 2,048 replicates a cell the grid is over the thread floor.
         grid = dict(ns=(10, 100, 1000), gammas=(1.5,), support=Support.finite(20), base_seed=5,
-                    replicates=200, repetitions=1)
+                    replicates=2048, repetitions=1)
         caller, began, caller_failed = threading.current_thread(), threading.Event(), threading.Event()
         failed_on = {}
 

@@ -114,8 +114,8 @@ class TestAgainstScalarOracle:
 
     def test_log_mean_per_row(self):
         samples = [Sample([1, 1, 1]), Sample([2, 3, 70000]), Sample([1, 1, 4097])]
-        got = log_mean(value_rows(samples))
-        assert list(got) == [log_mean(value_rows([one]))[0] for one in samples]
+        got = log_mean(value_rows(samples), UNBOUNDED)
+        assert list(got) == [log_mean(value_rows([one]), UNBOUNDED)[0] for one in samples]
 
     def test_rows_must_match_support(self):
         drawn = value_rows([Sample([1, 2, 3])])
@@ -169,7 +169,7 @@ class TestDenseHead:
         head, samples = case
         dense, observed = dense_head_rows(samples, head), value_rows(samples)
         assert dense.head.shape[1] == head and observed.head.shape[1] == 0
-        np.testing.assert_array_equal(log_mean(dense), log_mean(observed))
+        np.testing.assert_array_equal(log_mean(dense, UNBOUNDED), log_mean(observed, UNBOUNDED))
         gamma_hat = mle_gamma(dense, UNBOUNDED)
         np.testing.assert_array_equal(gamma_hat, mle_gamma(observed, UNBOUNDED))
         for gammas in (gamma_hat, np.linspace(1.05, 6.0, len(samples))):
