@@ -467,8 +467,7 @@ class TestChunksAndWorkers:
         monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         threads = count_threads(monkeypatch)
         cfg = config(n=1000, replicates=_SPAN, repetitions=1)
-        np.testing.assert_array_equal(replicate_ks(cfg, 2),
-                                      replicate_ks(cfg, 1))
+        np.testing.assert_array_equal(replicate_ks(cfg, 2), replicate_ks(cfg, 1))
         assert threads == []
 
     @pytest.mark.parametrize("shape", [(3, 1), (5, 1), (3, 2), (1, 2)], ids=str)
@@ -819,10 +818,9 @@ class TestGridOnThreads:
     def test_table_under_the_thread_floor_starts_no_thread(self, monkeypatch):
         grid = dict(ns=(10, 100), gammas=(1.0,), support=Support.finite(20), base_seed=5,
                     replicates=200, repetitions=1)
+        cells = [config(n=n, gamma=1.0, replicates=200, repetitions=1) for n in grid["ns"]]
+        assert sum(map(montecarlo._estimated_seconds, cells)) < montecarlo._THREAD_MIN_SECONDS
         serial = build_table(workers=1, **grid)
-        assert sum(montecarlo._estimated_seconds(config(n=n, gamma=1.0, replicates=200,
-                                                        repetitions=1))
-                   for n in grid["ns"]) < montecarlo._THREAD_MIN_SECONDS
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         calls = record_cells(monkeypatch)
         assert build_table(workers=2, **grid) == serial
