@@ -9,16 +9,16 @@ Replicates run in spans: fixed blocks of _SPAN consecutive replicate indices
 that draw from one stream keyed on (base_seed, repetition, span_index), so
 results do not depend on worker count or scheduling.  A task is a run of
 contiguous spans of one repetition.  A call, or a whole table, runs its
-tasks through one runner (_runner), chosen from its estimated serial work
-(_estimated_seconds) and worker count alone:
-- a fork pool, each repetition cut into four tasks per worker, when it
-  has more than one worker and reaches _POOL_MIN_SECONDS;
-- two threads, the calling one and a helper, each repetition cut into
-  halves, when it has more than one worker and reaches _THREAD_MIN_SECONDS;
-- else in process, a task being a whole repetition.
+tasks through one runner (_runner), chosen from its worker count and
+estimated serial work (_estimated_seconds) alone:
+- with one worker, in process, a task being a whole repetition;
+- else a fork pool, each repetition cut into four tasks per worker, when
+  the work reaches _POOL_MIN_SECONDS;
+- else two threads, the calling one and a helper, each repetition cut
+  into halves (a call of one task still runs in process).
 Results are placed by task index, so all three give the same bytes.  A
-table (build_table) on two threads with more than one cell and no heavy
-unbounded cell (_spans_on_threads) runs whole cells on them, each in process.
+table (build_table) of more than one cell on two threads runs whole cells
+on them, each in process.
 
 A task's spans are drawn a block of rows at a time.  Each replicate is
 reduced, as it is drawn, to its counts of 1..H, a row of a dense matrix,
@@ -71,35 +71,14 @@ DEFAULT_REPETITIONS = 10
 _SPAN = 512
 
 # Calls whose estimated serial work (_estimated_seconds) is below this start
-# no pool whatever the worker count: starting two forked workers and moving
-# spans through them costs more than it saves.  A 12-cell K=20 grid of 2,048
-# replicates per cell took 89 ms in process and 133 ms on a two-worker pool
-# (2-vCPU VM), and the pool's share of that time varied most between runs;
-# with its cells on two threads (build_table) it took 35 ms where it took 59
-# ms in process and 76 ms on the pool (medians of 7, 2-vCPU VM).
+# no pool whatever the worker count, and run on two threads when they have
+# more than one worker: starting two forked workers and moving spans through
+# them costs more than it saves.  A 12-cell K=20 grid of 2,048 replicates per
+# cell took 89 ms in process and 133 ms on a two-worker pool (2-vCPU VM), and
+# the pool's share of that time varied most between runs; with its cells on
+# two threads (build_table) it took 35 ms where it took 59 ms in process and
+# 76 ms on the pool (medians of 7, 2-vCPU VM).
 _POOL_MIN_SECONDS = 0.25
-
-# Calls and tables under _POOL_MIN_SECONDS with more than one worker run on
-# two threads when their estimated serial work reaches this, each thread
-# taking the next contiguous half of a repetition's spans, so that batches
-# still cross spans.  Below it the helper's start and the hand-offs of
-# the GIL cost more than the second core saves: K = 20, gamma = 1, n = 10, 1,024
-# replicates (2.1 ms estimated) took 1.5 ms in process and 2.2-2.3 ms on
-# threads; `inf`, gamma = 4, n = 1000, 1,024 (3.9 ms) 3.1-3.4 and 4.7 ms.  From
-# 6 ms up calls gain or tie: K = 20, n = 1000, 2,048 (6.1 ms, fit --bespoke on
-# 1..20 at n = 1000) 8.5 -> 5.8 ms; K = 1000, gamma = 1, n = 1000, 2,048 128 ->
-# 76 ms; light `inf` replicates, which hold the GIL for much of their time,
-# tie at gamma = 4, n = 1000, 2,048 (7.9 ms; 5.9-6.1 ms either way).  Medians
-# of 9-21 calls, 2-vCPU VM.
-_THREAD_MIN_SECONDS = 5e-3
-
-# A table on two threads runs its cells one by one, each in halves, instead
-# of whole cells, when it holds an `inf` cell whose replicates are estimated
-# (_replicate_seconds) at this or more: run whole, that cell would be left on
-# one thread.  `inf`, gamma in {1.25, 4}, n = 1000, 2,048 replicates took 52
-# ms cell by cell, each on two threads, 73 ms with whole cells on threads and
-# 81 ms in process (medians of 9, 2-vCPU VM).
-_THREAD_MIN_REPLICATE_SECONDS = 2e-5
 
 
 class SimulationError(RuntimeError):
@@ -251,35 +230,28 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _replicate_seconds(config: SimulationConfig) -> float:
-    """Rough serial cost of one replicate, used only to choose how a call runs.
+def _estimated_seconds(config: SimulationConfig) -> float:
+    """Rough serial cost of a whole call, used only to choose whether it starts a
+    pool (_runner).
 
-    Per-replicate costs measured on one core (README, Performance): about
-    1.1-2.9 us at K=20, 11-42 us at K=1000 and 0.4-0.5 ms at K=32766, from
-    n = 10 to n = 1000.  Unbounded, they grow with a row's distinct values,
-    about n^(1/gamma): from gamma = 4 down to 1.25, 2.3-9 us at n <= 100,
-    3.6-37 us at n = 1000 and up to 0.66 ms at n = 5x10^4 (1.4 ms at gamma =
-    1.05).  The model is within a factor of two of those figures but at
-    gamma = 1.05, n = 5x10^4 (three).  On 1..K it reads K = 20 at 2.3, 2.6
-    and 4.9 us at n = 10, 100 and 1000, which puts each call of the README's
-    K = 20 per-call table on its faster path.  It depends only on the
-    configuration, so the same call always takes the same path.
+    A replicate is priced at 1.8 + 0.025 K + 0.0026 n us on 1..K, and at
+    3 + 0.15 n^(1/gamma) us unbounded, where its cost grows with a row's
+    distinct values.  Per-replicate costs measured on one core (README,
+    Performance): about 1.1-2.9 us at K=20, 11-42 us at K=1000 and 0.4-0.5
+    ms at K=32766, from n = 10 to n = 1000; unbounded, from gamma = 4 down
+    to 1.25, 2.3-9 us at n <= 100, 3.6-37 us at n = 1000 and up to 0.66 ms
+    at n = 5x10^4.  Known misses: the model has no gamma term on 1..K, so
+    K = 1000, gamma = 1, n = 1000 reads 29 us against 80-87 us measured,
+    and K = 20, gamma = 4, n = 100, whose multinomial ends early, is priced
+    above n = 10 though it costs as little; gamma = 1.05, n = 5x10^4 reads
+    4.5 ms against 1.4 ms.  It depends only on the configuration, so the
+    same call always takes the same path.
     """
     if config.support.is_finite:
-        return 1.8e-6 + 2.5e-8 * config.support.k + 2.6e-9 * config.n
-    return 3e-6 + 1.5e-7 * config.n ** (1.0 / config.gamma)
-
-
-def _estimated_seconds(config: SimulationConfig) -> float:
-    """Rough serial cost of a whole call: _replicate_seconds of all its replicates."""
-    return _replicate_seconds(config) * config.replicates * config.repetitions
-
-
-def _spans_on_threads(config: SimulationConfig) -> bool:
-    """Whether a table holding this cell gives the threads its spans, not whole cells:
-    the unbounded support and replicates of at least _THREAD_MIN_REPLICATE_SECONDS."""
-    return (not config.support.is_finite
-            and _replicate_seconds(config) >= _THREAD_MIN_REPLICATE_SECONDS)
+        replicate = 1.8e-6 + 2.5e-8 * config.support.k + 2.6e-9 * config.n
+    else:
+        replicate = 3e-6 + 1.5e-7 * config.n ** (1.0 / config.gamma)
+    return replicate * config.replicates * config.repetitions
 
 
 def _on_two_threads(run: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
@@ -336,14 +308,14 @@ def _runner(workers: int | None, seconds: float) -> Iterator[_Runner]:
 
     With more than one worker: a fork pool's imap and four parts per worker
     when the work reaches _POOL_MIN_SECONDS, else two threads
-    (_on_two_threads) and halves when it reaches _THREAD_MIN_SECONDS.  Any
-    other work runs in process (map), each repetition whole.
+    (_on_two_threads, which runs a call of one task in process) and
+    halves.  One worker runs in process (map), each repetition whole.
     """
     workers = _resolve_workers(workers)
     if workers > 1 and seconds >= _POOL_MIN_SECONDS:
         with multiprocessing.get_context().Pool(workers) as pool:
             yield pool.imap, 4 * workers
-    elif workers > 1 and seconds >= _THREAD_MIN_SECONDS:
+    elif workers > 1:
         yield _on_two_threads, 2
     else:
         yield map, 1
@@ -375,8 +347,9 @@ def run_simulation(
 
     ``workers`` is a worker count (None: every CPU this process may use) or
     a runner to share, as build_table does across its cells.  A count is an
-    upper bound: the call runs on the runner _runner chooses for its
-    _estimated_seconds.  Results never depend on it.
+    upper bound: with more than one worker the call runs on a pool if its
+    _estimated_seconds reach _POOL_MIN_SECONDS, else on two threads
+    (_runner).  Results never depend on it.
     """
     if isinstance(workers, tuple):
         ks = _replicate_ks(config, workers)
@@ -444,17 +417,18 @@ def build_table(
     Every cell reuses the same base_seed, so any single cell is reproducible
     with a standalone run_simulation call on that cell's configuration.  The
     runner (_runner) is chosen once, for the whole grid's estimated serial
-    work.  On two threads, a grid of more than one cell that holds no heavy
-    unbounded cell (_spans_on_threads) runs its cells whole and in process,
-    the calling thread and a helper each taking the next cell in grid order;
-    any other grid runs cell by cell, each on the grid's runner.
+    work.  On two threads, a grid of more than one cell runs its cells whole
+    and in process, the calling thread and a helper each taking the next
+    cell in grid order; any other grid runs cell by cell, each on the grid's
+    runner.
 
     ``progress`` is called on the calling thread, in grid order, with each
-    cell's seconds: the time since the previous report.  Cells run cell by
-    cell are reported as each ends; whole cells on threads once the last
-    ends, the first with all their time.  The runner's start-up is charged
-    to the first cell and its shutdown to the last, so that the seconds add
-    up to the call's wall time.
+    cell's seconds.  Cells run cell by cell are reported as each ends, with
+    the time since the previous report.  Whole cells on threads are
+    reported once the last ends, each with a share of the time since the
+    call began in proportion to its own seconds, timed on its thread.  The
+    runner's start-up is charged to the first cell and its shutdown to the
+    last, so that the seconds add up to the call's wall time.
     """
     ns = tuple(int(n) for n in ns)
     gammas = tuple(float(g) for g in gammas)
@@ -471,35 +445,41 @@ def build_table(
         for gamma in gammas
         for n in ns
     ]
-    grid = [(config.gamma, config.n) for config in configs]
     cells: dict[tuple[float, int], tuple[float, ...]] = {}
+    Ended = tuple[SimulationConfig, tuple[float, ...], float]  # a cell's cutoffs and own seconds
 
-    def report(gamma: float, n: int) -> None:
+    def report(ended: list[Ended]) -> None:
+        """Record and report, in grid order, the cells ended since the last report, each
+        with a share of the seconds since then in proportion to its own."""
         nonlocal started
-        if progress is not None:
-            progress(gamma, n, time.perf_counter() - started, cells[(gamma, n)])
+        seconds = time.perf_counter() - started
+        total = sum(own for _, _, own in ended)
+        for config, row, own in ended:
+            cells[(config.gamma, config.n)] = row
+            if progress is not None:
+                progress(config.gamma, config.n, seconds * own / total, row)
         started = time.perf_counter()
 
-    def cell(config: SimulationConfig, runner: _Runner) -> list[tuple[float, float]]:
+    def cell(config: SimulationConfig, runner: _Runner) -> Ended:
+        began = time.perf_counter()
         try:
-            return run_simulation(config, runner)
+            pairs = run_simulation(config, runner)
         except Exception as err:
             raise SimulationError(
                 f"table cell (gamma={config.gamma}, n={config.n}) failed: {err}"
             ) from err
+        return config, tuple(cutoff for _, cutoff in pairs), time.perf_counter() - began
 
     with _runner(workers, sum(map(_estimated_seconds, configs))) as runner:
         run, _ = runner
-        if run is _on_two_threads and len(configs) > 1 and not any(map(_spans_on_threads, configs)):
+        if run is _on_two_threads and len(configs) > 1:
             # each cell whole and in process, on one of two threads
-            results = run(lambda config: cell(config, (map, 1)), configs)
+            ended = run(lambda config: cell(config, (map, 1)), configs)
         else:
-            results = (cell(config, runner) for config in configs)
-        for config, pairs in zip(configs, results):
-            gamma, n = config.gamma, config.n
-            cells[(gamma, n)] = tuple(cutoff for _, cutoff in pairs)
-            if (gamma, n) != grid[-1]:
-                report(gamma, n)
-    report(*grid[-1])  # the last cell also pays for the runner's shutdown
+            for config in configs:
+                ended = [cell(config, runner)]
+                if config is not configs[-1]:
+                    report(ended)
+    report(ended)  # the last cell also pays for the runner's shutdown
     return CutoffTable(support=support, levels=DEFAULT_LEVELS, gammas=gammas, ns=ns, cells=cells,
                        replicates=replicates, repetitions=repetitions, base_seed=base_seed)

@@ -4,6 +4,7 @@ The tracer replaces engine functions by module attribute for a traced run,
 and the cold-start probe imports its names from the package root.  A change
 that removes one of them would otherwise first fail in a benchmark run.
 """
+import contextlib
 import time
 from pathlib import Path
 
@@ -85,3 +86,49 @@ def test_finite_draws_go_through_the_sample_attribute(monkeypatch, tmp_path):
     metrics = tracing.layer_metrics(tracer, wall, 1, 0.0)
     assert metrics["distribution.sample.us_per_call"][0] > 0.0
     assert metrics["distribution.sample.share"][0] > 0.0
+
+
+def test_the_benchmarks_calls_keep_their_runners(monkeypatch, tmp_path):
+    # which runner each benchmark call takes: a change to the rule in
+    # montecarlo._runner that moves one of them shows here before it shows
+    # as a benchmark regression
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    from zipfks import montecarlo
+
+    chosen = []  # (workers, map-like callable) of each runner the engine picks
+    runner = montecarlo._runner
+
+    @contextlib.contextmanager
+    def recording(workers, seconds):
+        with runner(workers, seconds) as picked:
+            chosen.append((workers, picked[0]))
+            yield picked
+
+    cells = []  # the workers argument of each cell a table runs
+    run = montecarlo.run_simulation
+
+    def recorded(config, workers=None):
+        cells.append(workers)
+        return run(config, workers)
+
+    monkeypatch.setattr(montecarlo, "_runner", recording)
+    monkeypatch.setattr(montecarlo, "run_simulation", recorded)
+    threads = (2, montecarlo._on_two_threads)
+    for name, workload in workloads.WORKLOADS.items():
+        chosen.clear()
+        cells.clear()
+        workloads.calibrate(workload, 1, 2, tmp_path / f"{name}.csv")
+        if workload.grid:  # one runner for the grid, whose cells run whole
+            assert chosen == [threads]
+            assert cells == [(map, 1)] * len(workload.cells)
+        else:
+            assert chosen == [threads] * len(workload.cells)
+        chosen.clear()
+        fixture = workloads.prepare_fit(workload.fit, 1, tmp_path)
+        # _fixture_table's call, then the expected fit --bespoke cutoffs
+        assert chosen == [(1, map), threads]
+        chosen.clear()
+        code, _, _ = workloads.run_cli(fixture.bespoke_argv(2))
+        assert code in (0, 1) and chosen == [threads]

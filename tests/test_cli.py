@@ -361,7 +361,7 @@ class TestFit:
     @pytest.mark.parametrize("gamma,k,replicates", [(1.0, 20, 2048), (1.5, None, 1024)])
     def test_bespoke_machine_output_same_at_one_and_two_workers(self, tmp_path, capsys,
                                                                  gamma, k, replicates):
-        # enough replicates at n = 1000 that the call runs its halves on two threads
+        # a short call at n = 1000: it runs its halves on two threads
         path = write_sample(tmp_path, gamma, k, 1000, seed=8)
         argv = ["fit", "--input", str(path), "--k", "inf" if k is None else str(k), "--bespoke",
                 "--replicates", str(replicates), "--reps", "1", "--seed", "6", "--machine"]
@@ -373,7 +373,7 @@ class TestFit:
         lines = dict(line.split("=", 1) for line in out[0].splitlines())
         config = SimulationConfig(n=1000, support=Support(k=k), gamma=float(lines["gamma_hat"]),
                                   base_seed=6, replicates=replicates, repetitions=1)
-        assert montecarlo._estimated_seconds(config) >= montecarlo._THREAD_MIN_SECONDS
+        assert montecarlo._estimated_seconds(config) < montecarlo._POOL_MIN_SECONDS
 
     def test_requires_exactly_one_cutoff_source(self, tmp_path):
         path = tmp_path / "obs.txt"

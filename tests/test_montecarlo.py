@@ -89,8 +89,7 @@ def replicate_ks(cfg, workers):
         return montecarlo._replicate_ks(cfg, runner)
 
 
-# Short calls of heavy replicates: estimated above _THREAD_MIN_REPLICATE_SECONDS
-# per replicate, and between _THREAD_MIN_SECONDS and _POOL_MIN_SECONDS in all
+# Short calls of heavy replicates, estimated under _POOL_MIN_SECONDS in all
 HEAVY_SHORT = {
     "inf": dict(n=1000, support=Support.unbounded(), gamma=1.25, replicates=1100, repetitions=2),
     "k1000": dict(n=100, support=Support.finite(1000), gamma=1.0, replicates=1100, repetitions=2),
@@ -410,36 +409,25 @@ class TestChunksAndWorkers:
                         for repetition in range(2) for first in range(0, 21, 3)]
 
     def test_cheap_calls_run_in_process(self, monkeypatch):
-        pools = count_pools(monkeypatch)
+        # they start no pool: at two workers they run on two threads of this process
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         cfg = config()  # 800 K=20 replicates: a few milliseconds of work
         assert run_simulation(cfg, workers=2) == run_simulation(cfg, workers=1)
+        # the lightest call of the README's per-call table: 2.4 ms estimated
+        light = config(n=10, gamma=1.0, replicates=1024, repetitions=1)
+        np.testing.assert_array_equal(replicate_ks(light, 2), replicate_ks(light, 1))
         build_table(ns=(20, 50), gammas=(1.0, 1.5), support=Support.finite(20), base_seed=5,
                     replicates=600, repetitions=2, workers=2)
-        assert pools == []
+        assert pools == [] and len(threads) == 3
+        assert not any(thread.is_alive() for thread in threads)
         monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", montecarlo._estimated_seconds(cfg))
         run_simulation(cfg, workers=2)
         assert len(pools) == 1
 
-    def test_k20_calls_take_the_faster_path_of_the_per_call_table(self):
-        # measured in process and on halves: 2,048 replicates at n = 10 lose on
-        # threads, 2,048 at n = 100 and 1,024 at n = 1000 gain; the benchmark's
-        # K = 20 grid starts no pool, and its fit --bespoke runs on halves
-        def estimate(n, replicates, gamma=1.0):
-            return montecarlo._estimated_seconds(config(n=n, gamma=gamma, replicates=replicates,
-                                                        repetitions=1))
-
-        assert estimate(10, 2048) < montecarlo._THREAD_MIN_SECONDS
-        assert estimate(100, 2048) >= montecarlo._THREAD_MIN_SECONDS
-        assert estimate(1000, 1024) >= montecarlo._THREAD_MIN_SECONDS
-        grid = sum(estimate(n, 2048, gamma) for gamma in (0.5, 1.0, 2.0, 4.0) for n in (10, 100, 1000))
-        assert grid < montecarlo._POOL_MIN_SECONDS
-        assert montecarlo._THREAD_MIN_SECONDS <= estimate(1000, 2048) < montecarlo._POOL_MIN_SECONDS
-
     @pytest.mark.parametrize("cell", list(HEAVY_SHORT), ids=list(HEAVY_SHORT))
     def test_heavy_short_call_runs_on_two_threads(self, monkeypatch, cell):
-        # a short call over the floor runs on two threads on either support
+        # a short call runs on two threads on either support
         cfg = config(**HEAVY_SHORT[cell])
-        assert montecarlo._estimated_seconds(cfg) >= montecarlo._THREAD_MIN_SECONDS
         assert montecarlo._estimated_seconds(cfg) < montecarlo._POOL_MIN_SECONDS
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         serial = replicate_ks(cfg, 1)
@@ -450,21 +438,21 @@ class TestChunksAndWorkers:
         assert pools == [] and len(threads) == 2
         assert not any(thread.is_alive() for thread in threads)  # joined before the call returns
 
-    def test_calls_either_side_of_the_thread_floor(self, monkeypatch):
+    def test_calls_either_side_of_the_pool_floor(self, monkeypatch):
         cfg = config(n=1000, replicates=3 * _SPAN, repetitions=1)
         serial = replicate_ks(cfg, 1)
-        threads = count_threads(monkeypatch)
+        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         floor = montecarlo._estimated_seconds(cfg)
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", np.nextafter(floor, np.inf))
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", np.nextafter(floor, np.inf))
         np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
-        assert threads == []  # just under the floor: in process
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", floor)
+        # just under the floor: one helper, joined
+        assert pools == [] and len(threads) == 1 and not threads[0].is_alive()
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_SECONDS", floor)
         np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
-        assert len(threads) == 1 and not threads[0].is_alive()  # at it: one helper, joined
+        assert len(pools) == 1 and len(threads) == 1  # at it: a pool
 
     def test_one_task_call_starts_no_thread(self, monkeypatch):
-        # one span and one repetition are one task, however low the floor
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
+        # one span and one repetition are one task
         threads = count_threads(monkeypatch)
         cfg = config(n=1000, replicates=_SPAN, repetitions=1)
         np.testing.assert_array_equal(replicate_ks(cfg, 2), replicate_ks(cfg, 1))
@@ -481,7 +469,6 @@ class TestChunksAndWorkers:
         spans, repetitions = shape
         cfg = config(**cell, replicates=spans * _SPAN - 100, repetitions=repetitions)
         serial = replicate_ks(cfg, 1)
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         threads = count_threads(monkeypatch)
         np.testing.assert_array_equal(replicate_ks(cfg, 2), serial)
         assert len(threads) == 1
@@ -533,7 +520,6 @@ class TestChunksAndWorkers:
         cfg = config(n=100, support=Support.unbounded(), gamma=2.0, replicates=16 * _SPAN,
                      repetitions=2)
         serial = replicate_ks(cfg, 1)
-        monkeypatch.setattr(montecarlo, "_THREAD_MIN_SECONDS", 0.0)
         run_spans, ran = montecarlo._run_spans, []
 
         def recording(task):
@@ -558,7 +544,7 @@ class TestChunksAndWorkers:
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
         light = config()  # 800 K=20 replicates, about 2 us each
         heavy = config(**dict(HEAVY_SHORT["inf"], replicates=600, repetitions=1))
-        run_simulation(light, workers=2)
+        run_simulation(light, workers=1)
         assert (pools, threads) == ([], [])  # in process
         run_simulation(heavy, workers=2)
         assert pools == [] and len(threads) == 1  # on two threads
@@ -754,17 +740,16 @@ def record_cells(monkeypatch):
     return calls
 
 
-# Multi-cell grids estimated below _POOL_MIN_SECONDS with no heavy `inf` cell
-# (_spans_on_threads), whose cells run whole on two threads ...
+# Multi-cell grids estimated below _POOL_MIN_SECONDS, whose cells run whole on
+# two threads; "heavy-inf" pairs a heavy `inf` cell with a light one
 LIGHT_GRIDS = {
     "k20": dict(ns=(10, 100, 1000), gammas=(1.0, 2.0), support=Support.finite(20), base_seed=5,
                 replicates=600, repetitions=2),
     "inf": dict(ns=(100, 1000), gammas=(1.5, 2.5), support=Support.unbounded(), base_seed=5,
                 replicates=300, repetitions=1),
+    "heavy-inf": dict(ns=(1000,), gammas=(1.25, 4.0), support=Support.unbounded(), base_seed=5,
+                      replicates=2048, repetitions=1),
 }
-# ... and one that holds a heavy `inf` cell, whose spans keep their threads
-HEAVY_CELL_GRID = dict(ns=(1000,), gammas=(1.25, 4.0), support=Support.unbounded(), base_seed=5,
-                       replicates=600, repetitions=1)
 
 
 def helper_first(began):
@@ -787,7 +772,6 @@ class TestGridOnThreads:
                           replicates=grid["replicates"], repetitions=grid["repetitions"])
                    for gamma in grid["gammas"] for n in grid["ns"]]
         assert sum(map(montecarlo._estimated_seconds, configs)) < montecarlo._POOL_MIN_SECONDS
-        assert not any(map(montecarlo._spans_on_threads, configs))
         serial = build_table(workers=1, **grid)
         write_table(serial, tmp_path / "serial.csv")
         pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
@@ -802,37 +786,11 @@ class TestGridOnThreads:
         assert all(workers == (map, 1) for _, workers, _ in calls)
         assert {thread for _, _, thread in calls} <= {threading.current_thread(), threads[0]}
 
-    def test_grid_holding_a_heavy_inf_cell_keeps_the_span_threads(self, monkeypatch):
-        serial = build_table(workers=1, **HEAVY_CELL_GRID)
-        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
-        calls = record_cells(monkeypatch)
-        assert build_table(workers=2, **HEAVY_CELL_GRID) == serial
-        # cells one by one on the calling thread, each on the table's threads in halves
-        halves = (montecarlo._on_two_threads, 2)
-        assert [(cell, workers) for cell, workers, _ in calls] == [((1.25, 1000), halves),
-                                                                   ((4.0, 1000), halves)]
-        assert all(thread is threading.current_thread() for _, _, thread in calls)
-        assert pools == [] and len(threads) == 2
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_table_under_the_thread_floor_starts_no_thread(self, monkeypatch):
-        grid = dict(ns=(10, 100), gammas=(1.0,), support=Support.finite(20), base_seed=5,
-                    replicates=200, repetitions=1)
-        cells = [config(n=n, gamma=1.0, replicates=200, repetitions=1) for n in grid["ns"]]
-        assert sum(map(montecarlo._estimated_seconds, cells)) < montecarlo._THREAD_MIN_SECONDS
-        serial = build_table(workers=1, **grid)
-        pools, threads = count_pools(monkeypatch), count_threads(monkeypatch)
-        calls = record_cells(monkeypatch)
-        assert build_table(workers=2, **grid) == serial
-        assert (pools, threads) == ([], [])
-        assert all(workers == (map, 1) for _, workers, _ in calls)
-
     def test_one_cell_table_over_the_floor_runs_its_halves(self, monkeypatch):
-        # no heavy cell, but a single one: its halves, not the cell, go to the threads
+        # a single cell: its halves, not the cell, go to the threads
         grid = dict(ns=(1000,), gammas=(1.0,), support=Support.finite(20), base_seed=5,
                     replicates=2048, repetitions=1)
         cfg = config(n=1000, gamma=1.0, base_seed=5, replicates=2048, repetitions=1)
-        assert montecarlo._THREAD_MIN_SECONDS <= montecarlo._estimated_seconds(cfg)
         assert montecarlo._estimated_seconds(cfg) < montecarlo._POOL_MIN_SECONDS
         serial = build_table(workers=1, **grid)
         threads, calls = count_threads(monkeypatch), record_cells(monkeypatch)
@@ -867,12 +825,34 @@ class TestGridOnThreads:
         assert [cell for cell, _ in reported] == list(table.cells)  # grid order, each cell once
         assert 0.95 * wall <= sum(s for _, s in reported) <= wall
 
+    def test_whole_cells_report_their_share_of_the_wall_time(self, monkeypatch):
+        # cells that sleep for known seconds: one thread takes n=10, the other
+        # n=100 and then n=1000, so all three end together, and each is
+        # reported with a share of the wall time in proportion to its own
+        pauses = {10: 0.06, 100: 0.02, 1000: 0.04}
+
+        def paused(config, workers):
+            time.sleep(pauses[config.n])
+            return [(level, 0.5) for level in DEFAULT_LEVELS]
+
+        monkeypatch.setattr(montecarlo, "run_simulation", paused)
+        grid = dict(ns=(10, 100, 1000), gammas=(1.5,), support=Support.finite(20), base_seed=5,
+                    replicates=2048, repetitions=1)  # as many as the benchmark's grid cells
+        reported = []
+        started = time.perf_counter()
+        build_table(workers=2, **grid, progress=lambda gamma, n, s, row: reported.append((n, s)))
+        wall = time.perf_counter() - started
+        assert [n for n, _ in reported] == [10, 100, 1000]
+        total = sum(s for _, s in reported)
+        assert 0.95 * wall <= total <= wall
+        for n, s in reported:
+            assert s / total == pytest.approx(pauses[n] / sum(pauses.values()), rel=0.2)
+
     def test_failing_cells_raise_the_earliest_in_grid_order(self, monkeypatch):
         # the helper is made to take cell 0, which fails only after cell 1 has
-        # failed on the calling thread; cell 0's error is the one raised.  At
-        # 2,048 replicates a cell the grid is over the thread floor.
+        # failed on the calling thread; cell 0's error is the one raised
         grid = dict(ns=(10, 100, 1000), gammas=(1.5,), support=Support.finite(20), base_seed=5,
-                    replicates=2048, repetitions=1)
+                    replicates=200, repetitions=1)
         caller, began, caller_failed = threading.current_thread(), threading.Event(), threading.Event()
         failed_on = {}
 
